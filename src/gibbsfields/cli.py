@@ -8,12 +8,14 @@ table is natural.
 
 Exit codes: validate 0 = no violations, 1 = violations or load failure;
 diagnose 0 = uniform-evidence, 2 = divergence-witness, 3 = inconclusive;
-reproduce --check 1 on golden mismatch.
+reproduce --check 1 on golden mismatch; any command 4 when a library
+error (a ValueError such as DomainError, CapacityError or OSError) stops it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -44,8 +46,6 @@ from .fields import (
 )
 from .conditionals import (
     KernelCache,
-    check_one_point_consistency,
-    check_pair_consistency,
     finite_conditional,
     one_point_from_model,
     reconstruct_from_one_point,
@@ -56,17 +56,21 @@ from .energy import (
     transition_energy,
 )
 from .specifications import (
+    GibbsVolumeField,
+    onepoint_spec_from_model,
     onepoint_spec_from_tef,
     pair_site_fixtures,
+    spec_from_model,
     spec_from_onepoint,
     tef_from_potential,
     validate_1spec,
     validate_spec,
     validate_tef,
     volume_split_fixtures,
-    ising_potential,
 )
 from .models import (
+    BernoulliMixtureModel,
+    MarkovChainPairModel,
     bernoulli_product,
     example1_pair,
     example2_limiting_hamiltonian,
@@ -87,8 +91,6 @@ DEFAULTS = {
     "tol": "1e-12",
     "gap_tol": "1e-9",
     "seed": "0",
-    "threads": "1",
-    "mode": "rational",
     "out": ".",
     "max_tuples": "1000000",
 }
@@ -108,7 +110,7 @@ def load_config(path: str | None) -> dict:
 
 def resolve(args: argparse.Namespace, config: dict) -> dict:
     for key in ("model", "site", "filtration", "family", "tol", "gap_tol", "seed",
-                "threads", "mode", "out", "max_tuples"):
+                "out", "max_tuples"):
         value = getattr(args, key, None)
         if value is not None:
             config[key] = str(value)
@@ -157,7 +159,7 @@ def build_filtration(spec: str | None, model) -> Filtration:
             return interval_filtration(center, spans)
         raise ValueError(f"unknown filtration spec {spec!r}")
     # default: tripling boxes for density models, unit steps otherwise
-    if type(model).__name__ == "BernoulliMixtureModel":
+    if isinstance(model, BernoulliMixtureModel):
         radii = []
         r = 6
         while len(box_filtration(center, [r], model.window)[0]) == 2 * r + 1:
@@ -214,7 +216,14 @@ def write_json(out_dir: str, name: str, payload: dict) -> Path:
 # ---------------------------------------------------------------------------
 # validate
 
-def _consistency_reports(model, seed: int, max_tuples: int, threads: int) -> list:
+def _random_condition(rng, rest: Volume, alphabet) -> Configuration:
+    """Configuration on a random subset of at most three sites of rest."""
+    lam_sites = rng.sample(rest.sites, rng.randint(0, min(3, len(rest))))
+    lam = Volume.of(lam_sites) if lam_sites else Volume.empty()
+    return Configuration(lam, tuple(rng.choice(alphabet.symbols) for _ in lam))
+
+
+def _consistency_reports(model, seed: int) -> list:
     """Marginal tower plus both conditional-consistency identities."""
     import random
 
@@ -236,53 +245,41 @@ def _consistency_reports(model, seed: int, max_tuples: int, threads: int) -> lis
     reports.append({"axiom": "marginal-consistency", "fixtures_checked": len(nested),
                     "violations": bad, "max_residual": 0.0})
 
-    kernels = KernelCache(model)
-    pair_checked = 0
-    pair_bad = []
+    pair_fixtures = []
     for _ in range(20):
         size_v = rng.randint(2, min(4, len(sites) - 1))
         v_sites = rng.sample(sites, size_v)
         V = Volume.of(v_sites)
         I = Volume.of(rng.sample(v_sites, rng.randint(1, size_v - 1)))
-        rest = window - V
-        lam_sites = rng.sample(rest.sites, rng.randint(0, min(3, len(rest))))
-        lam = Volume.of(lam_sites) if lam_sites else Volume.empty()
-        z = Configuration(lam, tuple(rng.choice(model.alphabet.symbols) for _ in lam))
-        pair_checked += 1
-        if not check_pair_consistency(model, I, V, z, kernels):
-            pair_bad.append({"V": str(V), "I": str(I), "z": str(z)})
-    reports.append({"axiom": "pair-consistency", "fixtures_checked": pair_checked,
-                    "violations": pair_bad, "max_residual": 0.0})
-
-    op_checked = 0
-    op_bad = []
+        pair_fixtures.append((V, I, _random_condition(rng, window - V, model.alphabet)))
+    site_fixtures = []
     for _ in range(20):
         t, s = rng.sample(sites, 2)
-        rest = window - Volume.of([t, s])
-        lam_sites = rng.sample(rest.sites, rng.randint(0, min(3, len(rest))))
-        lam = Volume.of(lam_sites) if lam_sites else Volume.empty()
-        z = Configuration(lam, tuple(rng.choice(model.alphabet.symbols) for _ in lam))
-        op_checked += 1
-        if not check_one_point_consistency(model, t, s, z, kernels):
-            op_bad.append({"t": format_site(t), "s": format_site(s), "z": str(z)})
-    reports.append({"axiom": "one-point-consistency", "fixtures_checked": op_checked,
-                    "violations": op_bad, "max_residual": 0.0})
+        z = _random_condition(rng, window - Volume.of([t, s]), model.alphabet)
+        site_fixtures.append((t, s, z))
+
+    kernels = KernelCache(model)
+    pair = validate_spec(spec_from_model(model, kernels), pair_fixtures, model.tol)
+    one_point = validate_1spec(onepoint_spec_from_model(model, kernels), site_fixtures, model.tol)
+    for axiom, fixtures, r in (("pair-consistency", pair_fixtures, pair),
+                               ("one-point-consistency", site_fixtures, one_point)):
+        reports.append({"axiom": axiom, "fixtures_checked": len(fixtures),
+                        "violations": r.violations, "max_residual": r.max_residual})
     return reports
 
 
-def _potential_reports(model, tol: float, seed: int, max_tuples: int, threads: int) -> list:
-    """Energy-field, 1-spec, spec and Gibbs-coherence checks for Ising demos."""
-    phi = ising_potential(model.beta, model.h, model.d)
+def _potential_reports(model, tol: float, seed: int, max_tuples: int) -> list:
+    """Energy-field, 1-spec, spec and Gibbs-coherence checks for Gibbs fields."""
     window, alphabet = model.window, model.alphabet
-    tef = tef_from_potential(phi, window, alphabet)
+    tef = tef_from_potential(model.potential, window, alphabet)
     q = onepoint_spec_from_tef(tef)
     Q = spec_from_onepoint(q)
 
     fixtures, meta = pair_site_fixtures(window, alphabet, max_tuples, seed)
-    reports = [validate_tef(tef, fixtures, tol, meta, threads).to_json_dict(),
-               validate_1spec(q, fixtures, tol, meta, threads).to_json_dict()]
+    reports = [validate_tef(tef, fixtures, tol, meta).to_json_dict(),
+               validate_1spec(q, fixtures, tol, meta).to_json_dict()]
     vol_fixtures, vol_meta = volume_split_fixtures(window, alphabet, 3, max_tuples, seed)
-    reports.append(validate_spec(Q, vol_fixtures, tol, vol_meta, threads).to_json_dict())
+    reports.append(validate_spec(Q, vol_fixtures, tol, vol_meta).to_json_dict())
 
     import random
     rng = random.Random(seed)
@@ -312,7 +309,6 @@ def cmd_validate(args) -> int:
     config = resolve(args, load_config(args.config))
     out_dir = config["out"]
     seed = int(config["seed"])
-    threads = int(config["threads"])
     max_tuples = int(config["max_tuples"])
     tol = float(config["tol"])
     try:
@@ -325,11 +321,11 @@ def cmd_validate(args) -> int:
         print(f"validate: FAIL (model load: {err})")
         return 1
 
-    if type(model).__name__ == "IsingDemoModel":
-        reports = _potential_reports(model, tol, seed, max_tuples, threads)
+    if isinstance(model, GibbsVolumeField):
+        reports = _potential_reports(model, tol, seed, max_tuples)
     else:
-        reports = _consistency_reports(model, seed, max_tuples, threads)
-        if type(model).__name__ == "MarkovChainPairModel":
+        reports = _consistency_reports(model, seed)
+        if isinstance(model, MarkovChainPairModel):
             reports.append(_example1_kernel_report(model))
         if not is_positive(model.marginal(_small_volume(model))):
             reports.append({"axiom": "positivity", "fixtures_checked": 1,
@@ -378,9 +374,8 @@ def cmd_diagnose(args) -> int:
     site = parse_site(config["site"]) if config.get("site") else _default_site(model)
     family = build_family(config.get("family"), model, F, int(config["seed"]))
     gap_tol = float(config["gap_tol"])
-    threads = int(config["threads"])
 
-    report = uniform_convergence_report(model, site, F, family, gap_tol, threads)
+    report = uniform_convergence_report(model, site, F, family, gap_tol)
     payload = {"config": config, **report.to_json_dict()}
     path = write_json(config["out"], "diagnose.json", payload)
     (Path(config["out"]) / "diagnose.csv").write_text(report.to_csv())
@@ -571,6 +566,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gfl", description="lattice random-field conditional-structure toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching, so that "--mode" is not read as "--model"
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p):
         p.add_argument("--config")
@@ -580,36 +577,33 @@ def main(argv=None) -> int:
         p.add_argument("--family")
         p.add_argument("--tol", type=float)
         p.add_argument("--gap-tol", dest="gap_tol", type=float)
-        p.add_argument("--mode", choices=["rational", "float"])
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
         p.add_argument("--out")
         p.add_argument("--max-tuples", dest="max_tuples", type=int)
 
-    p_validate = sub.add_parser("validate", help="run axiom validators for a model")
+    p_validate = add_command("validate", help="run axiom validators for a model")
     common(p_validate)
-    p_validate.add_argument("--axioms", default="all")
     p_validate.set_defaults(fn=cmd_validate)
 
-    p_diag = sub.add_parser("diagnose", help="uniform-convergence diagnostics")
+    p_diag = add_command("diagnose", help="uniform-convergence diagnostics")
     common(p_diag)
     p_diag.set_defaults(fn=cmd_diagnose)
 
-    p_rep = sub.add_parser("reproduce", help="regenerate the worked-example reports")
+    p_rep = add_command("reproduce", help="regenerate the worked-example reports")
     p_rep.add_argument("example", choices=["example1", "example2"])
     p_rep.add_argument("--check", action="store_true")
     p_rep.add_argument("--tau", type=int)
     common(p_rep)
     p_rep.set_defaults(fn=cmd_reproduce)
 
-    p_energy = sub.add_parser("energy", help="dump energy and Hamiltonian tables")
+    p_energy = add_command("energy", help="dump energy and Hamiltonian tables")
     common(p_energy)
     p_energy.add_argument("--target", required=True)
     p_energy.add_argument("--boundary", default="")
     p_energy.add_argument("--gauge")
     p_energy.set_defaults(fn=cmd_energy)
 
-    p_rec = sub.add_parser("reconstruct", help="one-point reconstruction on a table file")
+    p_rec = add_command("reconstruct", help="one-point reconstruction on a table file")
     common(p_rec)
     p_rec.add_argument("--table", required=True)
     p_rec.add_argument("--target", required=True)
@@ -618,7 +612,11 @@ def main(argv=None) -> int:
     p_rec.set_defaults(fn=cmd_reconstruct)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, CapacityError, OSError) as err:
+        print(f"gfl {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .lattice import (
@@ -182,24 +181,13 @@ def check_pair_consistency(m: RandomFieldModel, I: Volume, V: Volume,
         g_V^z(xy) g_I^{zy}(u) == g_V^z(uy) g_I^{zy}(x)
 
     for all x, u on I and y on V \\ I, with z on a volume disjoint from V.
+    Checked by validate_spec on the model's specification.
     """
     if not (I.issubset(V) and len(I) < len(V) and len(I) > 0):
         raise DomainError("need a proper nonempty subset I of V")
-    kernels = kernels or KernelCache(m)
-    exact = m.mode == RATIONAL
-    g_V = kernels(V, z)
-    rest = V - I
-    xs = enumerate_configurations(I, m.alphabet)
-    pairs = list(combinations(xs, 2))
-    for y in enumerate_configurations(rest, m.alphabet):
-        g_I = kernels(I, concat(z, y)).probs
-        joint = {x: g_V[concat(x, y)] for x in xs}
-        for x, u in pairs:
-            lhs = joint[x] * g_I[u]
-            rhs = joint[u] * g_I[x]
-            if lhs != rhs and (exact or not close(lhs, rhs, m.tol)):
-                return False
-    return True
+    # specifications builds on this module, so it is imported at call time
+    from .specifications import spec_from_model, validate_spec
+    return validate_spec(spec_from_model(m, kernels), [(V, I, z)], m.tol).ok
 
 
 def check_one_point_consistency(m: RandomFieldModel, t, s, z: Configuration,
@@ -209,26 +197,12 @@ def check_one_point_consistency(m: RandomFieldModel, t, s, z: Configuration,
         g_t^{zy}(x) g_s^{zx}(v) g_t^{zv}(u) g_s^{zu}(y)
           == g_t^{zy}(u) g_s^{zu}(v) g_t^{zv}(x) g_s^{zx}(y)
 
-    quantified over symbols x, u at t and y, v at s.
+    quantified over symbols x, u at t and y, v at s. Checked by
+    validate_1spec, which also requires each kernel to be positive and
+    normalized.
     """
-    t_vol, s_vol = Volume.of([t]), Volume.of([s])
-    if not t_vol.isdisjoint(s_vol):
-        raise DomainError("t and s must differ")
-    kernels = kernels or KernelCache(m)
-    syms = m.alphabet.symbols
-    g_t = {b: kernels(t_vol, concat(z, Configuration(s_vol, (b,)))) for b in syms}
-    g_s = {a: kernels(s_vol, concat(z, Configuration(t_vol, (a,)))) for a in syms}
-    for x in syms:
-        for u in syms:
-            for y in syms:
-                for v in syms:
-                    lhs = (g_t[y].value(x) * g_s[x].value(v)
-                           * g_t[v].value(u) * g_s[u].value(y))
-                    rhs = (g_t[y].value(u) * g_s[u].value(v)
-                           * g_t[v].value(x) * g_s[x].value(y))
-                    if not close(lhs, rhs, m.tol):
-                        return False
-    return True
+    from .specifications import onepoint_spec_from_model, validate_1spec
+    return validate_1spec(onepoint_spec_from_model(m, kernels), [(t, s, z)], m.tol).ok
 
 
 OnePointKernelFn = Callable[[object, Configuration], Mapping]

@@ -14,7 +14,6 @@ tolerance over the last three stages.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,9 +32,8 @@ from .lattice import (
 )
 from .fields import DEFAULT_TOL, RATIONAL, RandomFieldModel, format_scalar
 from .conditionals import ConditionalKernel, KernelCache
-from .energy import transition_energy
+from .energy import energy_distance, stage_moduli, transition_energy
 from .specifications import OnePointSpec
-from ._parallel import parallel_map
 
 UNIFORM_EVIDENCE = "uniform-evidence"
 DIVERGENCE_WITNESS = "divergence-witness"
@@ -319,8 +317,8 @@ def _kernel_table(k: ConditionalKernel, alphabet: Alphabet) -> dict:
 
 
 def uniform_convergence_report(m: RandomFieldModel, t, F: Filtration,
-                               B: BoundaryFamily, gap_tol: float = DEFAULT_TOL,
-                               threads: int = 1) -> ConvergenceReport:
+                               B: BoundaryFamily,
+                               gap_tol: float = DEFAULT_TOL) -> ConvergenceReport:
     """Stage-wise sup-gaps of one-point kernels over a boundary family.
 
     Stage 0 gaps are measured against the unconditional marginal, so the
@@ -341,7 +339,7 @@ def uniform_convergence_report(m: RandomFieldModel, t, F: Filtration,
             previous = k
         return gen.label, gaps, tables[-1]
 
-    results = parallel_map(evaluate, list(B), threads)
+    results = [evaluate(gen) for gen in B]
     zero = Fraction(0) if m.mode == RATIONAL else 0.0
     sup_gaps = []
     for n in range(len(F)):
@@ -385,7 +383,7 @@ def uniform_convergence_report(m: RandomFieldModel, t, F: Filtration,
 
 def filtration_independence_check(m: RandomFieldModel, t, F1: Filtration,
                                   F2: Filtration, B: BoundaryFamily,
-                                  tol: float = DEFAULT_TOL, threads: int = 1):
+                                  tol: float = DEFAULT_TOL):
     """Compare deepest-stage kernels per generator under two filtrations."""
     t_vol = t if isinstance(t, Volume) else Volume.of([t])
     kernels = KernelCache(m)
@@ -396,7 +394,7 @@ def filtration_independence_check(m: RandomFieldModel, t, F1: Filtration,
         k1, k2 = kernels(t_vol, deep1), kernels(t_vol, deep2)
         return gen.label, k1.sup_distance(k2), k1, k2
 
-    results = parallel_map(evaluate, list(B), threads)
+    results = [evaluate(gen) for gen in B]
     agree = all(float(gap) <= tol for _, gap, _, _ in results)
     report = {
         "model": m.describe(),
@@ -438,6 +436,18 @@ def _deep_tables(subject, t_vol: Volume, F: Filtration, B: BoundaryFamily):
     return out, subject.mode, subject.tol
 
 
+def _locality_verdict(stages: list, tol: float) -> str:
+    """Verdict from the stages that have agreeing generator pairs."""
+    informative = [st for st in stages if st.pairs]
+    if not informative:
+        return INCONCLUSIVE
+    if float(informative[-1].sup_gap) <= tol:
+        return QUASILOCAL_EVIDENCE
+    if min(float(st.sup_gap) for st in informative[-3:]) >= 10 * tol:
+        return NONLOCALITY_WITNESS
+    return INCONCLUSIVE
+
+
 def quasilocality_report(subject, t, F: Filtration, B: BoundaryFamily,
                          tol: float = DEFAULT_TOL) -> dict:
     """Stage moduli of boundary dependence of the one-point kernel.
@@ -450,33 +460,9 @@ def quasilocality_report(subject, t, F: Filtration, B: BoundaryFamily,
     """
     t_vol = t if isinstance(t, Volume) else Volume.of([t])
     evaluated, mode, _ = _deep_tables(subject, t_vol, F, B)
-    zero = Fraction(0) if mode == RATIONAL else 0.0
-    stages = []
-    for n in range(len(F) - 1):
-        worst = zero
-        pairs = 0
-        for i in range(len(evaluated)):
-            for j in range(i + 1, len(evaluated)):
-                sc_a, deep_a = evaluated[i]
-                sc_b, deep_b = evaluated[j]
-                if sc_a[n] != sc_b[n]:
-                    continue
-                pairs += 1
-                gap = deep_a.sup_distance(deep_b)
-                if float(gap) > float(worst):
-                    worst = gap
-        stages.append(StageStat(n + 1, len(F[n]), worst, pairs))
-    informative = [st for st in stages if st.pairs]
-    if not informative:
-        verdict = INCONCLUSIVE
-    elif float(informative[-1].sup_gap) <= tol:
-        verdict = QUASILOCAL_EVIDENCE
-    else:
-        tail = informative[-3:]
-        if min(float(st.sup_gap) for st in tail) >= 10 * tol:
-            verdict = NONLOCALITY_WITNESS
-        else:
-            verdict = INCONCLUSIVE
+    moduli = stage_moduli(evaluated, len(F), ConditionalKernel.sup_distance, mode)
+    stages = [StageStat(n + 1, len(F[n]), worst, pairs)
+              for n, (worst, pairs) in enumerate(moduli)]
     subject_name = subject.describe() if hasattr(subject, "describe") else subject.label
     return {
         "subject": subject_name,
@@ -488,7 +474,7 @@ def quasilocality_report(subject, t, F: Filtration, B: BoundaryFamily,
                     "modulus": format_scalar(st.sup_gap, mode), "pairs": st.pairs}
                    for st in stages],
         "moduli": [st.sup_gap for st in stages],
-        "verdict": verdict,
+        "verdict": _locality_verdict(stages, tol),
         "tol": tol,
         "note": "deepest stage omitted: distinct generators cannot agree there",
     }
@@ -503,46 +489,12 @@ def energy_criterion_report(m: RandomFieldModel, t, F: Filtration,
     smallest kernel entry seen, as a nonnullness statistic.
     """
     t_vol = t if isinstance(t, Volume) else Volume.of([t])
-    kernels = KernelCache(m)
-    evaluated = []
-    min_prob = None
-    for gen in B:
-        stage_configs = gen.configs(t_vol, F)
-        deep_kernel = kernels(t_vol, stage_configs[-1])
-        low = min(deep_kernel.probs.values())
-        min_prob = low if min_prob is None else min(min_prob, low)
-        evaluated.append((stage_configs, transition_energy(deep_kernel)))
-    configs = enumerate_configurations(t_vol, m.alphabet)
-    arg_pairs = [(x, u) for x in configs for u in configs if x != u]
-    zero = Fraction(0) if m.mode == RATIONAL else 0.0
-    stages = []
-    for n in range(len(F) - 1):
-        worst = zero
-        pairs = 0
-        for i in range(len(evaluated)):
-            for j in range(i + 1, len(evaluated)):
-                sc_a, e_a = evaluated[i]
-                sc_b, e_b = evaluated[j]
-                if sc_a[n] != sc_b[n]:
-                    continue
-                pairs += 1
-                for x, u in arg_pairs:
-                    ra, rb = e_a.ratio(x, u), e_b.ratio(x, u)
-                    if ra == rb:
-                        continue
-                    gap = abs(math.log(float(ra)) - math.log(float(rb)))
-                    if gap > float(worst):
-                        worst = gap
-        stages.append(StageStat(n + 1, len(F[n]), worst, pairs))
-    informative = [st for st in stages if st.pairs]
-    if not informative:
-        verdict = INCONCLUSIVE
-    elif float(informative[-1].sup_gap) <= tol:
-        verdict = QUASILOCAL_EVIDENCE
-    elif min(float(st.sup_gap) for st in informative[-3:]) >= 10 * tol:
-        verdict = NONLOCALITY_WITNESS
-    else:
-        verdict = INCONCLUSIVE
+    deep, mode, _ = _deep_tables(m, t_vol, F, B)
+    min_prob = min((min(k.probs.values()) for _, k in deep), default=None)
+    evaluated = [(stage_configs, transition_energy(k)) for stage_configs, k in deep]
+    moduli = stage_moduli(evaluated, len(F), energy_distance, mode)
+    stages = [StageStat(n + 1, len(F[n]), worst, pairs)
+              for n, (worst, pairs) in enumerate(moduli)]
     return {
         "subject": m.describe(),
         "site": format_site(t_vol.sites[0]),
@@ -554,7 +506,7 @@ def energy_criterion_report(m: RandomFieldModel, t, F: Filtration,
                    for st in stages],
         "moduli": [st.sup_gap for st in stages],
         "min_kernel_entry": float(min_prob) if min_prob is not None else None,
-        "verdict": verdict,
+        "verdict": _locality_verdict(stages, tol),
         "tol": tol,
     }
 
@@ -562,7 +514,7 @@ def energy_criterion_report(m: RandomFieldModel, t, F: Filtration,
 def non_gibbs_witness(m: RandomFieldModel, t, F: Filtration,
                       strategy: str = "oscillating-density",
                       family: BoundaryFamily | None = None,
-                      gap_tol: float = 1e-9, threads: int = 1) -> dict | None:
+                      gap_tol: float = 1e-9) -> dict | None:
     """Search for a boundary whose conditional sequence fails to converge.
 
     Returns the witnessing generator and its gap trace, or None. A None
@@ -591,7 +543,7 @@ def non_gibbs_witness(m: RandomFieldModel, t, F: Filtration,
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    report = uniform_convergence_report(m, t, F, fam, gap_tol, threads)
+    report = uniform_convergence_report(m, t, F, fam, gap_tol)
     if report.verdict == DIVERGENCE_WITNESS:
         witness = dict(report.witness)
         witness["strategy"] = strategy

