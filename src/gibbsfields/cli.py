@@ -350,18 +350,24 @@ def _example1_kernel_report(model) -> dict:
     plus, minus = example1_pair(model.N, list(model.c), model.kappa)
     bad = []
     checked = 0
-    for t in range(2, model.N):
-        lam = Volume.of([t - 1, t + 1])
-        for z in enumerate_configurations(lam, model.alphabet):
-            k_plus = finite_conditional(plus, Volume.of([t]), z)
-            k_minus = finite_conditional(minus, Volume.of([t]), z)
-            closed = model.interior_conditional(t, z[(t - 1,)], z[(t + 1,)])
-            checked += 1
-            for symbol in model.alphabet.symbols:
-                if not (k_plus.value(symbol) == k_minus.value(symbol) == closed[symbol]):
-                    bad.append({"t": t, "z": str(z)})
+    for t, z, k_plus, k_minus, closed in _example1_kernels(plus, minus):
+        checked += 1
+        for symbol in model.alphabet.symbols:
+            if not (k_plus.value(symbol) == k_minus.value(symbol) == closed[symbol]):
+                bad.append({"t": t, "z": str(z)})
     return {"axiom": "one-point-kernel-coincidence", "fixtures_checked": checked,
             "violations": bad, "max_residual": 0.0}
+
+
+def _example1_kernels(plus, minus):
+    """(t, z, plus kernel, minus kernel, closed form) for every interior
+    site t of the chain pair and every condition z on its two neighbours."""
+    for t in range(2, plus.N):
+        lam = Volume.of([t - 1, t + 1])
+        for z in enumerate_configurations(lam, plus.alphabet):
+            yield (t, z, finite_conditional(plus, Volume.of([t]), z),
+                   finite_conditional(minus, Volume.of([t]), z),
+                   plus.interior_conditional(t, z[(t - 1,)], z[(t + 1,)]))
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +417,15 @@ def reproduce_example1() -> dict:
     report["marginal_consistency"] = "pass" if nested_ok else "fail"
     tables = []
     coincide = True
-    for t in range(2, N):
-        lam = Volume.of([t - 1, t + 1])
-        for z in enumerate_configurations(lam, plus.alphabet):
-            k_plus = finite_conditional(plus, Volume.of([t]), z)
-            k_minus = finite_conditional(minus, Volume.of([t]), z)
-            closed = plus.interior_conditional(t, z[(t - 1,)], z[(t + 1,)])
-            entry = {
-                "t": t,
-                "condition": str(z),
-                "plus_up": str(k_plus.value(1)),
-                "minus_up": str(k_minus.value(1)),
-                "closed_form_up": str(closed[1]),
-            }
-            coincide &= (k_plus.value(1) == k_minus.value(1) == closed[1])
-            tables.append(entry)
+    for t, z, k_plus, k_minus, closed in _example1_kernels(plus, minus):
+        tables.append({
+            "t": t,
+            "condition": str(z),
+            "plus_up": str(k_plus.value(1)),
+            "minus_up": str(k_minus.value(1)),
+            "closed_form_up": str(closed[1]),
+        })
+        coincide &= (k_plus.value(1) == k_minus.value(1) == closed[1])
     report["kernel_equality"] = tables
     report["kernels_coincide"] = coincide
     report["unit_case_up_up"] = str(

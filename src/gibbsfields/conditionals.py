@@ -93,8 +93,7 @@ def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> Cond
     if not z.volume.issubset(m.window):
         raise DomainError("condition outside the model window")
     pz = m.prob(z)
-    floor = 0 if m.mode == RATIONAL else m.tol
-    if pz <= floor:
+    if pz <= 0:
         raise NullConditionError(f"condition has probability {pz}: {z}")
     probs = {}
     for x in enumerate_configurations(V, m.alphabet):
@@ -235,6 +234,11 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
     where (xu)_j puts x-values on t_1..t_{j-1} and u-values on
     t_{j+1}..t_n; weights are then normalized over all x. The result does
     not depend on the reference or the site order.
+
+    Factor j depends on x only through its values on t_1..t_j, so each
+    one-point table is fetched once per prefix of length j-1 and each
+    partial product is formed once per prefix of length j, lazily in the
+    enumeration order of x.
     """
     order = tuple(V.sites) if site_order is None else tuple(
         s if isinstance(s, tuple) else (s,) for s in site_order)
@@ -244,26 +248,39 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
         reference = Configuration(V, (alphabet.symbols[0],) * len(V))
     if reference.volume != V:
         raise DomainError("reference must live on the target volume")
-    singles = {s: Volume.of([s]) for s in order}
+    rank = [V.sites.index(t) for t in order]  # position in V of each factor's site
+    rests = [V - Volume((t,)) for t in order]
+    ref = reference.symbols
+    tables: dict = {}  # prefix of x along order -> (one-point table, interleaved)
+    products: dict = {(): Fraction(1) if mode == RATIONAL else 1.0}
+
+    def factor_table(prefix: tuple):
+        j = len(prefix)
+        mixed = list(ref)
+        for i, symbol in zip(rank, prefix):
+            mixed[i] = symbol
+        del mixed[rank[j]]
+        interleaved = Configuration(rests[j], tuple(mixed))
+        return one_point(order[j], concat(z, interleaved)), interleaved
 
     def weight(x: Configuration):
-        w = Fraction(1) if mode == RATIONAL else 1.0
-        for j, t in enumerate(order):
-            mixed = {}
-            for site in order[:j]:
-                mixed[site] = x[site]
-            for site in order[j + 1:]:
-                mixed[site] = reference[site]
-            interleaved = Configuration(
-                V - singles[t],
-                tuple(mixed[s] for s in sorted(mixed)),
-            )
-            table = one_point(t, concat(z, interleaved))
-            num, den = table[x[t]], table[reference[t]]
-            if num <= 0 or den <= 0:
-                raise PositivityError(
-                    f"one-point kernel vanishes at factor {j} under {interleaved}")
-            w *= num / den
+        key = tuple(x.symbols[i] for i in rank)
+        w = products[()]
+        for j in range(len(order)):
+            head = key[:j + 1]
+            nxt = products.get(head)
+            if nxt is None:
+                prefix = key[:j]
+                entry = tables.get(prefix)
+                if entry is None:
+                    entry = tables[prefix] = factor_table(prefix)
+                table, interleaved = entry
+                num, den = table[key[j]], table[ref[rank[j]]]
+                if num <= 0 or den <= 0:
+                    raise PositivityError(
+                        f"one-point kernel vanishes at factor {j} under {interleaved}")
+                nxt = products[head] = w * (num / den)
+            w = nxt
         return w
 
     weights = {x: weight(x) for x in enumerate_configurations(V, alphabet)}

@@ -148,16 +148,31 @@ def parse_potential(text: str, alphabet: Alphabet) -> Potential:
     return Potential.of(terms)
 
 
-def _covering_translates(phi: Potential, t, window: Volume) -> list:
-    """Template translates inside the window that contain the site t."""
+def _translates(phi: Potential, V: Volume, container: Volume) -> list:
+    """Template translates that touch V and fit in the container.
+
+    Discovery order: template, then site of V, then template site; a
+    template's translate by a shift already seen is skipped.
+    """
     out = []
     for template in phi.templates():
-        for o in template:
-            s = tuple(a - b for a, b in zip(t, o))
-            translate = Volume(tuple(sorted(_shift(site, s) for site in template)))
-            if translate.issubset(window):
-                out.append(translate)
+        seen = set()
+        for v in V:
+            for o in template:
+                s = tuple(a - b for a, b in zip(v, o))
+                if s in seen:
+                    continue
+                seen.add(s)
+                translate = Volume(tuple(sorted(_shift(site, s) for site in template)))
+                if translate.issubset(container):
+                    out.append(translate)
     return out
+
+
+def _interaction_neighbourhood(phi: Potential, site, window: Volume) -> Volume:
+    """Sites other than site that share a template translate in the window with it."""
+    t_vol = Volume((site,))
+    return Volume.of(s for A in _translates(phi, t_vol, window) for s in A) - t_vol
 
 
 def hamiltonian_from_potential(phi: Potential, t, boundary: Configuration,
@@ -169,7 +184,7 @@ def hamiltonian_from_potential(phi: Potential, t, boundary: Configuration,
     """
     site = t if isinstance(t, tuple) else (t,)
     t_vol = Volume.of([site])
-    translates = _covering_translates(phi, site, window)
+    translates = _translates(phi, t_vol, window)
     values = {}
     for a in alphabet.symbols:
         total = 0.0
@@ -206,15 +221,29 @@ class OnePointTEF:
 
 
 def tef_from_potential(phi: Potential, window: Volume, alphabet: Alphabet) -> OnePointTEF:
-    """Energy field delta_t(x,u) = H_t(u) - H_t(x) from a finite-range potential."""
+    """Energy field delta_t(x,u) = H_t(u) - H_t(x) from a finite-range potential.
+
+    H_t reads the boundary only on the interaction neighbourhood of t, so
+    a boundary seen for the first time is looked up by its restriction to
+    that neighbourhood; the table is then stored under both keys.
+    """
     cache: dict = {}
+    neighbourhoods: dict = {}
 
     def ratio(t, boundary, x, u):
         site = t if isinstance(t, tuple) else (t,)
         key = (site, boundary)
         h = cache.get(key)
         if h is None:
-            h = cache[key] = hamiltonian_from_potential(phi, site, boundary, window, alphabet)
+            near = neighbourhoods.get(site)
+            if near is None:
+                near = neighbourhoods[site] = _interaction_neighbourhood(phi, site, window)
+            local = restrict(boundary, near & boundary.volume)
+            h = cache.get((site, local))
+            if h is None:
+                h = cache[(site, local)] = hamiltonian_from_potential(
+                    phi, site, local, window, alphabet)
+            cache[key] = h
         return math.exp(h[u] - h[x])
 
     return OnePointTEF(window, alphabet, ratio, FLOAT, DEFAULT_TOL, "tef-from-potential")
@@ -337,20 +366,7 @@ def finite_volume_gibbs(phi: Potential, V: Volume, boundary: Configuration,
     H sums every translate of a potential template that fits in the window
     and touches V; sites of a translate outside V read from the boundary.
     """
-    translates = []
-    seen = set()
-    for template in phi.templates():
-        for v in V:
-            for o in template:
-                s = tuple(a - b for a, b in zip(v, o))
-                key = (template, s)
-                if key in seen:
-                    continue
-                seen.add(key)
-                translate = Volume(tuple(sorted(_shift(site, s) for site in template)))
-                if translate.issubset(window):
-                    translates.append(translate)
-    translates.sort(key=lambda a: a.sites)
+    translates = sorted(_translates(phi, V, window), key=lambda a: a.sites)
     for A in translates:
         missing = (A - V) - boundary.volume
         if missing:
@@ -435,17 +451,8 @@ def measure_system_from_potential(phi: Potential, window: Volume,
 
     def value(c: Configuration) -> float:
         total = 0.0
-        seen = set()
-        for template in phi.templates():
-            for v in c.volume:
-                for o in template:
-                    s = tuple(a - b for a, b in zip(v, o))
-                    if (template, s) in seen:
-                        continue
-                    seen.add((template, s))
-                    translate = Volume(tuple(sorted(_shift(site, s) for site in template)))
-                    if translate.issubset(c.volume):
-                        total += phi.value(translate, restrict(c, translate))
+        for translate in _translates(phi, c.volume, c.volume):
+            total += phi.value(translate, restrict(c, translate))
         return math.exp(-total)
 
     return MeasureSystem(window, alphabet, value, FLOAT, DEFAULT_TOL, "mu(gibbs-weights)")

@@ -64,6 +64,18 @@ def test_validate_ising_and_example1(tmp_path):
                  "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("beta", ["3.0", "8.0"])
+def test_validate_strong_coupling_has_no_null_condition(tmp_path, beta):
+    """Some boundaries of a strongly coupled Ising window have float
+    probabilities near 1e-16; they are small, not null."""
+    assert main(["validate", "--model", f"ising:beta={beta},d=1,window=7",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "validate.json").read_text())
+    assert report["ok"] is True
+    assert len(report["reports"]) == 4
+    assert all(not r["violations"] for r in report["reports"])
+
+
 def test_diagnose_exit_codes(tmp_path):
     assert main(["diagnose", "--model", "ising:beta=0.4,window=9",
                  "--out", str(tmp_path)]) == 0

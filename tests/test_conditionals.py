@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -17,16 +17,19 @@ from gibbsfields.conditionals import (
     one_point_from_model,
     reconstruct_from_one_point,
 )
-from gibbsfields.fields import seeded_positive_table
+from gibbsfields.fields import FLOAT, RATIONAL, scalar_sum, seeded_positive_table
 from gibbsfields.lattice import (
     Configuration,
     GeometryError,
     Volume,
     binary_alphabet,
     box_filtration,
+    concat,
+    configuration,
     enumerate_configurations,
     line_window,
     restrict,
+    spin_alphabet,
     volume,
 )
 from gibbsfields.models import (
@@ -37,8 +40,11 @@ from gibbsfields.models import (
 )
 from gibbsfields.diagnostics import oscillating_density_boundary
 from gibbsfields.specifications import (
+    ising_potential,
     onepoint_spec_from_model,
+    onepoint_spec_from_tef,
     spec_from_model,
+    tef_from_potential,
     validate_1spec,
     validate_spec,
 )
@@ -275,6 +281,95 @@ def test_reconstruction_reference_and_order_invariance():
     for order in itertools.permutations(V.sites):
         rebuilt = reconstruct_from_one_point(one_point, V, z, BIN, site_order=order)
         assert all(rebuilt[c] == baseline[c] for c in baseline.probs)
+
+
+def naive_reconstruction(one_point, V, z, alphabet, reference=None, site_order=None,
+                         mode=RATIONAL):
+    """Reference: every factor of every candidate's weight computed afresh."""
+    order = V.sites if site_order is None else tuple(site_order)
+    if reference is None:
+        reference = Configuration(V, (alphabet.symbols[0],) * len(V))
+    weights = {}
+    for x in enumerate_configurations(V, alphabet):
+        w = Fraction(1) if mode == RATIONAL else 1.0
+        for j, t in enumerate(order):
+            mixed = {s: x[s] for s in order[:j]}
+            mixed.update({s: reference[s] for s in order[j + 1:]})
+            interleaved = configuration(mixed)
+            table = one_point(t, concat(z, interleaved))
+            num, den = table[x[t]], table[reference[t]]
+            if num <= 0 or den <= 0:
+                raise PositivityError(
+                    f"one-point kernel vanishes at factor {j} under {interleaved}")
+            w = w * (num / den)
+        weights[x] = w
+    total = scalar_sum(weights.values(), mode)
+    return {x: w / total for x, w in weights.items()}
+
+
+def test_reconstruction_fetches_each_prefix_table_once():
+    """Three binary sites: one table for the empty prefix, two for the
+    prefixes of length 1 and four for those of length 2."""
+    m = seeded_positive_table(line_window(4), BIN, seed=31)
+    inner = one_point_from_model(m)
+    calls = []
+
+    def one_point(site, condition):
+        calls.append((site, condition))
+        return inner(site, condition)
+
+    reconstruct_from_one_point(one_point, volume(-1, 0, 1), Configuration(volume(2), (1,)), BIN)
+    assert len(calls) == 7
+    assert len(set(calls)) == 7
+
+
+def test_reconstruction_matches_naive_reference_exactly():
+    m = seeded_positive_table(line_window(4), BIN, seed=31)
+    one_point = one_point_from_model(m)
+    V = volume(-1, 0, 1)
+    z = Configuration(volume(2), (1,))
+    ref = Configuration(V, (1, 0, 1))
+    for order in (None, ((1,), (-1,), (0,))):
+        for reference in (None, ref):
+            rebuilt = reconstruct_from_one_point(one_point, V, z, BIN, reference=reference,
+                                                 site_order=order)
+            assert rebuilt.probs == naive_reconstruction(one_point, V, z, BIN, reference, order)
+
+
+def test_reconstruction_matches_naive_reference_bitwise_on_floats():
+    spin = spin_alphabet()
+    window = line_window(5)
+    q = onepoint_spec_from_tef(tef_from_potential(ising_potential(0.4, 0.3), window, spin))
+    one_point = q.as_one_point()
+    V = volume(-1, 0, 1)
+    z = Configuration(window - V, (1, -1))
+    ref = Configuration(V, (1, -1, 1))
+    for order in (None, ((0,), (1,), (-1,))):
+        for reference in (None, ref):
+            rebuilt = reconstruct_from_one_point(one_point, V, z, spin, reference=reference,
+                                                 site_order=order, mode=FLOAT)
+            naive = naive_reconstruction(one_point, V, z, spin, reference, order, FLOAT)
+            assert rebuilt.probs == naive
+
+
+@pytest.mark.parametrize("order", list(permutations([(0,), (1,), (2,)])))
+def test_reconstruction_raises_the_first_positivity_error(order):
+    """The last site of the order rules out symbol 1 once the first site
+    holds 1; the error names the same factor and condition as the
+    per-candidate reference."""
+    V = volume(0, 1, 2)
+    empty = Configuration(Volume.empty(), ())
+
+    def one_point(site, condition):
+        if site == order[-1] and condition[order[0]] == 1:
+            return {0: Fraction(1), 1: Fraction(0)}
+        return {0: Fraction(1, 2), 1: Fraction(1, 2)}
+
+    with pytest.raises(PositivityError) as expected:
+        naive_reconstruction(one_point, V, empty, BIN, site_order=order)
+    with pytest.raises(PositivityError) as got:
+        reconstruct_from_one_point(one_point, V, empty, BIN, site_order=order)
+    assert str(got.value) == str(expected.value)
 
 
 def test_reconstruction_positivity_error():

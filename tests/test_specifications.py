@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from gibbsfields import specifications
 from gibbsfields.conditionals import finite_conditional
 from gibbsfields.fields import FLOAT, seeded_positive_table
 from gibbsfields.lattice import (
@@ -13,7 +15,10 @@ from gibbsfields.lattice import (
     binary_alphabet,
     box_filtration,
     enumerate_configurations,
+    grid_window,
     line_window,
+    nearest_neighbor_system,
+    restrict,
     spin_alphabet,
     volume,
 )
@@ -114,6 +119,61 @@ def test_hamiltonian_geometry_error():
     too_small = Configuration(volume(2), (1,))
     with pytest.raises(GeometryError):
         hamiltonian_from_potential(phi, (0,), too_small, window, SPIN)
+
+
+GRID = grid_window(3, 3)
+GRID_PHI = ising_potential(0.4, 0.3, 2)
+
+
+def test_tef_ratio_depends_only_on_the_interaction_neighbourhood():
+    rng = random.Random(7)
+    tef = tef_from_potential(GRID_PHI, GRID, SPIN)
+    near = nearest_neighbor_system(GRID)
+    for t in GRID:
+        rest = GRID - Volume.of([t])
+        nbhd = near.volume_at(t)
+        for local in enumerate_configurations(nbhd, SPIN):
+            boundaries = []
+            for _ in range(3):
+                full = {s: rng.choice(SPIN.symbols) for s in rest}
+                full.update(local.items())
+                boundaries.append(Configuration(rest, tuple(full[s] for s in rest)))
+            for b in boundaries:
+                assert restrict(b, nbhd) == local
+                for x in SPIN.symbols:
+                    for u in SPIN.symbols:
+                        assert tef.ratio(t, b, x, u) == tef.ratio(t, boundaries[0], x, u)
+
+
+def test_tef_hamiltonian_runs_once_per_local_context(monkeypatch):
+    calls = {}
+    real = specifications.hamiltonian_from_potential
+
+    def counting(phi, t, boundary, window, alphabet):
+        calls[t] = calls.get(t, 0) + 1
+        return real(phi, t, boundary, window, alphabet)
+
+    monkeypatch.setattr(specifications, "hamiltonian_from_potential", counting)
+    tef = tef_from_potential(GRID_PHI, GRID, SPIN)
+    near = nearest_neighbor_system(GRID)
+    for t in GRID:
+        for b in enumerate_configurations(GRID - Volume.of([t]), SPIN):
+            tef.ratio(t, b, 1, -1)
+            tef.ratio(t, b, -1, 1)
+        assert 0 < calls[t] <= SPIN.size ** len(near.volume_at(t))
+
+
+def test_tef_missing_neighbour_raises_geometry_error():
+    tef = tef_from_potential(GRID_PHI, GRID, SPIN)
+    t = (0, 0)
+    rest = GRID - Volume.of([t, (0, 1)])
+    boundary = Configuration(rest, (1,) * len(rest))
+    with pytest.raises(GeometryError, match=r"boundary misses interacting sites \(0,1\)$"):
+        tef.ratio(t, boundary, 1, -1)
+    # once a full boundary of the site is cached, the miss still raises
+    tef.ratio(t, Configuration(GRID - Volume.of([t]), (1,) * 8), 1, -1)
+    with pytest.raises(GeometryError):
+        tef.ratio(t, boundary, 1, -1)
 
 
 def test_zero_potential_gives_zero_tef_and_uniform_gibbs():
