@@ -37,6 +37,7 @@ from .lattice import (
 )
 from .fields import (
     RATIONAL,
+    Comparison,
     ValidationError,
     check_marginal_consistency,
     format_scalar,
@@ -96,6 +97,9 @@ DEFAULTS = {
 }
 
 
+CONFIG_KEYS = (*DEFAULTS, "model", "site", "filtration", "family")
+
+
 def load_config(path: str | None) -> dict:
     config = dict(DEFAULTS)
     if path:
@@ -104,13 +108,15 @@ def load_config(path: str | None) -> dict:
             if not raw or raw.startswith("#"):
                 continue
             key, _, value = raw.partition("=")
-            config[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r} in {path}")
+            config[key] = value.strip()
     return config
 
 
 def resolve(args: argparse.Namespace, config: dict) -> dict:
-    for key in ("model", "site", "filtration", "family", "tol", "gap_tol", "seed",
-                "out", "max_tuples"):
+    for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = str(value)
@@ -284,7 +290,7 @@ def _potential_reports(model, tol: float, seed: int, max_tuples: int) -> list:
     import random
     rng = random.Random(seed)
     coherence_bad = []
-    worst = 0.0
+    holds = Comparison(tol)
     checks = 0
     for _ in range(30):
         size_v = rng.randint(1, 3)
@@ -295,12 +301,11 @@ def _potential_reports(model, tol: float, seed: int, max_tuples: int) -> list:
         spec_kernel = Q.kernel(V, z)
         for c in direct.probs:
             checks += 1
-            dev = abs(float(direct[c]) - float(spec_kernel[c]))
-            worst = max(worst, dev)
-            if dev > tol:
-                coherence_bad.append({"V": str(V), "config": str(c), "dev": dev})
+            if not holds(direct[c], spec_kernel[c]):
+                coherence_bad.append({"V": str(V), "config": str(c),
+                                      "dev": abs(float(direct[c]) - float(spec_kernel[c]))})
     reports.append({"axiom": "gibbs-spec-coherence", "fixtures_checked": checks,
-                    "violations": coherence_bad, "max_residual": worst,
+                    "violations": coherence_bad, "max_residual": holds.worst,
                     "infinite_volume_step": "cited, not verified"})
     return reports
 
@@ -545,8 +550,7 @@ def cmd_reconstruct(args) -> int:
     rebuilt = reconstruct_from_one_point(
         one_point_from_model(model), target, condition, model.alphabet,
         reference=reference, mode=model.mode, tol=model.tol)
-    agree = all(direct[c] == rebuilt[c] for c in direct.probs) \
-        if model.mode == RATIONAL else direct.table_equal(rebuilt)
+    agree = direct.table_equal(rebuilt)
     payload = {
         "config": config,
         "target": str(target),

@@ -31,7 +31,7 @@ from .fields import (
     RandomFieldModel,
     close,
     format_scalar,
-    scalar_sum,
+    normalized,
 )
 
 
@@ -209,14 +209,8 @@ OnePointKernelFn = Callable[[object, Configuration], Mapping]
 
 def one_point_from_model(m: RandomFieldModel) -> OnePointKernelFn:
     """One-point kernel callable (site, condition) -> symbol table, cached."""
-    kernels = KernelCache(m)
-
-    def one_point(site, condition: Configuration) -> Mapping:
-        vol = Volume.of([site])
-        k = kernels(vol, condition)
-        return {c.symbols[0]: p for c, p in k.items()}
-
-    return one_point
+    from .specifications import onepoint_spec_from_model
+    return onepoint_spec_from_model(m).table_fn
 
 
 def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Configuration,
@@ -284,9 +278,7 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
         return w
 
     weights = {x: weight(x) for x in enumerate_configurations(V, alphabet)}
-    total = scalar_sum(weights.values(), mode)
-    probs = {x: w / total for x, w in weights.items()}
-    return ConditionalKernel(V, z, probs, mode, tol)
+    return ConditionalKernel(V, z, normalized(weights, mode), mode, tol)
 
 
 def markov_radius(m: RandomFieldModel, t, max_r: int,

@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 from .lattice import (
     Alphabet,
     Configuration,
-    DomainError,
     Filtration,
     GeometryError,
     Volume,
@@ -103,24 +102,6 @@ def seeded_random_boundary(alphabet: Alphabet, seed: int) -> SiteFunctionBoundar
 def positive_half_boundary(one=1, zero=0) -> SiteFunctionBoundary:
     """1D pattern with ones on positive sites; density 1/2 on symmetric boxes."""
     return SiteFunctionBoundary(lambda s: one if s[0] > 0 else zero, "half-ones")
-
-
-class FixedConfigurationBoundary(BoundaryGenerator):
-    """Restrictions of one fixed configuration covering the deepest stage."""
-
-    def __init__(self, config: Configuration, label: str = "fixed"):
-        super().__init__()
-        self.config = config
-        self.label = label
-
-    def _build(self, t, F):
-        out = []
-        for stage in F:
-            vol = stage - t
-            if not vol.issubset(self.config.volume):
-                raise DomainError(f"fixed boundary does not cover stage {stage}")
-            out.append(restrict(self.config, vol))
-        return out
 
 
 class DensityScheduleBoundary(BoundaryGenerator):

@@ -14,14 +14,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .lattice import Configuration, DomainError, Volume, concat, enumerate_configurations
-from .fields import DEFAULT_TOL, RATIONAL, RandomFieldModel, close, format_scalar
+from .lattice import Configuration, DomainError, Volume
+from .fields import (
+    DEFAULT_TOL,
+    RATIONAL,
+    Comparison,
+    RandomFieldModel,
+    close,
+    format_scalar,
+    normalized,
+)
 from .conditionals import (
     ConditionalKernel,
     KernelCache,
     PositivityError,
 )
-from .specifications import onepoint_spec_from_model, tef_from_1spec, validate_tef
+from .specifications import (
+    cocycle_sides,
+    onepoint_spec_from_model,
+    spec_from_model,
+    tef_from_1spec,
+    validate_spec,
+    validate_tef,
+)
 
 
 class InconsistentEnergyError(ValueError):
@@ -90,13 +105,9 @@ def check_antisymmetry(e: TransitionEnergy) -> bool:
 def check_cocycle(e: TransitionEnergy) -> bool:
     """ratio(x,u) == ratio(x,y) * ratio(y,u) over all triples."""
     configs = e.configurations()
-    for x in configs:
-        for y in configs:
-            r_xy = e.ratio(x, y)
-            for u in configs:
-                if not close(e.ratio(x, u), r_xy * e.ratio(y, u), e.tol):
-                    return False
-    return True
+    ratios = {(x, u): e.ratio(x, u) for x in configs for u in configs}
+    holds = Comparison(e.tol)
+    return all(holds(lhs, rhs) for lhs, rhs in cocycle_sides(ratios, configs))
 
 
 def check_decomposition(m: RandomFieldModel, V: Volume, I: Volume,
@@ -105,28 +116,15 @@ def check_decomposition(m: RandomFieldModel, V: Volume, I: Volume,
 
         Delta_{V u I}^z(xy, uv) == Delta_V^{zy}(x, u) + Delta_I^{zu}(y, v)
 
-    checked multiplicatively for all x, u on V and y, v on I. (The second
-    term conditions on u, the telescoping middle configuration: the ratio
-    P(xyz)/P(uvz) factors through P(uyz).)
+    for all x, u on V and y, v on I. Setting v = y, and then u = x, gives
+    the subset-consistency identities of V and of I inside V u I; these in
+    turn give the law, since P(xyz)/P(uvz) factors through P(uyz). Checked
+    by validate_spec on both splits.
     """
     if not V.isdisjoint(I) or not V or not I:
         raise DomainError("need disjoint nonempty volumes")
-    kernels = kernels or KernelCache(m)
-    big = transition_energy(kernels(V | I, z))
-    xs = enumerate_configurations(V, m.alphabet)
-    ys = enumerate_configurations(I, m.alphabet)
-    e_V = {y: transition_energy(kernels(V, concat(z, y))) for y in ys}
-    e_I = {u: transition_energy(kernels(I, concat(z, u))) for u in xs}
-    for x in xs:
-        for u in xs:
-            for y in ys:
-                lhs_left = e_V[y].ratio(x, u)
-                for v in ys:
-                    lhs = big.ratio(concat(x, y), concat(u, v))
-                    rhs = lhs_left * e_I[u].ratio(y, v)
-                    if not close(lhs, rhs, m.tol):
-                        return False
-    return True
+    fixtures = [(V | I, V, z), (V | I, I, z)]
+    return validate_spec(spec_from_model(m, kernels), fixtures, m.tol).ok
 
 
 def check_one_point_exchange(m: RandomFieldModel, t, s, z: Configuration,
@@ -153,12 +151,7 @@ def gibbs_form_from_energy(e: TransitionEnergy, reference: Configuration) -> Con
     configs = e.configurations()
     if reference not in configs:
         raise DomainError("reference must be a configuration on the energy's volume")
-    weights = {x: e.ratio(x, reference) for x in configs}
-    if e.mode == RATIONAL:
-        total = sum(weights.values(), Fraction(0))
-    else:
-        total = math.fsum(weights.values())
-    probs = {x: w / total for x, w in weights.items()}
+    probs = normalized({x: e.ratio(x, reference) for x in configs}, e.mode)
     return ConditionalKernel(e.volume, e.condition, probs, e.mode, e.tol)
 
 
@@ -187,12 +180,8 @@ class HamiltonianTable:
     def gibbs_kernel(self) -> ConditionalKernel:
         if any(w <= 0 for w in self.weights.values()):
             raise PositivityError("infinite Hamiltonian values admit no Gibbs form")
-        if self.mode == RATIONAL:
-            total = sum(self.weights.values(), Fraction(0))
-        else:
-            total = math.fsum(self.weights.values())
-        probs = {x: w / total for x, w in self.weights.items()}
-        return ConditionalKernel(self.volume, self.condition, probs, self.mode, self.tol)
+        return ConditionalKernel(self.volume, self.condition,
+                                 normalized(self.weights, self.mode), self.mode, self.tol)
 
 
 def hamiltonian_from_energy(e: TransitionEnergy, gauge: Configuration) -> HamiltonianTable:
@@ -207,25 +196,12 @@ def check_hamiltonian_consistency(m: RandomFieldModel, V: Volume, I: Volume,
 
         H_{V u I}^z(xy) + H_V^{zy}(u) == H_{V u I}^z(uy) + H_V^{zy}(x)
 
-    checked multiplicatively on the weight tables (any gauges cancel).
+    Any gauges cancel, which leaves the subset-consistency identity of V
+    inside V u I; checked by validate_spec on that split.
     """
     if not V.isdisjoint(I) or not V or not I:
         raise DomainError("need disjoint nonempty volumes")
-    kernels = kernels or KernelCache(m)
-    alphabet = m.alphabet
-    xs = enumerate_configurations(V, alphabet)
-    ys = enumerate_configurations(I, alphabet)
-    gauge_big = enumerate_configurations(V | I, alphabet)[0]
-    h_big = hamiltonian_from_energy(transition_energy(kernels(V | I, z)), gauge_big)
-    for y in ys:
-        h_V = hamiltonian_from_energy(
-            transition_energy(kernels(V, concat(z, y))), xs[0])
-        for x, u in combinations(xs, 2):
-            lhs = h_big.weights[concat(x, y)] * h_V.weights[u]
-            rhs = h_big.weights[concat(u, y)] * h_V.weights[x]
-            if not close(lhs, rhs, m.tol):
-                return False
-    return True
+    return validate_spec(spec_from_model(m, kernels), [(V | I, V, z)], m.tol).ok
 
 
 def stage_moduli(evaluated: list, n_stages: int, distance, mode: str) -> list:
@@ -253,12 +229,10 @@ def stage_moduli(evaluated: list, n_stages: int, distance, mode: str) -> list:
 def energy_distance(e_a: TransitionEnergy, e_b: TransitionEnergy) -> float:
     """Largest |Delta - Delta'| over argument pairs, exactly zero when the
     underlying ratios coincide."""
-    worst = 0.0
-    for x, u in permutations(e_a.configurations(), 2):
-        ra, rb = e_a.ratio(x, u), e_b.ratio(x, u)
-        if ra != rb:
-            worst = max(worst, abs(math.log(float(ra)) - math.log(float(rb))))
-    return worst
+    ratios = ((e_a.ratio(x, u), e_b.ratio(x, u))
+              for x, u in permutations(e_a.configurations(), 2))
+    return max((abs(math.log(float(ra)) - math.log(float(rb)))
+                for ra, rb in ratios if ra != rb), default=0.0)
 
 
 def energy_quasilocality_modulus(m: RandomFieldModel, t, F, boundaries,

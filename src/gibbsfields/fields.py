@@ -43,10 +43,36 @@ def close(a, b, tol: float = DEFAULT_TOL) -> bool:
     return math.isclose(float(a), float(b), rel_tol=tol, abs_tol=tol)
 
 
+def residual(lhs, rhs) -> float:
+    a, b = float(lhs), float(rhs)
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+class Comparison:
+    """Compares the two sides of identities at one tolerance and keeps the
+    largest residual among those that do not hold exactly."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.worst = 0.0
+
+    def __call__(self, lhs, rhs) -> bool:
+        if lhs == rhs:
+            return True
+        self.worst = max(self.worst, residual(lhs, rhs))
+        return close(lhs, rhs, self.tol)
+
+
 def scalar_sum(values: Iterable, mode: str):
     if mode == RATIONAL:
         return sum(values, Fraction(0))
     return math.fsum(float(v) for v in values)
+
+
+def normalized(weights: Mapping, mode: str) -> dict:
+    """The weights divided by their sum."""
+    total = scalar_sum(weights.values(), mode)
+    return {k: w / total for k, w in weights.items()}
 
 
 def to_scalar(value, mode: str):

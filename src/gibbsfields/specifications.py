@@ -34,9 +34,11 @@ from .fields import (
     DEFAULT_TOL,
     FLOAT,
     RATIONAL,
+    Comparison,
     FiniteDistribution,
     RandomFieldModel,
     close,
+    normalized,
     scalar_sum,
 )
 from .conditionals import KernelCache, PositivityError, reconstruct_from_one_point
@@ -276,7 +278,6 @@ class OnePointSpec:
     table_fn: Callable  # (site, boundary Configuration) -> {symbol: scalar}
     mode: str = RATIONAL
     tol: float = DEFAULT_TOL
-    positive: bool = True
     label: str = "1spec"
 
     def table(self, t, boundary: Configuration) -> dict:
@@ -332,9 +333,8 @@ def onepoint_spec_from_tef(d: OnePointTEF) -> OnePointSpec:
     ref = d.alphabet.symbols[0]
 
     def table(t, boundary):
-        weights = {a: d.ratio(t, boundary, a, ref) for a in d.alphabet.symbols}
-        total = scalar_sum(weights.values(), d.mode)
-        return {a: w / total for a, w in weights.items()}
+        return normalized({a: d.ratio(t, boundary, a, ref) for a in d.alphabet.symbols},
+                          d.mode)
 
     return OnePointSpec(d.window, d.alphabet, table, d.mode, d.tol,
                         label=f"1spec({d.label})")
@@ -383,11 +383,8 @@ def finite_volume_gibbs(phi: Potential, V: Volume, boundary: Configuration,
             total += phi.value(A, local)
         return total
 
-    configs = enumerate_configurations(V, alphabet)
-    weights = {x: math.exp(-hamiltonian(x)) for x in configs}
-    total = math.fsum(weights.values())
-    return FiniteDistribution(V, alphabet, {x: w / total for x, w in weights.items()},
-                              FLOAT, tol)
+    weights = {x: math.exp(-hamiltonian(x)) for x in enumerate_configurations(V, alphabet)}
+    return FiniteDistribution(V, alphabet, normalized(weights, FLOAT), FLOAT, tol)
 
 
 class GibbsVolumeField(RandomFieldModel):
@@ -549,11 +546,6 @@ class ValidationReport:
         return out
 
 
-def _residual(lhs, rhs) -> float:
-    a, b = float(lhs), float(rhs)
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
 def pair_site_fixtures(window: Volume, alphabet: Alphabet,
                        max_tuples: int = EXHAUSTIVE_TUPLE_BUDGET,
                        seed: int = 0) -> tuple:
@@ -625,7 +617,7 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None
     tol = q.tol if tol is None else tol
     syms = q.alphabet.symbols
     violations = []
-    worst = 0.0
+    holds = Comparison(tol)
     for t, s, z in fixtures:
         t_vol, s_vol = Volume.of([t]), Volume.of([s])
         q_t = {b: q.table(t, concat(z, Configuration(s_vol, (b,)))) for b in syms}
@@ -645,10 +637,7 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None
                     for v in syms:
                         lhs = q_t[y][x] * q_s[x][v] * q_t[v][u] * q_s[u][y]
                         rhs = q_t[y][u] * q_s[u][v] * q_t[v][x] * q_s[x][y]
-                        if lhs == rhs:
-                            continue
-                        worst = max(worst, _residual(lhs, rhs))
-                        if not close(lhs, rhs, tol):
+                        if not holds(lhs, rhs):
                             violations.append({
                                 "kind": "exchange",
                                 "t": format_site(t), "s": format_site(s), "z": str(z),
@@ -656,7 +645,7 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None
                                 "lhs": float(lhs), "rhs": float(rhs),
                             })
     return ValidationReport("one-point-exchange", len(fixtures) * len(syms) ** 4,
-                            violations, worst, meta)
+                            violations, holds.worst, meta)
 
 
 def validate_spec(Q: Specification, fixtures: Sequence, tol: float | None = None,
@@ -664,7 +653,7 @@ def validate_spec(Q: Specification, fixtures: Sequence, tol: float | None = None
     """Check the subset-consistency identity of a specification."""
     tol = Q.tol if tol is None else tol
     violations = []
-    worst = 0.0
+    holds = Comparison(tol)
     checked = 0
     for V, I, z in fixtures:
         kernel_V = Q.kernel(V, z)
@@ -677,17 +666,24 @@ def validate_spec(Q: Specification, fixtures: Sequence, tol: float | None = None
             for x, u in pairs:
                 lhs = joint[x] * kernel_I[u]
                 rhs = joint[u] * kernel_I[x]
-                if lhs == rhs:
-                    continue
-                worst = max(worst, _residual(lhs, rhs))
-                if not close(lhs, rhs, tol):
+                if not holds(lhs, rhs):
                     violations.append({
                         "kind": "consistency",
                         "V": str(V), "I": str(I), "z": str(z),
                         "lhs": float(lhs), "rhs": float(rhs),
                     })
     return ValidationReport("specification-consistency", checked, violations,
-                            worst, meta)
+                            holds.worst, meta)
+
+
+def cocycle_sides(ratios: dict, keys: Sequence):
+    """(r(x, u), r(x, y) * r(y, u)) over every triple x, y, u of keys, with
+    r(x, u) = ratios[(x, u)]."""
+    for x in keys:
+        for y in keys:
+            r_xy = ratios[(x, y)]
+            for u in keys:
+                yield ratios[(x, u)], r_xy * ratios[(y, u)]
 
 
 def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
@@ -696,7 +692,7 @@ def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
     tol = d.tol if tol is None else tol
     syms = d.alphabet.symbols
     violations = []
-    worst = 0.0
+    holds = Comparison(tol)
     for t, s, z in fixtures:
         t_vol, s_vol = Volume.of([t]), Volume.of([s])
         # hoist boundary construction and ratio tables out of the symbol loops
@@ -713,30 +709,18 @@ def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
 
         for site, table in ((t, r_t), (s, r_s)):
             for b in syms:
-                ratios = table[b]
-                for x in syms:
-                    for y in syms:
-                        r_xy = ratios[(x, y)]
-                        for u in syms:
-                            lhs = ratios[(x, u)]
-                            rhs = r_xy * ratios[(y, u)]
-                            if lhs == rhs:
-                                continue
-                            worst = max(worst, _residual(lhs, rhs))
-                            if not close(lhs, rhs, tol):
-                                violations.append({"kind": "cocycle", "t": format_site(site),
-                                                   "z": str(z),
-                                                   "lhs": float(lhs), "rhs": float(rhs)})
+                for lhs, rhs in cocycle_sides(table[b], syms):
+                    if not holds(lhs, rhs):
+                        violations.append({"kind": "cocycle", "t": format_site(site),
+                                           "z": str(z),
+                                           "lhs": float(lhs), "rhs": float(rhs)})
         for x in syms:
             for u in syms:
                 for y in syms:
                     for v in syms:
                         lhs = r_t[y][(x, u)] * r_s[u][(y, v)]
                         rhs = r_s[x][(y, v)] * r_t[v][(x, u)]
-                        if lhs == rhs:
-                            continue
-                        worst = max(worst, _residual(lhs, rhs))
-                        if not close(lhs, rhs, tol):
+                        if not holds(lhs, rhs):
                             violations.append({
                                 "kind": "exchange",
                                 "t": format_site(t), "s": format_site(s), "z": str(z),
@@ -744,4 +728,4 @@ def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
                                 "lhs": float(lhs), "rhs": float(rhs),
                             })
     return ValidationReport("energy-field-axioms", len(fixtures) * len(syms) ** 4 * 3,
-                            violations, worst, meta)
+                            violations, holds.worst, meta)

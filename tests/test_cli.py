@@ -153,6 +153,19 @@ def test_config_file_and_override(tmp_path):
     assert report["config"]["seed"] == "9"
 
 
+@pytest.mark.parametrize("line", ["mode=float", "threads=2", "axioms=all"])
+def test_unknown_config_keys_are_rejected(tmp_path, capsys, line):
+    """A config key that no command reads stops the run with exit code 4
+    and one stderr line naming it, before any report is written."""
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"model=bernoulli:p=1/2,window=5\n{line}\nout={tmp_path}\n")
+    assert main(["validate", "--config", str(config)]) == 4
+    key = line.partition("=")[0]
+    assert capsys.readouterr().err.splitlines() == [
+        f"gfl validate: ValueError: unknown config key {key!r} in {config}"]
+    assert not (tmp_path / "validate.json").exists()
+
+
 def test_reports_identical_across_threads_and_processes(tmp_path):
     """Rational-mode reports must be byte-identical across interpreter runs
     (different hash seeds)."""

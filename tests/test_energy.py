@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -29,6 +29,7 @@ from gibbsfields.lattice import (
     Volume,
     binary_alphabet,
     box_filtration,
+    concat,
     enumerate_configurations,
     line_window,
     volume,
@@ -36,7 +37,9 @@ from gibbsfields.lattice import (
 from gibbsfields.models import bernoulli_product, example2_model, ising_demo
 from gibbsfields.specifications import (
     onepoint_spec_from_model,
+    spec_from_model,
     tef_from_1spec,
+    validate_spec,
     validate_tef,
 )
 from gibbsfields.diagnostics import (
@@ -115,6 +118,19 @@ def test_cocycle_negative_control():
         gibbs_form_from_energy(e, configs[0])
 
 
+def corrupted_cache(m, *targets):
+    """Kernel cache of m in which each (volume, condition) kernel of targets
+    has half of its first entry's mass moved to its second entry."""
+    kernels = KernelCache(m)
+    for V, cond in targets:
+        good = finite_conditional(m, V, cond)
+        probs = dict(good.probs)
+        first, second = list(probs)[:2]
+        probs[first], probs[second] = probs[first] / 2, probs[second] + probs[first] / 2
+        kernels._cache[(V, cond)] = ConditionalKernel(good.target, cond, probs)
+    return kernels
+
+
 def test_one_point_exchange_negative_control():
     """A kernel corrupted through the cache breaks the exchange law; the
     check must agree with the energy-field validator it runs on the same
@@ -130,15 +146,89 @@ def test_one_point_exchange_negative_control():
     assert check_one_point_exchange(m, t, s, z, clean)
     assert kinds(clean) == set()
 
-    kernels = KernelCache(m)
-    cond = Configuration(volume(0), (1,))
-    good = finite_conditional(m, volume(-1), cond)
-    probs = dict(good.probs)
-    first, second = list(probs)
-    probs[first], probs[second] = probs[first] / 2, probs[second] + probs[first] / 2
-    kernels._cache[(volume(-1), cond)] = ConditionalKernel(good.target, cond, probs)
+    kernels = corrupted_cache(m, (volume(-1), Configuration(volume(0), (1,))))
     assert not check_one_point_exchange(m, t, s, z, kernels)
     assert kinds(kernels) == {"exchange"}
+
+
+def test_decomposition_and_hamiltonian_negative_controls():
+    """Each split check fails exactly when validate_spec reports a
+    consistency violation on its fixtures. A corrupted joint kernel or
+    kernel on V breaks both laws; a corrupted kernel on I breaks only the
+    decomposition, which is the one that reads it."""
+    m = seeded_positive_table(line_window(4), BIN, seed=5)
+    V, I, z = volume(-1), volume(0), Configuration(volume(1), (1,))
+    joint = (V | I, z)
+    on_V = (V, Configuration(volume(0, 1), (1, 1)))
+    on_I = (I, Configuration(volume(-1, 1), (1, 1)))
+
+    def violated(kernels, fixtures):
+        report = validate_spec(spec_from_model(m, kernels), fixtures)
+        assert {v["kind"] for v in report.violations} <= {"consistency"}
+        return not report.ok
+
+    for corrupted, decomposes, consistent in (((), True, True),
+                                              ((joint,), False, False),
+                                              ((on_V,), False, False),
+                                              ((on_I,), False, True)):
+        kernels = corrupted_cache(m, *corrupted)
+        assert check_decomposition(m, V, I, z, kernels) is decomposes
+        assert violated(kernels, [(V | I, V, z), (V | I, I, z)]) is not decomposes
+        assert check_hamiltonian_consistency(m, V, I, z, kernels) is consistent
+        assert violated(kernels, [(V | I, V, z)]) is not consistent
+
+
+def decomposition_holds(kernels, V, I, z):
+    """The energy additivity law read directly off kernel ratios."""
+    big = kernels(V | I, z)
+    xs, ys = enumerate_configurations(V, BIN), enumerate_configurations(I, BIN)
+    for x, u, y, v in product(xs, xs, ys, ys):
+        k_V, k_I = kernels(V, concat(z, y)), kernels(I, concat(z, u))
+        if big[concat(x, y)] / big[concat(u, v)] != k_V[x] / k_V[u] * (k_I[y] / k_I[v]):
+            return False
+    return True
+
+
+def hamiltonian_consistency_holds(kernels, V, I, z):
+    """Gauge-free Hamiltonian consistency read directly off kernel entries."""
+    big = kernels(V | I, z)
+    xs, ys = enumerate_configurations(V, BIN), enumerate_configurations(I, BIN)
+    for x, u, y in product(xs, xs, ys):
+        k_V = kernels(V, concat(z, y))
+        if big[concat(x, y)] * k_V[u] != big[concat(u, y)] * k_V[x]:
+            return False
+    return True
+
+
+def test_split_checks_agree_with_the_laws_on_every_split_and_condition():
+    """On a 4-site table with three corrupted kernels, both split checks
+    equal the laws they state, over every ordered pair of disjoint
+    nonempty volumes and every condition on every subset of the rest."""
+    win = line_window(4)
+    m = seeded_positive_table(win, BIN, seed=11)
+    kernels = corrupted_cache(m, (volume(0, 1), Configuration(Volume.empty(), ())),
+                              (volume(-1), Configuration(volume(0, 1), (1, 0))),
+                              (volume(2), Configuration(volume(0), (1,))))
+    outcomes = []
+    for V_size in range(1, 4):
+        for V_sites in combinations(win.sites, V_size):
+            V = Volume.of(V_sites)
+            for I_size in range(1, 5 - V_size):
+                for I_sites in combinations((win - V).sites, I_size):
+                    I = Volume.of(I_sites)
+                    rest = (win - (V | I)).sites
+                    for n in range(len(rest) + 1):
+                        for lam in combinations(rest, n):
+                            lam = Volume.of(lam) if lam else Volume.empty()
+                            for z in enumerate_configurations(lam, BIN):
+                                dec = check_decomposition(m, V, I, z, kernels)
+                                ham = check_hamiltonian_consistency(m, V, I, z, kernels)
+                                assert dec == decomposition_holds(kernels, V, I, z)
+                                assert ham == hamiltonian_consistency_holds(kernels, V, I, z)
+                                outcomes.append((dec, ham))
+    # each site is in V, in I, off the condition, or at 0 or 1 on it; V, I nonempty
+    assert len(outcomes) == 5 ** 4 - 2 * 4 ** 4 + 3 ** 4
+    assert (False, False) in outcomes and (False, True) in outcomes, outcomes
 
 
 def test_gibbs_round_trip_exact():

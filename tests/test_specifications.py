@@ -7,6 +7,7 @@ import pytest
 
 from gibbsfields import specifications
 from gibbsfields.conditionals import finite_conditional
+from gibbsfields.energy import TransitionEnergy, check_cocycle
 from gibbsfields.fields import FLOAT, seeded_positive_table
 from gibbsfields.lattice import (
     Configuration,
@@ -207,7 +208,19 @@ def test_tef_validation_and_negative_control():
     broken = OnePointTEF(window, SPIN, broken_ratio, FLOAT)
     bad = validate_tef(broken, at_origin, tol=1e-12)
     assert not bad.ok
-    assert any(v["kind"] in ("cocycle", "exchange") for v in bad.violations)
+    assert any(v["kind"] == "cocycle" and v["t"] == "(0)" for v in bad.violations)
+
+    # the energy-table cocycle check runs the same loop on one boundary
+    boundary = Configuration(window - volume(0), (1,) * (len(window) - 1))
+    configs = enumerate_configurations(volume(0), SPIN)
+
+    def energy(ratio):
+        ratios = {(x, u): ratio((0,), boundary, x.symbols[0], u.symbols[0])
+                  for x in configs for u in configs}
+        return TransitionEnergy.from_ratios(volume(0), boundary, ratios, FLOAT)
+
+    assert check_cocycle(energy(tef.ratio))
+    assert not check_cocycle(energy(broken_ratio))
 
 
 def test_1spec_from_table_field_exact():
