@@ -9,7 +9,8 @@ table is natural.
 Exit codes: validate 0 = no violations, 1 = violations or load failure;
 diagnose 0 = uniform-evidence, 2 = divergence-witness, 3 = inconclusive;
 reproduce --check 1 on golden mismatch; any command 4 when a library
-error (a ValueError such as DomainError, CapacityError or OSError) stops it.
+error (a ValueError such as DomainError, CapacityError, OSError or
+OverflowError) stops it.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ def cmd_validate(args) -> int:
     tol = float(config["tol"])
     try:
         model = build_model(config["model"])
-    except (ValidationError, ValueError, OSError, CapacityError) as err:
+    except (ValidationError, ValueError, OSError, CapacityError, OverflowError) as err:
         payload = {"config": config, "ok": False,
                    "reports": [{"axiom": "model-load", "fixtures_checked": 0,
                                 "violations": [str(err)], "max_residual": 0.0}]}
@@ -618,7 +619,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, CapacityError, OSError) as err:
+    except (ValueError, CapacityError, OSError, OverflowError) as err:
         print(f"gfl {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
         return 4
 

@@ -69,8 +69,8 @@ class ConditionalKernel:
         return self.probs.items()
 
     def is_positive(self) -> bool:
-        floor = 0 if self.mode == RATIONAL else self.tol
-        return all(v > floor for v in self.probs.values())
+        """True iff every entry is strictly positive, in both modes."""
+        return all(v > 0 for v in self.probs.values())
 
     def sup_distance(self, other: "ConditionalKernel"):
         if self.target != other.target:

@@ -22,7 +22,6 @@ from .lattice import (
     enumerate_configurations,
     format_site,
     parse_site,
-    restrict,
 )
 
 RATIONAL = "rational"
@@ -154,19 +153,18 @@ def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
         raise DomainError(f"{V - p.volume} not inside the distribution's volume")
     if V == p.volume:
         return p
+    positions = [p.volume.index(s) for s in V]
     buckets: dict = {}
     for c, prob in p.items():
-        key = restrict(c, V)
-        buckets.setdefault(key, []).append(prob)
-    probs = {c: scalar_sum(vals, p.mode) for c, vals in buckets.items()}
+        symbols = c.symbols
+        buckets.setdefault(tuple(symbols[i] for i in positions), []).append(prob)
+    probs = {Configuration(V, key): scalar_sum(vals, p.mode) for key, vals in buckets.items()}
     return FiniteDistribution(V, p.alphabet, probs, p.mode, p.tol)
 
 
 def is_positive(p: FiniteDistribution) -> bool:
-    """True iff every entry is strictly positive (beyond tol in float mode)."""
-    if p.mode == RATIONAL:
-        return all(v > 0 for v in p.probs.values())
-    return all(v > p.tol for v in p.probs.values())
+    """True iff every entry is strictly positive, in both modes."""
+    return all(v > 0 for v in p.probs.values())
 
 
 class RandomFieldModel:

@@ -157,7 +157,11 @@ class Alphabet:
         return self.names[self.symbols.index(symbol)]
 
     def symbol_of(self, name: str):
-        return self.symbols[self.names.index(name)]
+        try:
+            return self.symbols[self.names.index(name)]
+        except ValueError:
+            raise DomainError(f"unknown symbol {name!r}; the alphabet's names are "
+                              f"{', '.join(self.names)}") from None
 
 
 def binary_alphabet() -> Alphabet:
@@ -208,22 +212,39 @@ def configuration(assignment: Mapping) -> Configuration:
     return Configuration(Volume(tuple(s for s, _ in pairs)), tuple(v for _, v in pairs))
 
 
+MAP_CACHE_SIZE = 8192  # volume pairs whose concat/restrict maps are kept
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def _concat_map(A: Volume, B: Volume) -> tuple:
+    """The union of disjoint volumes and, per union site in order, its
+    position in ``A.sites + B.sites``."""
+    if not A.isdisjoint(B):
+        raise DomainError(f"domains overlap on {A & B}")
+    sites = A.sites + B.sites
+    take = tuple(sorted(range(len(sites)), key=sites.__getitem__))
+    return Volume(tuple(sites[i] for i in take)), take
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def _restrict_map(A: Volume, T: Volume) -> tuple:
+    """Positions in A of the sites of T, in T's order."""
+    if not T.issubset(A):
+        raise DomainError(f"{T - A} not in the configuration's domain")
+    return tuple(A.index(s) for s in T)
+
+
 def concat(a: Configuration, b: Configuration) -> Configuration:
     """Join two configurations on disjoint volumes into one on the union."""
-    if not a.volume.isdisjoint(b.volume):
-        overlap = a.volume & b.volume
-        raise DomainError(f"domains overlap on {overlap}")
-    merged = sorted(list(a.items()) + list(b.items()))
-    return Configuration(
-        Volume(tuple(s for s, _ in merged)), tuple(v for _, v in merged)
-    )
+    union, take = _concat_map(a.volume, b.volume)
+    symbols = a.symbols + b.symbols
+    return Configuration(union, tuple(symbols[i] for i in take))
 
 
 def restrict(c: Configuration, T: Volume) -> Configuration:
     """Restriction of a configuration to a sub-volume."""
-    if not T.issubset(c.volume):
-        raise DomainError(f"{T - c.volume} not in the configuration's domain")
-    return Configuration(T, tuple(c.symbols[c.volume.index(s)] for s in T))
+    symbols = c.symbols
+    return Configuration(T, tuple(symbols[i] for i in _restrict_map(c.volume, T)))
 
 
 @lru_cache(maxsize=8192)

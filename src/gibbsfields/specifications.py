@@ -19,6 +19,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .lattice import (
+    EMPTY_CONFIGURATION,
     Alphabet,
     Configuration,
     Filtration,
@@ -78,13 +79,21 @@ class Potential:
         return seen
 
     @cached_property
-    def _table(self) -> dict:
-        return dict(self.terms)
+    def _term_tables(self) -> dict:
+        """Term values per template, keyed by the configuration's symbols."""
+        tables: dict = {}
+        for (template, cfg), value in self.terms:
+            tables.setdefault(template, {})[cfg.symbols] = value
+        return tables
 
-    def value(self, A: Volume, cfg: Configuration) -> float:
+    def _terms_at(self, A: Volume) -> dict:
+        """Term table of the template of which A is a translate."""
         anchor = A.sites[0]
         template = Volume(tuple(_shift(s, _neg(anchor)) for s in A))
-        return self._table.get((template, Configuration(template, cfg.symbols)), 0.0)
+        return self._term_tables.get(template, {})
+
+    def value(self, A: Volume, cfg: Configuration) -> float:
+        return self._terms_at(A).get(cfg.symbols, 0.0)
 
     def reach(self) -> int:
         """Largest L-infinity distance between two sites of one template."""
@@ -177,6 +186,36 @@ def _interaction_neighbourhood(phi: Potential, site, window: Volume) -> Volume:
     return Volume.of(s for A in _translates(phi, t_vol, window) for s in A) - t_vol
 
 
+def _energy_plan(phi: Potential, translates: list, V: Volume,
+                 boundary: Configuration) -> tuple:
+    """Index maps that sum the terms of the translates over configurations on V.
+
+    Returns (plan, collar): collar holds the boundary's symbols on the
+    translates' sites outside V, and plan holds, per translate, its
+    template's term table and the positions of its sites in
+    ``x.symbols + collar`` for a configuration x on V. The boundary must
+    cover those sites.
+    """
+    where = {s: i for i, s in enumerate(V.sites)}
+    collar = []
+    plan = []
+    for A in translates:
+        for s in A.sites:
+            if s not in where:
+                where[s] = len(where)
+                collar.append(boundary[s])
+        plan.append((phi._terms_at(A), tuple(where[s] for s in A.sites)))
+    return plan, tuple(collar)
+
+
+def _energy(plan: list, symbols: tuple) -> float:
+    """Sum of the planned terms, in plan order, at ``x.symbols + collar``."""
+    total = 0.0
+    for terms, take in plan:
+        total += terms.get(tuple(symbols[i] for i in take), 0.0)
+    return total
+
+
 def hamiltonian_from_potential(phi: Potential, t, boundary: Configuration,
                                window: Volume, alphabet: Alphabet) -> dict:
     """One-point Hamiltonian H_t(x) = sum of all terms touching t.
@@ -187,17 +226,12 @@ def hamiltonian_from_potential(phi: Potential, t, boundary: Configuration,
     site = t if isinstance(t, tuple) else (t,)
     t_vol = Volume.of([site])
     translates = _translates(phi, t_vol, window)
-    values = {}
-    for a in alphabet.symbols:
-        total = 0.0
-        for A in translates:
-            missing = (A - t_vol) - boundary.volume
-            if missing:
-                raise GeometryError(f"boundary misses interacting sites {missing}")
-            local = concat(Configuration(t_vol, (a,)), restrict(boundary, A - t_vol))
-            total += phi.value(A, local)
-        values[a] = total
-    return values
+    for A in translates:
+        missing = (A - t_vol) - boundary.volume
+        if missing:
+            raise GeometryError(f"boundary misses interacting sites {missing}")
+    plan, collar = _energy_plan(phi, translates, t_vol, boundary)
+    return {a: _energy(plan, (a,) + collar) for a in alphabet.symbols}
 
 
 @dataclass
@@ -372,18 +406,9 @@ def finite_volume_gibbs(phi: Potential, V: Volume, boundary: Configuration,
         if missing:
             raise GeometryError(f"boundary misses interaction collar sites {missing}")
 
-    def hamiltonian(x: Configuration) -> float:
-        total = 0.0
-        for A in translates:
-            inner = A & V
-            local = restrict(x, inner)
-            outer = A - V
-            if outer:
-                local = concat(local, restrict(boundary, outer))
-            total += phi.value(A, local)
-        return total
-
-    weights = {x: math.exp(-hamiltonian(x)) for x in enumerate_configurations(V, alphabet)}
+    plan, collar = _energy_plan(phi, translates, V, boundary)
+    weights = {x: math.exp(-_energy(plan, x.symbols + collar))
+               for x in enumerate_configurations(V, alphabet)}
     return FiniteDistribution(V, alphabet, normalized(weights, FLOAT), FLOAT, tol)
 
 
@@ -392,7 +417,6 @@ class GibbsVolumeField(RandomFieldModel):
 
     def __init__(self, phi: Potential, window: Volume, alphabet: Alphabet,
                  boundary: Configuration | None = None, tol: float = DEFAULT_TOL):
-        from .lattice import EMPTY_CONFIGURATION
         self.potential = phi
         self.window = window
         self.alphabet = alphabet
@@ -447,10 +471,9 @@ def measure_system_from_potential(phi: Potential, window: Volume,
     """Free-boundary Gibbs weights exp(-H) as an un-normalized measure system."""
 
     def value(c: Configuration) -> float:
-        total = 0.0
-        for translate in _translates(phi, c.volume, c.volume):
-            total += phi.value(translate, restrict(c, translate))
-        return math.exp(-total)
+        translates = _translates(phi, c.volume, c.volume)
+        plan, _ = _energy_plan(phi, translates, c.volume, EMPTY_CONFIGURATION)
+        return math.exp(-_energy(plan, c.symbols))
 
     return MeasureSystem(window, alphabet, value, FLOAT, DEFAULT_TOL, "mu(gibbs-weights)")
 

@@ -218,3 +218,39 @@ def test_removed_flags_are_rejected(flag):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--model", "bernoulli:p=1/2,window=5", *flag])
     assert exc.value.code == 2
+
+
+def test_energy_strong_coupling_has_no_vanishing_entry(tmp_path):
+    """At beta=8 under an all-plus boundary the minus entry of the one-point
+    kernel is about 1e-14: small, but positive."""
+    boundary = ";".join(f"({s})=+1" for s in (-1, 1, -2, 2, -3, 3))
+    assert main(["energy", "--model", "ising:beta=8.0,window=7", "--target", "(0)",
+                 "--boundary", boundary, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "energy.json").exists()
+
+
+def test_unknown_symbol_is_named(tmp_path):
+    result = run_cli("energy", "--model", "ising:beta=0.4,window=7",
+                     "--target", "(0);(1)", "--boundary", "(-1)=1;(2)=-1",
+                     "--out", str(tmp_path), env={"PATH": "/usr/bin:/bin"})
+    assert result.returncode == 4
+    assert result.stderr.splitlines() == [
+        "gfl energy: DomainError: unknown symbol '1'; the alphabet's names are -1, +1"]
+
+
+def test_gibbs_overflow_is_reported_without_traceback(tmp_path):
+    """exp(-H) overflows at beta=80 on 11 sites: validate reports a model-load
+    violation, and every other command exits 4 with one stderr line."""
+    env = {"PATH": "/usr/bin:/bin"}
+    model = "ising:beta=80,window=11"
+    validated = run_cli("validate", "--model", model, "--out", str(tmp_path), env=env)
+    assert validated.returncode == 1, validated.stderr
+    assert "Traceback" not in validated.stderr
+    report = json.loads((tmp_path / "validate.json").read_text())
+    assert report["ok"] is False
+    assert [r["axiom"] for r in report["reports"]] == ["model-load"]
+
+    diagnosed = run_cli("diagnose", "--model", model, "--out", str(tmp_path), env=env)
+    assert diagnosed.returncode == 4
+    assert "Traceback" not in diagnosed.stderr
+    assert diagnosed.stderr.splitlines() == ["gfl diagnose: OverflowError: math range error"]

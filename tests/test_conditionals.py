@@ -405,3 +405,15 @@ def test_markov_radius_geometry_error():
     product = bernoulli_product(Fraction(1, 2), line_window(5))
     with pytest.raises(GeometryError):
         markov_radius(product, 0, 5)
+
+
+def test_float_kernel_positivity_has_no_floor():
+    """A float kernel entry of 1e-14 is small, not vanishing; 0.0 vanishes."""
+    t = volume(0)
+    z = configuration({1: 1})
+    tiny = ConditionalKernel(t, z, {Configuration(t, (-1,)): 1e-14,
+                                    Configuration(t, (1,)): 1.0 - 1e-14}, FLOAT)
+    assert tiny.is_positive()
+    zero = ConditionalKernel(t, z, {Configuration(t, (-1,)): 0.0,
+                                    Configuration(t, (1,)): 1.0}, FLOAT)
+    assert not zero.is_positive()

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from gibbsfields.fields import (
     is_positive,
     marginalize,
     read_distribution_file,
+    scalar_sum,
     seeded_positive_table,
     table_field,
     write_distribution_file,
@@ -22,12 +23,15 @@ from gibbsfields.lattice import (
     DomainError,
     Volume,
     binary_alphabet,
+    EMPTY_CONFIGURATION,
     enumerate_configurations,
+    grid_window,
     line_window,
     spin_alphabet,
     volume,
 )
 from gibbsfields.models import example1_pair, example2_model
+from gibbsfields.specifications import finite_volume_gibbs, ising_potential
 
 
 BIN = binary_alphabet()
@@ -126,6 +130,42 @@ def test_is_positive():
     vol = volume(0)
     half = {Configuration(vol, (0,)): Fraction(1), Configuration(vol, (1,)): Fraction(0)}
     assert not is_positive(FiniteDistribution(vol, BIN, half))
+    # float tables have no floor: 1e-14 is small, not vanishing
+    tiny = {Configuration(vol, (0,)): 1.0 - 1e-14, Configuration(vol, (1,)): 1e-14}
+    assert is_positive(FiniteDistribution(vol, BIN, tiny, FLOAT))
+    zero = {Configuration(vol, (0,)): 1.0, Configuration(vol, (1,)): 0.0}
+    assert not is_positive(FiniteDistribution(vol, BIN, zero, FLOAT))
+
+
+def naive_marginalize(p, V):
+    """The per-entry marginal: bucket entries by their restriction to V."""
+    if V == p.volume:
+        return p
+    buckets = {}
+    for c, prob in p.items():
+        key = Configuration(V, tuple(c.symbols[c.volume.index(s)] for s in V))
+        buckets.setdefault(key, []).append(prob)
+    probs = {c: scalar_sum(vals, p.mode) for c, vals in buckets.items()}
+    return FiniteDistribution(V, p.alphabet, probs, p.mode, p.tol)
+
+
+def sub_volumes(vol):
+    for n in range(len(vol) + 1):
+        for sites in combinations(vol.sites, n):
+            yield Volume(sites)
+
+
+def test_marginalize_matches_the_per_entry_reference():
+    rational = seeded_positive_table(line_window(5), BIN, 7).table
+    grid = grid_window(3, 3)
+    ising = finite_volume_gibbs(ising_potential(0.7, 0.3, 2), grid, EMPTY_CONFIGURATION,
+                                grid, spin_alphabet())
+    for p, text in ((rational, str), (ising, float.hex)):
+        for V in sub_volumes(p.volume):
+            got, want = marginalize(p, V), naive_marginalize(p, V)
+            assert got.volume == V
+            assert [(c, text(v)) for c, v in got.items()] == \
+                [(c, text(v)) for c, v in want.items()]
 
 
 def exact_mixture_prob(tau, size, ones):

@@ -77,6 +77,58 @@ def test_partition_identity(n_sites, value_bits, split_bits):
     assert concat(restrict(c, T), restrict(c, V - T)) == c
 
 
+def naive_concat(a, b):
+    """The per-entry join: sort the (site, symbol) pairs of both sides."""
+    merged = sorted(list(a.items()) + list(b.items()))
+    return Configuration(Volume(tuple(s for s, _ in merged)), tuple(v for _, v in merged))
+
+
+@st.composite
+def split_configurations(draw):
+    """Configurations a, b on disjoint random 1-D or 2-D volumes, and a
+    sub-volume T of their union."""
+    dim = draw(st.sampled_from([1, 2]))
+    coords = st.tuples(*[st.integers(-3, 3)] * dim)
+    sites = draw(st.lists(coords, unique=True, max_size=8))
+    parts = draw(st.lists(st.sampled_from("abx"), min_size=len(sites),
+                          max_size=len(sites)))
+    symbols = {s: draw(st.sampled_from([-1, 1])) for s in sites}
+    a = configuration({s: symbols[s] for s, p in zip(sites, parts) if p == "a"})
+    b = configuration({s: symbols[s] for s, p in zip(sites, parts) if p == "b"})
+    union = a.volume | b.volume
+    T = Volume(tuple(s for s in union if draw(st.booleans())))
+    return a, b, T
+
+
+@given(split_configurations())
+def test_index_maps_match_the_per_entry_reference(case):
+    a, b, T = case
+    joined = concat(a, b)
+    assert joined == naive_concat(a, b)
+    assert restrict(joined, T) == Configuration(T, tuple(joined[s] for s in T))
+    # equal but distinct volumes read the same maps
+    a2 = Configuration(Volume(tuple(a.volume.sites)), a.symbols)
+    T2 = Volume(tuple(T.sites))
+    assert a2.volume is not a.volume and T2 is not T
+    assert concat(a2, b) == joined
+    assert restrict(joined, T2) == restrict(joined, T)
+
+
+def test_index_map_errors_are_not_cached():
+    a = configuration({(0, 0): 1, (0, 1): -1})
+    b = configuration({(1, 0): 1})
+    clash = configuration({(0, 1): 1, (2, 2): -1})
+    assert concat(a, b).volume == Volume.of([(0, 0), (0, 1), (1, 0)])
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"^domains overlap on \(0,1\)$"):
+            concat(a, clash)
+    assert restrict(a, Volume.of([(0, 1)])) == configuration({(0, 1): -1})
+    for _ in range(2):
+        with pytest.raises(DomainError,
+                           match=r"^\(2,2\) not in the configuration's domain$"):
+            restrict(a, Volume.of([(0, 1), (2, 2)]))
+
+
 def test_enumerate_counts_and_order():
     alpha = binary_alphabet()
     one = enumerate_configurations(volume(0), alpha)
@@ -151,3 +203,10 @@ def test_configuration_literals_roundtrip():
 def test_configuration_literal_duplicate_site():
     with pytest.raises(ValueError):
         parse_configuration("(0)=1;(0)=0", binary_alphabet())
+
+
+def test_unknown_symbol_name_is_named():
+    with pytest.raises(DomainError) as err:
+        parse_configuration("(0)=1", spin_alphabet())
+    assert str(err.value) == "unknown symbol '1'; the alphabet's names are -1, +1"
+    assert spin_alphabet().symbol_of("+1") == 1

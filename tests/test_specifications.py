@@ -15,6 +15,7 @@ from gibbsfields.lattice import (
     Volume,
     binary_alphabet,
     box_filtration,
+    concat,
     enumerate_configurations,
     grid_window,
     line_window,
@@ -373,6 +374,76 @@ def test_finite_volume_gibbs_boundary_collar_error():
     with pytest.raises(GeometryError):
         finite_volume_gibbs(phi, volume(0), Configuration(Volume.empty(), ()),
                             window, SPIN)
+
+
+def reference_value(terms, A, local):
+    """Term value of a translate, looked up in the potential's term list."""
+    anchor = A.sites[0]
+    template = Volume(tuple(tuple(a - b for a, b in zip(s, anchor)) for s in A))
+    return terms.get((template, Configuration(template, local.symbols)), 0.0)
+
+
+def reference_gibbs(phi, V, boundary, window, alphabet):
+    """The per-configuration Gibbs weights: restrict and concat per translate."""
+    translates = sorted(specifications._translates(phi, V, window), key=lambda a: a.sites)
+    terms = dict(phi.terms)
+    weights = {}
+    for x in enumerate_configurations(V, alphabet):
+        total = 0.0
+        for A in translates:
+            local = restrict(x, A & V)
+            if A - V:
+                local = concat(local, restrict(boundary, A - V))
+            total += reference_value(terms, A, local)
+        weights[x] = math.exp(-total)
+    z = math.fsum(weights.values())
+    return {x: w / z for x, w in weights.items()}
+
+
+def reference_hamiltonian(phi, site, boundary, window, alphabet):
+    t_vol = Volume((site,))
+    translates = specifications._translates(phi, t_vol, window)
+    terms = dict(phi.terms)
+    values = {}
+    for a in alphabet.symbols:
+        total = 0.0
+        for A in translates:
+            local = concat(Configuration(t_vol, (a,)), restrict(boundary, A - t_vol))
+            total += reference_value(terms, A, local)
+        values[a] = total
+    return values
+
+
+PLAN_MODELS = [
+    (line_window(13), ising_potential(0.4)),
+    (grid_window(3, 3), ising_potential(0.7, 0.3, 2)),
+    (grid_window(4, 3), ising_potential(2.5, -0.2, 2)),
+    (line_window(5), ising_potential(0.1)),
+]
+
+
+def alternating(vol):
+    return Configuration(vol, tuple((-1) ** i for i in range(len(vol))))
+
+
+@pytest.mark.parametrize("window, phi", PLAN_MODELS,
+                         ids=["line13", "grid3x3", "grid4x3", "line5"])
+def test_gibbs_plans_match_the_per_configuration_reference(window, phi):
+    def hexed(table):
+        return [(c, p.hex()) for c, p in table.items()]
+
+    empty = Configuration(Volume.empty(), ())
+    inner = Volume(window.sites[1:-1])
+    for V, boundary in ((window, empty), (inner, alternating(window - inner))):
+        got = finite_volume_gibbs(phi, V, boundary, window, SPIN)
+        assert hexed(got) == hexed(reference_gibbs(phi, V, boundary, window, SPIN))
+    for site in (window.sites[0], window.sites[len(window) // 2]):
+        boundary = alternating(window - Volume((site,)))
+        got = hamiltonian_from_potential(phi, site, boundary, window, SPIN)
+        want = reference_hamiltonian(phi, site, boundary, window, SPIN)
+        assert hexed(got) == hexed(want)
+        with pytest.raises(GeometryError, match="^boundary misses interacting sites"):
+            hamiltonian_from_potential(phi, site, empty, window, SPIN)
 
 
 def test_measure_system_product_stabilizes_immediately():
