@@ -49,7 +49,9 @@ def as_site(value) -> Site:
     return site
 
 
-@dataclass(frozen=True)
+# Volumes and configurations fill the kernel and map caches, so both carry
+# slots instead of a per-instance dict.
+@dataclass(frozen=True, slots=True)
 class Volume:
     """Finite set of lattice sites in canonical (lexicographic) order."""
 
@@ -172,7 +174,7 @@ def spin_alphabet() -> Alphabet:
     return Alphabet.of((-1, 1), ("-1", "+1"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """Assignment of one symbol to each site of a finite volume."""
 

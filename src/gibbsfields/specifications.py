@@ -363,27 +363,57 @@ def spec_from_model(m: RandomFieldModel, kernels: KernelCache | None = None) -> 
 
 
 def onepoint_spec_from_tef(d: OnePointTEF) -> OnePointSpec:
-    """Gibbs form of an energy field: q(x) proportional to ratio(x, reference)."""
+    """Gibbs form of an energy field: q(x) proportional to ratio(x, reference).
+
+    Each table is normalized once per exact (site, boundary) key, an int
+    site sharing the key of its one-coordinate tuple, and kept for the
+    life of the 1-spec. No locality is assumed: boundaries that differ
+    anywhere are different keys. Tables with bit-identical entries are
+    stored once, so a local field holds one table per distinct kernel.
+    Returned tables are cache-owned and must not be mutated; a call that
+    raises caches nothing.
+    """
     ref = d.alphabet.symbols[0]
+    cache: dict = {}
+    distinct: dict = {}  # repr of a table's entries -> the one stored table
 
     def table(t, boundary):
-        return normalized({a: d.ratio(t, boundary, a, ref) for a in d.alphabet.symbols},
-                          d.mode)
+        site = t if isinstance(t, tuple) else (t,)
+        key = (site, boundary)
+        q = cache.get(key)
+        if q is None:
+            q = normalized({a: d.ratio(site, boundary, a, ref) for a in d.alphabet.symbols},
+                           d.mode)
+            # repr round-trips floats and Fractions, so only exact equals are shared
+            q = cache[key] = distinct.setdefault(tuple(map(repr, q.values())), q)
+        return q
 
     return OnePointSpec(d.window, d.alphabet, table, d.mode, d.tol,
                         label=f"1spec({d.label})")
 
 
 def spec_from_onepoint(q: OnePointSpec) -> Specification:
-    """Extend a one-point family to all finite volumes by reconstruction."""
+    """Extend a one-point family to all finite volumes by reconstruction.
+
+    Each multi-site kernel is reconstructed once per exact (V, boundary)
+    key and kept for the life of the spec; a single-site kernel is a view
+    of the 1-spec's table, keyed by the shared enumerated configurations.
+    Returned tables are cache-owned and must not be mutated; a call that
+    raises caches nothing.
+    """
+    one_point = q.as_one_point()
+    cache: dict = {}
 
     def kernel(V, boundary):
         if len(V) == 1:
             table = q.table(V.sites[0], boundary)
-            return {Configuration(V, (a,)): p for a, p in table.items()}
-        k = reconstruct_from_one_point(q.as_one_point(), V, boundary,
-                                       q.alphabet, mode=q.mode, tol=q.tol)
-        return dict(k.items())
+            return {c: table[c.symbols[0]] for c in enumerate_configurations(V, q.alphabet)}
+        key = (V, boundary)
+        k = cache.get(key)
+        if k is None:
+            k = cache[key] = reconstruct_from_one_point(
+                one_point, V, boundary, q.alphabet, mode=q.mode, tol=q.tol).probs
+        return k
 
     return Specification(q.window, q.alphabet, kernel, q.mode, q.tol,
                          label=f"spec({q.label})")

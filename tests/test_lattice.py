@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,6 +45,24 @@ def test_volume_set_operations():
     assert (a - b).sites == ((0,), (1,))
     assert (a & b).sites == ((2,),)
     assert b.issubset(a | b) and not a.issubset(b)
+
+
+def test_volumes_and_configurations_are_slotted_frozen_values():
+    """Caches hold many of both, so they carry no per-instance dict."""
+    v = Volume.of([1, 0])
+    c = Configuration(v, (1, 0))
+    for obj in (v, c, EMPTY_CONFIGURATION, Volume.empty()):
+        assert not hasattr(obj, "__dict__")
+        # Python 3.11 raises TypeError for a name that is not a field
+        with pytest.raises((AttributeError, TypeError)):
+            obj.extra = 1
+    with pytest.raises(FrozenInstanceError):
+        c.symbols = (0, 0)
+    twin = Configuration(Volume.of([0, 1]), (1, 0))
+    assert twin == c and twin is not c and hash(twin) == hash(c)
+    assert Volume.of([0, 1]) == v and hash(Volume.of([0, 1])) == hash(v)
+    assert {c: "kept"}[twin] == "kept"
+    assert Configuration(v, (0, 1)) != c and Volume.of([0, 2]) != v
 
 
 def test_concat_basic_and_empty():

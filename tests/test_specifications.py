@@ -342,6 +342,172 @@ def test_validate_spec_pass_and_corrupted():
     assert not report.ok
 
 
+def test_validate_reads_one_table_per_distinct_key(monkeypatch):
+    """The Gibbs path of gfl validate reconstructs each multi-site
+    (V, boundary) once and normalizes each one-point (site, boundary) once,
+    whichever validator or loop asks first."""
+    from gibbsfields import cli
+
+    model = cli.build_model("ising:beta=0.4,d=1,window=5")
+    kernel_keys, table_keys, reconstructions = [], [], []
+    normalizations = [0]
+    tef_ratio_calls = [0]
+
+    real_reconstruct = specifications.reconstruct_from_one_point
+    real_normalized = specifications.normalized
+    real_ratio = OnePointTEF.ratio
+    real_1spec = cli.onepoint_spec_from_tef
+    real_spec = cli.spec_from_onepoint
+
+    def reconstruct(one_point, V, z, *args, **kwargs):
+        reconstructions.append((V, z))
+        return real_reconstruct(one_point, V, z, *args, **kwargs)
+
+    def normalized(weights, mode):
+        normalizations[0] += 1
+        return real_normalized(weights, mode)
+
+    def ratio(self, t, boundary, x, u):
+        tef_ratio_calls[0] += 1
+        return real_ratio(self, t, boundary, x, u)
+
+    def recording_1spec(tef):
+        q = real_1spec(tef)
+        inner = q.table_fn
+
+        def table(t, boundary):
+            table_keys.append((t if isinstance(t, tuple) else (t,), boundary))
+            return inner(t, boundary)
+
+        q.table_fn = table  # reconstruction reads table_fn too
+        return q
+
+    def recording_spec(q):
+        Q = real_spec(q)
+        inner = Q.kernel_fn
+
+        def kernel(V, boundary):
+            if len(V) > 1:
+                kernel_keys.append((V, boundary))
+            return inner(V, boundary)
+
+        Q.kernel_fn = kernel
+        return Q
+
+    monkeypatch.setattr(specifications, "reconstruct_from_one_point", reconstruct)
+    monkeypatch.setattr(specifications, "normalized", normalized)
+    monkeypatch.setattr(OnePointTEF, "ratio", ratio)
+    monkeypatch.setattr(cli, "onepoint_spec_from_tef", recording_1spec)
+    monkeypatch.setattr(cli, "spec_from_onepoint", recording_spec)
+    reports = cli._potential_reports(model, 1e-12, 0, 10**6)
+
+    assert [r["axiom"] for r in reports] == [
+        "energy-field-axioms", "one-point-exchange", "specification-consistency",
+        "gibbs-spec-coherence"]
+    assert all(not r["violations"] for r in reports)
+    assert len(kernel_keys) > len(set(kernel_keys))  # the cache is exercised
+    assert len(reconstructions) == len(set(reconstructions)) == len(set(kernel_keys))
+    assert set(reconstructions) == set(kernel_keys)
+    assert len(table_keys) > len(set(table_keys))
+    assert normalizations[0] == len(set(table_keys))
+    # validate_tef reads |X|**2 ratios per site, boundary and symbol of the
+    # other site; each normalization reads |X| more
+    fixtures, _ = pair_site_fixtures(model.window, SPIN)
+    assert tef_ratio_calls[0] == (len(fixtures) * 2 * SPIN.size ** 3
+                                  + SPIN.size * normalizations[0])
+
+
+def reference_1spec(d):
+    """The one-point Gibbs form of an energy field, normalized on every call."""
+    ref = d.alphabet.symbols[0]
+
+    def table(t, boundary):
+        return specifications.normalized(
+            {a: d.ratio(t, boundary, a, ref) for a in d.alphabet.symbols}, d.mode)
+
+    return specifications.OnePointSpec(d.window, d.alphabet, table, d.mode, d.tol)
+
+
+def reference_spec(q):
+    """Reconstruction of a one-point family, recomputed on every call."""
+
+    def kernel(V, boundary):
+        if len(V) == 1:
+            table = q.table(V.sites[0], boundary)
+            return {Configuration(V, (a,)): p for a, p in table.items()}
+        k = specifications.reconstruct_from_one_point(
+            q.as_one_point(), V, boundary, q.alphabet, mode=q.mode, tol=q.tol)
+        return dict(k.items())
+
+    return specifications.Specification(q.window, q.alphabet, kernel, q.mode, q.tol)
+
+
+def test_cached_specs_still_catch_a_far_dependence():
+    """The caches key on the whole boundary: a one-point kernel at (0) that
+    reads the far site (3) is reported exactly as by the uncached reference."""
+    window = line_window(6)
+    tef = tef_from_potential(ising_potential(0.4), window, SPIN)
+
+    def far_ratio(t, boundary, x, u):
+        value = tef.ratio(t, boundary, x, u)
+        if t == (0,):
+            value *= 1.5 ** ((u - x) * boundary[(3,)])
+        return value
+
+    far = OnePointTEF(window, SPIN, far_ratio, FLOAT)
+    q, q_ref = onepoint_spec_from_tef(far), reference_1spec(far)
+    Q, Q_ref = spec_from_onepoint(q), reference_spec(q_ref)
+
+    fixtures, meta = pair_site_fixtures(window, SPIN)
+    cached = validate_1spec(q, fixtures, 1e-12, meta)
+    assert not cached.ok
+    assert {(v["t"], v["s"]) for v in cached.violations} == {("(0)", "(3)")}
+    assert cached.to_json_dict() == validate_1spec(q_ref, fixtures, 1e-12, meta).to_json_dict()
+
+    vol_fixtures, vol_meta = volume_split_fixtures(window, SPIN, 3)
+    cached = validate_spec(Q, vol_fixtures, 1e-12, vol_meta)
+    assert not cached.ok
+    assert cached.to_json_dict() == validate_spec(Q_ref, vol_fixtures, 1e-12,
+                                                  vol_meta).to_json_dict()
+    # a second pass reads the caches and reports the same
+    assert validate_spec(Q, vol_fixtures, 1e-12, vol_meta).to_json_dict() == \
+        cached.to_json_dict()
+
+
+def test_cached_specs_raise_again_and_share_int_sites():
+    window = line_window(4)
+
+    def vanishing(t, boundary):
+        if t == (0,) and boundary[(1,)] == -1:
+            return {-1: 0.0, 1: 1.0}
+        return {-1: 0.5, 1: 0.5}
+
+    # symbol -1 vanishes at (0) when (1) holds -1; -1 is the reference
+    # symbol of both the Gibbs form and the reconstruction
+    q0 = specifications.OnePointSpec(window, SPIN, vanishing, FLOAT)
+    rest = window - volume(0)
+    boundary = Configuration(rest, (-1,) * len(rest))
+    q = onepoint_spec_from_tef(tef_from_1spec(q0))
+    for _ in range(2):
+        with pytest.raises(specifications.PositivityError):
+            q.table((0,), boundary)
+    Q = spec_from_onepoint(q0)
+    V = volume(0, 1)
+    z = Configuration(window - V, (1, 1))
+    for _ in range(2):
+        with pytest.raises(specifications.PositivityError):
+            Q.kernel(V, z)
+
+    # an int site and its one-coordinate tuple share one key; equal tables
+    # under boundaries that differ only beyond the neighbours share one object
+    ising = onepoint_spec_from_tef(tef_from_potential(ising_potential(0.4), window, SPIN))
+    assert ising.table(0, boundary) is ising.table((0,), boundary)
+    far_flip = Configuration(rest, (-1, -1, 1))
+    assert ising.table((0,), far_flip) is ising.table((0,), boundary)
+    near_flip = Configuration(rest, (1, -1, -1))
+    assert ising.table((0,), near_flip) != ising.table((0,), boundary)
+
+
 def test_fixture_budget_sampling_deterministic():
     window = line_window(9)
     exhaustive, meta = pair_site_fixtures(window, BIN, max_tuples=10**6)
