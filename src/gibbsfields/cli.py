@@ -42,7 +42,6 @@ from .fields import (
     ValidationError,
     check_marginal_consistency,
     format_scalar,
-    is_positive,
     read_distribution_file,
     table_field,
 )
@@ -230,7 +229,7 @@ def _random_condition(rng, rest: Volume, alphabet) -> Configuration:
     return Configuration(lam, tuple(rng.choice(alphabet.symbols) for _ in lam))
 
 
-def _consistency_reports(model, seed: int) -> list:
+def _consistency_reports(model, tol: float, seed: int) -> list:
     """Marginal tower plus both conditional-consistency identities."""
     import random
 
@@ -248,7 +247,7 @@ def _consistency_reports(model, seed: int) -> list:
         size_v = rng.randint(1, size_s - 1)
         nested.append((Volume.of(s_sites), Volume.of(rng.sample(s_sites, size_v))))
     bad = [f"{V}<{S}" for S, V in nested
-           if not check_marginal_consistency(model, S, V)]
+           if not check_marginal_consistency(model, S, V, tol)]
     reports.append({"axiom": "marginal-consistency", "fixtures_checked": len(nested),
                     "violations": bad, "max_residual": 0.0})
 
@@ -266,8 +265,8 @@ def _consistency_reports(model, seed: int) -> list:
         site_fixtures.append((t, s, z))
 
     kernels = KernelCache(model)
-    pair = validate_spec(spec_from_model(model, kernels), pair_fixtures, model.tol)
-    one_point = validate_1spec(onepoint_spec_from_model(model, kernels), site_fixtures, model.tol)
+    pair = validate_spec(spec_from_model(model, kernels), pair_fixtures, tol)
+    one_point = validate_1spec(onepoint_spec_from_model(model, kernels), site_fixtures, tol)
     for axiom, fixtures, r in (("pair-consistency", pair_fixtures, pair),
                                ("one-point-consistency", site_fixtures, one_point)):
         reports.append({"axiom": axiom, "fixtures_checked": len(fixtures),
@@ -330,10 +329,10 @@ def cmd_validate(args) -> int:
     if isinstance(model, GibbsVolumeField):
         reports = _potential_reports(model, tol, seed, max_tuples)
     else:
-        reports = _consistency_reports(model, seed)
+        reports = _consistency_reports(model, tol, seed)
         if isinstance(model, MarkovChainPairModel):
             reports.append(_example1_kernel_report(model))
-        if not is_positive(model.marginal(_small_volume(model))):
+        if not model.marginal(_small_volume(model)).is_positive():
             reports.append({"axiom": "positivity", "fixtures_checked": 1,
                             "violations": ["zero marginal entry"], "max_residual": 0.0})
 

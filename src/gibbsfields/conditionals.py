@@ -28,8 +28,8 @@ from .lattice import (
 from .fields import (
     DEFAULT_TOL,
     RATIONAL,
+    ConditionalKernel,
     RandomFieldModel,
-    close,
     format_scalar,
     normalized,
 )
@@ -41,47 +41,6 @@ class NullConditionError(ValueError):
 
 class PositivityError(ValueError):
     """A kernel entry that must be strictly positive is zero."""
-
-
-@dataclass
-class ConditionalKernel:
-    """Probability table on a target volume under a fixed condition."""
-
-    target: Volume
-    condition: Configuration
-    probs: dict  # Configuration on target -> scalar
-    mode: str = RATIONAL
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if not self.target.isdisjoint(self.condition.volume):
-            raise DomainError("condition volume intersects the target")
-
-    def __getitem__(self, c: Configuration):
-        return self.probs[c]
-
-    def value(self, symbol):
-        """Entry for a one-site target addressed by its symbol."""
-        (site,) = self.target.sites
-        return self.probs[Configuration(self.target, (symbol,))]
-
-    def items(self):
-        return self.probs.items()
-
-    def is_positive(self) -> bool:
-        """True iff every entry is strictly positive, in both modes."""
-        return all(v > 0 for v in self.probs.values())
-
-    def sup_distance(self, other: "ConditionalKernel"):
-        if self.target != other.target:
-            raise DomainError("kernels on different targets")
-        if self.mode == RATIONAL and other.mode == RATIONAL:
-            return max(abs(self.probs[c] - other.probs[c]) for c in self.probs)
-        return max(abs(float(self.probs[c]) - float(other.probs[c])) for c in self.probs)
-
-    def table_equal(self, other: "ConditionalKernel", tol: float | None = None) -> bool:
-        tol = self.tol if tol is None else tol
-        return all(close(self.probs[c], other.probs[c], tol) for c in self.probs)
 
 
 def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> ConditionalKernel:
@@ -139,11 +98,8 @@ class LimitEstimate:
 def limit_along_filtration(m: RandomFieldModel, t: Volume, boundary: Configuration,
                            F: Filtration, gap_tol: float = DEFAULT_TOL) -> LimitEstimate:
     """Evaluate g_t under increasing restrictions of one boundary condition."""
-    baseline = ConditionalKernel(
-        t, Configuration(Volume.empty(), ()),
-        dict(m.marginal(t).items()), m.mode, m.tol)
     values, gaps = [], []
-    previous = baseline
+    previous = m.marginal(t)
     for n, stage in enumerate(F):
         lam = stage - t
         if not lam.issubset(boundary.volume):

@@ -307,8 +307,7 @@ def uniform_convergence_report(m: RandomFieldModel, t, F: Filtration,
     """
     t_vol = t if isinstance(t, Volume) else Volume.of([t])
     kernels = KernelCache(m)
-    baseline = ConditionalKernel(t_vol, Configuration(Volume.empty(), ()),
-                                 dict(m.marginal(t_vol).items()), m.mode, m.tol)
+    baseline = m.marginal(t_vol)
 
     def evaluate(gen):
         stage_configs = gen.configs(t_vol, F)

@@ -47,9 +47,9 @@ class InconsistentEnergyError(ValueError):
 class TransitionEnergy:
     """Pairwise log-ratios Delta(x, u) = ln g(x) - ln g(u) on one volume.
 
-    Backed either by the originating kernel (ratios are recomputed on
-    demand, cocycle holds by construction) or by an explicit ratio table
-    (used for negative controls and deserialization).
+    Backed either by the originating kernel's table, shared (ratios are
+    recomputed on demand, cocycle holds by construction), or by an explicit
+    ratio table (used for negative controls and deserialization).
     """
 
     volume: Volume
@@ -86,7 +86,7 @@ def transition_energy(k: ConditionalKernel) -> TransitionEnergy:
     """Energy table of a strictly positive kernel."""
     if not k.is_positive():
         raise PositivityError("kernel has a vanishing entry; energies undefined")
-    return TransitionEnergy(k.target, k.condition, k.mode, k.tol, dict(k.probs), None)
+    return TransitionEnergy(k.volume, k.condition, k.mode, k.tol, k.probs, None)
 
 
 def check_antisymmetry(e: TransitionEnergy) -> bool:
@@ -155,33 +155,29 @@ def gibbs_form_from_energy(e: TransitionEnergy, reference: Configuration) -> Con
     return ConditionalKernel(e.volume, e.condition, probs, e.mode, e.tol)
 
 
-@dataclass
-class HamiltonianTable:
+class HamiltonianTable(ConditionalKernel):
     """H(x) = -ln w(x) with w(gauge) = 1; differences reproduce energies.
 
-    Weights may be zero, rendering H = +inf for degenerate displays, but
-    such tables are rejected by the Gibbs-form operation.
+    An unnormalized table whose entries, ``weights``, are w = exp(-H). They
+    may be zero, rendering H = +inf for degenerate displays, but such
+    tables are rejected by the Gibbs-form operation.
     """
 
-    volume: Volume
-    condition: Configuration
-    gauge: Configuration
-    weights: dict  # Configuration -> scalar, exp(-H)
-    mode: str = RATIONAL
-    tol: float = DEFAULT_TOL
+    def __init__(self, volume: Volume, condition: Configuration, gauge: Configuration,
+                 weights: dict, mode: str = RATIONAL, tol: float = DEFAULT_TOL):
+        super().__init__(volume, condition, weights, mode, tol)
+        self.gauge = gauge
+        self.weights = self.probs
 
     def value(self, x: Configuration) -> float:
-        w = self.weights[x]
+        w = self.probs[x]
         return math.inf if w == 0 else -math.log(w)
 
-    def values(self) -> dict:
-        return {x: self.value(x) for x in self.weights}
-
     def gibbs_kernel(self) -> ConditionalKernel:
-        if any(w <= 0 for w in self.weights.values()):
+        if not self.is_positive():
             raise PositivityError("infinite Hamiltonian values admit no Gibbs form")
         return ConditionalKernel(self.volume, self.condition,
-                                 normalized(self.weights, self.mode), self.mode, self.tol)
+                                 normalized(self.probs, self.mode), self.mode, self.tol)
 
 
 def hamiltonian_from_energy(e: TransitionEnergy, gauge: Configuration) -> HamiltonianTable:

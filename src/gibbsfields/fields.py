@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .lattice import (
+    EMPTY_CONFIGURATION,
     Alphabet,
     Configuration,
     DomainError,
@@ -27,8 +29,6 @@ from .lattice import (
 RATIONAL = "rational"
 FLOAT = "float"
 DEFAULT_TOL = 1e-12
-
-Scalar = object  # Fraction in rational mode, float in float mode
 
 
 class ValidationError(ValueError):
@@ -86,26 +86,72 @@ def to_scalar(value, mode: str):
     return float(value)
 
 
-class FiniteDistribution:
-    """Exact probability table over all configurations on a finite volume."""
+@dataclass
+class ConditionalKernel:
+    """Probability table on a volume under a condition on a disjoint one: the
+    one table type, of which a marginal P_V (FiniteDistribution, the empty
+    condition) and Hamiltonian weights (energy.HamiltonianTable) are views."""
+
+    volume: Volume
+    condition: Configuration
+    probs: dict  # Configuration on volume -> scalar
+    mode: str = RATIONAL
+    tol: float = DEFAULT_TOL
+
+    def __post_init__(self):
+        if not self.volume.isdisjoint(self.condition.volume):
+            raise DomainError("condition volume intersects the target")
+
+    def __getitem__(self, c: Configuration):
+        return self.probs[c]
+
+    def __iter__(self):
+        return iter(self.probs)
+
+    def __len__(self):
+        return len(self.probs)
+
+    def items(self):
+        return self.probs.items()
+
+    def value(self, symbol):
+        """Entry for a one-site volume addressed by its symbol."""
+        (site,) = self.volume.sites
+        return self.probs[Configuration(self.volume, (symbol,))]
+
+    def is_positive(self) -> bool:
+        """True iff every entry is strictly positive, in both modes."""
+        return all(v > 0 for v in self.probs.values())
+
+    def sup_distance(self, other: "ConditionalKernel"):
+        """Max absolute difference over the shared configuration set."""
+        if self.volume != other.volume:
+            raise DomainError("tables on different volumes")
+        if self.mode == RATIONAL and other.mode == RATIONAL:
+            return max(abs(self.probs[c] - other.probs[c]) for c in self.probs)
+        return max(abs(float(self.probs[c]) - float(other.probs[c])) for c in self.probs)
+
+    def table_equal(self, other: "ConditionalKernel", tol: float | None = None) -> bool:
+        """Entry-wise comparison (exact / within tol, default self.tol)."""
+        tol = self.tol if tol is None else tol
+        return all(close(self.probs[c], other.probs[c], tol) for c in self.probs)
+
+
+class FiniteDistribution(ConditionalKernel):
+    """Exact probability table over all configurations on a finite volume:
+    the kernel under the empty condition, in canonical key order."""
 
     def __init__(self, volume: Volume, alphabet: Alphabet, probs: Mapping,
-                 mode: str = RATIONAL, tol: float = DEFAULT_TOL, validate: bool = True):
-        self.volume = volume
-        self.alphabet = alphabet
-        self.mode = mode
-        self.tol = tol
+                 mode: str = RATIONAL, tol: float = DEFAULT_TOL):
         order = enumerate_configurations(volume, alphabet)
         # canonical key order makes serialization and iteration deterministic
         try:
-            self.probs = {c: probs[c] for c in order}
+            table = {c: probs[c] for c in order}
         except KeyError as missing:
             raise ValidationError(f"missing probability for {missing.args[0]}")
-        if validate:
-            self._validate(len(probs))
-
-    def _validate(self, n_given: int) -> None:
-        if n_given != len(self.probs):
+        super().__init__(volume, EMPTY_CONFIGURATION, table, mode, tol)
+        self.alphabet = alphabet
+        if len(probs) != len(table):
             raise ValidationError("probability table keys are not exactly the enumeration")
         for c, p in self.probs.items():
             if self.mode == RATIONAL and not isinstance(p, Fraction):
@@ -118,33 +164,6 @@ class FiniteDistribution:
                 raise ValidationError(f"probabilities sum to {total}, not 1")
         elif abs(total - 1.0) > self.tol:
             raise ValidationError(f"probabilities sum to {total!r}, off by more than {self.tol}")
-
-    def __getitem__(self, c: Configuration):
-        return self.probs[c]
-
-    def __iter__(self):
-        return iter(self.probs)
-
-    def items(self):
-        return self.probs.items()
-
-    def __len__(self):
-        return len(self.probs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteDistribution):
-            return NotImplemented
-        return (self.volume == other.volume and self.alphabet == other.alphabet
-                and all(close(self.probs[c], other.probs[c], max(self.tol, other.tol))
-                        for c in self.probs))
-
-    def sup_distance(self, other: "FiniteDistribution"):
-        """Max absolute difference over the shared configuration set."""
-        if self.volume != other.volume:
-            raise DomainError("distributions on different volumes")
-        if self.mode == RATIONAL and other.mode == RATIONAL:
-            return max(abs(self.probs[c] - other.probs[c]) for c in self.probs)
-        return max(abs(float(self.probs[c]) - float(other.probs[c])) for c in self.probs)
 
 
 def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
@@ -160,11 +179,6 @@ def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
         buckets.setdefault(tuple(symbols[i] for i in positions), []).append(prob)
     probs = {Configuration(V, key): scalar_sum(vals, p.mode) for key, vals in buckets.items()}
     return FiniteDistribution(V, p.alphabet, probs, p.mode, p.tol)
-
-
-def is_positive(p: FiniteDistribution) -> bool:
-    """True iff every entry is strictly positive, in both modes."""
-    return all(v > 0 for v in p.probs.values())
 
 
 class RandomFieldModel:
@@ -255,14 +269,13 @@ class ProductField(RandomFieldModel):
         return f"product[{dict((self.alphabet.name_of(k), str(v)) for k, v in self.law.items())}]"
 
 
-def check_marginal_consistency(m: RandomFieldModel, S: Volume, V: Volume) -> bool:
+def check_marginal_consistency(m: RandomFieldModel, S: Volume, V: Volume,
+                               tol: float | None = None) -> bool:
     """True iff the marginal of P_S on V equals P_V (exact / within tol)."""
     if not (V.issubset(S) and S.issubset(m.window)):
         raise DomainError("need V inside S inside the window")
     derived = marginalize(m.marginal(S), V)
-    direct = m.marginal(V)
-    tol = m.tol
-    return all(close(derived[c], direct[c], tol) for c in direct)
+    return m.marginal(V).table_equal(derived, m.tol if tol is None else tol)
 
 
 def seeded_positive_table(window: Volume, alphabet: Alphabet, seed: int,

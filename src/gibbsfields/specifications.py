@@ -632,30 +632,31 @@ def pair_site_fixtures(window: Volume, alphabet: Alphabet,
 def volume_split_fixtures(window: Volume, alphabet: Alphabet, max_volume: int = 3,
                           max_tuples: int = EXHAUSTIVE_TUPLE_BUDGET,
                           seed: int = 0) -> tuple:
-    """(V, I, boundary) fixtures for the multi-point consistency axiom."""
+    """(V, I, boundary) fixtures for the multi-point consistency axiom; the
+    boundaries of all splits of one V share one volume, window - V."""
     sites = window.sites
     splits = []
     for v_size in range(2, max_volume + 1):
         for v_sites in combinations(sites, v_size):
             V = Volume.of(v_sites)
+            rest = window - V
             for i_size in range(1, v_size):
                 for i_sites in combinations(v_sites, i_size):
-                    splits.append((V, Volume.of(i_sites)))
+                    splits.append((V, Volume.of(i_sites), rest))
     space = 0
-    for V, I in splits:
+    for V, I, _ in splits:
         inner = (alphabet.size ** (2 * len(I))) * (alphabet.size ** (len(V) - len(I)))
         space += (alphabet.size ** (len(sites) - len(V))) * inner
     fixtures = []
     if space <= max_tuples:
-        for V, I in splits:
-            for z in enumerate_configurations(window - V, alphabet):
+        for V, I, rest in splits:
+            for z in enumerate_configurations(rest, alphabet):
                 fixtures.append((V, I, z))
         return fixtures, FixtureMeta(space, space, False)
     rng = random.Random(seed)
     per_split = max(1, max_tuples // max(1, len(splits) * alphabet.size ** (2 * max_volume)))
     checked = 0
-    for V, I in splits:
-        rest = window - V
+    for V, I, rest in splits:
         inner = (alphabet.size ** (2 * len(I))) * (alphabet.size ** (len(V) - len(I)))
         for _ in range(per_split):
             symbols = tuple(rng.choice(alphabet.symbols) for _ in rest)

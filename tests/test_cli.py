@@ -8,7 +8,12 @@ import pytest
 
 import gibbsfields
 from gibbsfields.cli import main, reproduce_example1, reproduce_example2
-from gibbsfields.fields import seeded_positive_table, write_distribution_file
+from gibbsfields.fields import (
+    FLOAT,
+    FiniteDistribution,
+    seeded_positive_table,
+    write_distribution_file,
+)
 from gibbsfields.lattice import binary_alphabet, line_window
 
 
@@ -254,3 +259,25 @@ def test_gibbs_overflow_is_reported_without_traceback(tmp_path):
     assert diagnosed.returncode == 4
     assert "Traceback" not in diagnosed.stderr
     assert diagnosed.stderr.splitlines() == ["gfl diagnose: OverflowError: math range error"]
+
+
+def test_validate_tol_reaches_the_table_checks(tmp_path):
+    """--tol is the tolerance of every check on a non-Gibbs model: at 0 the
+    float rounding residues of a table field are violations, at the default
+    they are not."""
+    rational = seeded_positive_table(line_window(5), binary_alphabet(), 9).table
+    floats = FiniteDistribution(rational.volume, rational.alphabet,
+                                {c: float(p) for c, p in rational.items()}, FLOAT)
+    path = tmp_path / "float.tbl"
+    write_distribution_file(floats, path)
+
+    def violations(*flags):
+        code = main(["validate", "--model", f"table:{path}", *flags, "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "validate.json").read_text())
+        return code, {r["axiom"]: len(r["violations"]) for r in report["reports"]}
+
+    code, counts = violations()
+    assert code == 0 and not any(counts.values())
+    code, counts = violations("--tol", "0")
+    assert code == 1
+    assert counts["pair-consistency"] > 0 and counts["one-point-consistency"] > 0

@@ -19,6 +19,7 @@ from gibbsfields.conditionals import (
 )
 from gibbsfields.fields import FLOAT, RATIONAL, scalar_sum, seeded_positive_table
 from gibbsfields.lattice import (
+    EMPTY_CONFIGURATION,
     Configuration,
     GeometryError,
     Volume,
@@ -142,6 +143,36 @@ def test_limit_example2_stage_values_match_formula():
         assert kernel.value(1) == expected
 
 
+def test_marginal_and_kernel_are_one_table_type():
+    """A marginal is the kernel under the empty condition: the comparisons
+    work across both views, in both directions."""
+    m = seeded_positive_table(line_window(3), BIN, seed=3)
+    V = volume(-1, 0)
+    p = m.marginal(V)
+    k = finite_conditional(m, V, EMPTY_CONFIGURATION)
+    assert isinstance(p, ConditionalKernel)
+    assert p.volume == k.volume == V and p.condition == k.condition
+    for a, b in ((p, k), (k, p)):
+        assert a.sup_distance(b) == 0
+        assert a.table_equal(b)
+        assert a.is_positive() and b.is_positive()
+    conditioned = finite_conditional(m, V, Configuration(volume(1), (1,)))
+    for a, b in ((p, conditioned), (conditioned, p)):
+        assert a.sup_distance(b) == max(abs(p[c] - conditioned[c]) for c in p) > 0
+        assert not a.table_equal(b)
+
+
+def test_limit_stage_zero_is_measured_against_the_marginal():
+    m = seeded_positive_table(line_window(5), BIN, seed=11)
+    t = volume(0)
+    F = box_filtration(0, [1, 2], m.window)
+    boundary = Configuration(m.window - t, (1, 0, 0, 1))
+    est = limit_along_filtration(m, t, boundary, F)
+    k = est.values[0]
+    assert est.sup_gaps[0] == k.sup_distance(m.marginal(t)) > 0
+    assert est.sup_gaps[1] == est.values[1].sup_distance(k)
+
+
 def test_limit_estimate_csv_shape():
     m = bernoulli_product(Fraction(1, 2), line_window(7))
     F = box_filtration(0, [1, 2], m.window)
@@ -188,7 +219,7 @@ def perturb_kernel(kernel):
     shift = probs[keys[0]] / 2
     probs[keys[0]] -= shift
     probs[keys[1]] += shift
-    return ConditionalKernel(kernel.target, kernel.condition, probs,
+    return ConditionalKernel(kernel.volume, kernel.condition, probs,
                              kernel.mode, kernel.tol)
 
 
@@ -235,7 +266,7 @@ def test_consistency_negative_controls():
     kernels3 = KernelCache(m)
     good = finite_conditional(m, volume(-1), cond)
     kernels3._cache[(volume(-1), cond)] = ConditionalKernel(
-        good.target, good.condition, {c: 2 * p for c, p in good.items()})
+        good.volume, good.condition, {c: 2 * p for c, p in good.items()})
     assert not check_one_point_consistency(m, (-1,), (0,), z, kernels3)
     assert one_point_kinds(kernels3) == {"normalization"}
 

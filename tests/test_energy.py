@@ -112,7 +112,7 @@ def test_cocycle_negative_control():
         for u in configs:
             ratios[(x, u)] = k.probs[x] / k.probs[u]
     ratios[(configs[0], configs[1])] *= 2  # break additivity, keep the rest
-    e = TransitionEnergy.from_ratios(k.target, k.condition, ratios)
+    e = TransitionEnergy.from_ratios(k.volume, k.condition, ratios)
     assert not check_cocycle(e)
     with pytest.raises(InconsistentEnergyError):
         gibbs_form_from_energy(e, configs[0])
@@ -127,7 +127,7 @@ def corrupted_cache(m, *targets):
         probs = dict(good.probs)
         first, second = list(probs)[:2]
         probs[first], probs[second] = probs[first] / 2, probs[second] + probs[first] / 2
-        kernels._cache[(V, cond)] = ConditionalKernel(good.target, cond, probs)
+        kernels._cache[(V, cond)] = ConditionalKernel(good.volume, cond, probs)
     return kernels
 
 

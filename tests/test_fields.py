@@ -10,7 +10,6 @@ from gibbsfields.fields import (
     FiniteDistribution,
     ValidationError,
     check_marginal_consistency,
-    is_positive,
     marginalize,
     read_distribution_file,
     scalar_sum,
@@ -126,15 +125,15 @@ def test_example1_prefix_marginalization_oracle(sign_index):
 
 def test_is_positive():
     p = uniform_table(volume(0, 1))
-    assert is_positive(p)
+    assert p.is_positive()
     vol = volume(0)
     half = {Configuration(vol, (0,)): Fraction(1), Configuration(vol, (1,)): Fraction(0)}
-    assert not is_positive(FiniteDistribution(vol, BIN, half))
+    assert not FiniteDistribution(vol, BIN, half).is_positive()
     # float tables have no floor: 1e-14 is small, not vanishing
     tiny = {Configuration(vol, (0,)): 1.0 - 1e-14, Configuration(vol, (1,)): 1e-14}
-    assert is_positive(FiniteDistribution(vol, BIN, tiny, FLOAT))
+    assert FiniteDistribution(vol, BIN, tiny, FLOAT).is_positive()
     zero = {Configuration(vol, (0,)): 1.0, Configuration(vol, (1,)): 0.0}
-    assert not is_positive(FiniteDistribution(vol, BIN, zero, FLOAT))
+    assert not FiniteDistribution(vol, BIN, zero, FLOAT).is_positive()
 
 
 def naive_marginalize(p, V):
@@ -185,7 +184,7 @@ def test_example2_positivity_via_integral_oracle():
     for size in range(1, 7):
         vol = Volume.of(range(size))
         table = model.marginal(vol)
-        assert is_positive(table)
+        assert table.is_positive()
         for cfg in table:
             assert table[cfg] == exact_mixture_prob(1, size, cfg.count(1))
 
@@ -264,7 +263,7 @@ def test_float_mode_tolerance():
     vol = volume(0)
     probs = {Configuration(vol, (0,)): 0.5 + 4e-13, Configuration(vol, (1,)): 0.5}
     dist = FiniteDistribution(vol, BIN, probs, FLOAT)
-    assert is_positive(dist)
+    assert dist.is_positive()
     bad = {Configuration(vol, (0,)): 0.51, Configuration(vol, (1,)): 0.5}
     with pytest.raises(ValidationError):
         FiniteDistribution(vol, BIN, bad, FLOAT)

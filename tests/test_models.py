@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from gibbsfields.conditionals import finite_conditional, markov_radius
-from gibbsfields.fields import check_marginal_consistency, is_positive
+from gibbsfields.fields import check_marginal_consistency
 from gibbsfields.lattice import (
     Configuration,
     Volume,
@@ -143,7 +143,7 @@ def test_example2_float_tau():
     assert model.mode == "float"
     vol = volume(0, 1)
     table = model.marginal(vol)
-    assert is_positive(table)
+    assert table.is_positive()
     total = math.fsum(table.probs.values())
     assert math.isclose(total, 1.0, abs_tol=1e-12)
 
@@ -172,14 +172,14 @@ def test_example2_rejects_bad_tau():
 
 def test_ising_demo_1d_positive_markov():
     m = ising_demo(0.4, window=9)
-    assert is_positive(m.marginal(m.window))
+    assert m.marginal(m.window).is_positive()
     assert markov_radius(m, 0, 2) == 1
 
 
 def test_ising_demo_2d():
     m = ising_demo(0.3, d=2, window=9)
     assert len(m.window) == 9
-    assert is_positive(m.marginal(m.window))
+    assert m.marginal(m.window).is_positive()
     k = finite_conditional(
         m, Volume.of([(0, 0)]),
         Configuration(m.window - Volume.of([(0, 0)]), tuple([1] * 8)))

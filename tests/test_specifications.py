@@ -315,6 +315,20 @@ def test_spec_pair_kernels_match_partition_oracle():
             assert math.isclose(float(direct[cfg]), oracle[cfg.symbols], rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("max_tuples", [10**6, 3000])
+def test_split_fixtures_of_one_volume_share_one_boundary_volume(max_tuples):
+    """Every split of one V draws its boundaries on the same window - V
+    object, in the exhaustive and in the sampled branch."""
+    window = grid_window(3, 3)
+    fixtures, meta = volume_split_fixtures(window, SPIN, 3, max_tuples, seed=2)
+    assert meta.sampled == (max_tuples == 3000)
+    rests = {}
+    for V, I, z in fixtures:
+        assert z.volume == window - V
+        assert rests.setdefault(V, z.volume) is z.volume
+    assert len(rests) == 36 + 84
+
+
 def test_validate_spec_pass_and_corrupted():
     m = seeded_positive_table(line_window(5), BIN, seed=25)
     Q = spec_from_model(m)
