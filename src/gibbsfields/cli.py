@@ -517,7 +517,7 @@ def cmd_energy(args) -> int:
     h_lines = ["volume\t" + str(target), "gauge\t" + str(gauge)]
     for x, w in h.weights.items():
         name = ",".join(model.alphabet.name_of(s) for s in x.symbols)
-        value = h.value(x)
+        value = h.energy(x)
         rendered = "+inf" if value == float("inf") else (
             format_scalar(w, h.mode) if h.mode == RATIONAL else format(value, ".17g"))
         h_lines.append(f"{name}\t{rendered}")

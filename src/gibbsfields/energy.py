@@ -22,6 +22,7 @@ from .fields import (
     RandomFieldModel,
     close,
     format_scalar,
+    integer_numerators,
     normalized,
 )
 from .conditionals import (
@@ -30,7 +31,7 @@ from .conditionals import (
     PositivityError,
 )
 from .specifications import (
-    cocycle_sides,
+    cocycle_failures,
     onepoint_spec_from_model,
     spec_from_model,
     tef_from_1spec,
@@ -103,11 +104,14 @@ def check_antisymmetry(e: TransitionEnergy) -> bool:
 
 
 def check_cocycle(e: TransitionEnergy) -> bool:
-    """ratio(x,u) == ratio(x,y) * ratio(y,u) over all triples."""
+    """ratio(x,u) == ratio(x,y) * ratio(y,u) over all triples; decided on
+    integer numerators when the ratios are exact rationals."""
     configs = e.configurations()
     ratios = {(x, u): e.ratio(x, u) for x in configs for u in configs}
-    holds = Comparison(e.tol)
-    return all(holds(lhs, rhs) for lhs, rhs in cocycle_sides(ratios, configs))
+    ints = integer_numerators(list(ratios.values()))
+    n, common = (dict(zip(ratios, ints[0])), ints[1]) if ints else (None, 1)
+    failures = cocycle_failures(ratios, configs, Comparison(e.tol), n, common)
+    return next(failures, None) is None
 
 
 def check_decomposition(m: RandomFieldModel, V: Volume, I: Volume,
@@ -169,7 +173,8 @@ class HamiltonianTable(ConditionalKernel):
         self.gauge = gauge
         self.weights = self.probs
 
-    def value(self, x: Configuration) -> float:
+    def energy(self, x: Configuration) -> float:
+        """H(x) = -ln w(x); ``value(symbol)`` is still the table entry w."""
         w = self.probs[x]
         return math.inf if w == 0 else -math.log(w)
 

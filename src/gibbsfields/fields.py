@@ -13,7 +13,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from numbers import Rational
+from typing import Iterable, Mapping, Sequence
 
 from .lattice import (
     EMPTY_CONFIGURATION,
@@ -36,8 +37,9 @@ class ValidationError(ValueError):
 
 
 def close(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Scalar comparison: exact for two Fractions, tolerant otherwise."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
+    """Scalar comparison: exact for two rationals (Fractions or ints),
+    tolerant otherwise."""
+    if isinstance(a, Rational) and isinstance(b, Rational):
         return a == b
     return math.isclose(float(a), float(b), rel_tol=tol, abs_tol=tol)
 
@@ -60,6 +62,23 @@ class Comparison:
             return True
         self.worst = max(self.worst, residual(lhs, rhs))
         return close(lhs, rhs, self.tol)
+
+
+def integer_numerators(values: Sequence):
+    """Exact rational values as ints over their least common denominator.
+
+    Returns (numerators, denominator), or None when some value is not
+    rational (has no ``denominator``, as a float). Two products of such
+    values with the same number of factors are equal exactly when the
+    products of their numerators are, so identities are decided in integer
+    arithmetic, with no gcd; a side with one factor fewer is multiplied by
+    the denominator.
+    """
+    denominators = [getattr(v, "denominator", None) for v in values]
+    if None in denominators:
+        return None
+    common = math.lcm(*denominators)
+    return [v.numerator * (common // d) for v, d in zip(values, denominators)], common
 
 
 def scalar_sum(values: Iterable, mode: str):

@@ -249,6 +249,25 @@ def restrict(c: Configuration, T: Volume) -> Configuration:
     return Configuration(T, tuple(symbols[i] for i in _restrict_map(c.volume, T)))
 
 
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def split_positions(V: Volume, I: Volume, alphabet: Alphabet) -> tuple:
+    """Enumerations of a split of V and the positions of its joined
+    configurations.
+
+    For I inside V, returns (configs, xs, ys, rows): the enumerations of
+    V, I and V \\ I, and ``rows[k][i]``, the position of
+    ``concat(xs[i], ys[k])`` in configs.
+    """
+    if not I.issubset(V):
+        raise DomainError(f"{I - V} not in the split volume")
+    configs = enumerate_configurations(V, alphabet)
+    where = {c.symbols: n for n, c in enumerate(configs)}
+    xs = enumerate_configurations(I, alphabet)
+    ys = enumerate_configurations(V - I, alphabet)
+    rows = tuple(tuple(where[concat(x, y).symbols] for x in xs) for y in ys)
+    return configs, xs, ys, rows
+
+
 @lru_cache(maxsize=8192)
 def _enumerate(volume: Volume, alphabet: Alphabet) -> tuple:
     return tuple(

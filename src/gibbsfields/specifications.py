@@ -30,6 +30,7 @@ from .lattice import (
     format_site,
     parse_site,
     restrict,
+    split_positions,
 )
 from .fields import (
     DEFAULT_TOL,
@@ -39,6 +40,7 @@ from .fields import (
     FiniteDistribution,
     RandomFieldModel,
     close,
+    integer_numerators,
     normalized,
     scalar_sum,
 )
@@ -665,9 +667,25 @@ def volume_split_fixtures(window: Volume, alphabet: Alphabet, max_volume: int = 
     return fixtures, FixtureMeta(space, checked, True, seed)
 
 
+def _numerator_tables(tables: dict):
+    """The entries of every table as ints over one common denominator:
+    ({table key: {entry key: int}}, denominator), or None unless every
+    entry is rational."""
+    exact = integer_numerators([p for table in tables.values() for p in table.values()])
+    if exact is None:
+        return None
+    ints = iter(exact[0])
+    return {b: {k: next(ints) for k in table} for b, table in tables.items()}, exact[1]
+
+
 def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None,
                    meta: FixtureMeta | None = None) -> ValidationReport:
-    """Check normalization, positivity and the two-site exchange identity."""
+    """Check normalization, positivity and the two-site exchange identity.
+
+    Each site's tables of exact rationals are put on one denominator, and
+    a normalization or exchange identity is built from Fractions only when
+    their integer numerators reject it.
+    """
     tol = q.tol if tol is None else tol
     syms = q.alphabet.symbols
     violations = []
@@ -676,19 +694,28 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None
         t_vol, s_vol = Volume.of([t]), Volume.of([s])
         q_t = {b: q.table(t, concat(z, Configuration(s_vol, (b,)))) for b in syms}
         q_s = {a: q.table(s, concat(z, Configuration(t_vol, (a,)))) for a in syms}
-        for tables, site in ((q_t, t), (q_s, s)):
-            for table in tables.values():
-                total = scalar_sum(table.values(), q.mode)
-                if not close(total, 1, tol):
-                    violations.append({"kind": "normalization", "site": format_site(site),
-                                       "z": str(z), "sum": float(total)})
+        # the tables at t and at s hold one number type: one scan finds floats
+        n_t = _numerator_tables(q_t)
+        n_s = n_t and _numerator_tables(q_s)
+        for tables, ints, site in ((q_t, n_t, t), (q_s, n_s, s)):
+            for b, table in tables.items():
+                if not (ints and sum(ints[0][b].values()) == ints[1]):
+                    total = scalar_sum(table.values(), q.mode)
+                    if not close(total, 1, tol):
+                        violations.append({"kind": "normalization", "site": format_site(site),
+                                           "z": str(z), "sum": float(total)})
                 if any(p <= 0 for p in table.values()):
                     violations.append({"kind": "positivity", "site": format_site(site),
                                        "z": str(z)})
+        # both sides take one entry of each of q_t[y], q_s[x], q_t[v], q_s[u]
+        nt, ns = (n_t[0], n_s[0]) if n_s else (None, None)
         for x in syms:
             for u in syms:
                 for y in syms:
                     for v in syms:
+                        if ns and (nt[y][x] * ns[x][v] * nt[v][u] * ns[u][y]
+                                   == nt[y][u] * ns[u][v] * nt[v][x] * ns[x][y]):
+                            continue
                         lhs = q_t[y][x] * q_s[x][v] * q_t[v][u] * q_s[u][y]
                         rhs = q_t[y][u] * q_s[u][v] * q_t[v][x] * q_s[x][y]
                         if not holds(lhs, rhs):
@@ -704,22 +731,36 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None
 
 def validate_spec(Q: Specification, fixtures: Sequence, tol: float | None = None,
                   meta: FixtureMeta | None = None) -> ValidationReport:
-    """Check the subset-consistency identity of a specification."""
+    """Check the subset-consistency identity of a specification.
+
+    The kernel on V is read once per fixture in enumeration order, and the
+    joined configurations xy are positions from the split's cached map
+    (``lattice.split_positions``). When the kernels hold exact rationals,
+    an identity is built from Fractions only when their integer numerators
+    reject it.
+    """
     tol = Q.tol if tol is None else tol
+    alphabet = Q.alphabet
     violations = []
     holds = Comparison(tol)
     checked = 0
     for V, I, z in fixtures:
+        configs, xs, ys, rows = split_positions(V, I, alphabet)
         kernel_V = Q.kernel(V, z)
-        xs = enumerate_configurations(I, Q.alphabet)
-        pairs = list(combinations(xs, 2))
-        for y in enumerate_configurations(V - I, Q.alphabet):
-            kernel_I = Q.kernel(I, concat(z, y))
-            joint = {x: kernel_V[concat(x, y)] for x in xs}
+        joint = [kernel_V[c] for c in configs]
+        n_V = integer_numerators(joint)
+        pairs = list(combinations(range(len(xs)), 2))
+        for y, row in zip(ys, rows):
+            kernel = Q.kernel(I, concat(z, y))
+            kernel_I = [kernel[x] for x in xs]
+            # each side takes one entry of kernel_V and one of kernel_I
+            n_I = integer_numerators(kernel_I) if n_V else None
             checked += len(pairs)
-            for x, u in pairs:
-                lhs = joint[x] * kernel_I[u]
-                rhs = joint[u] * kernel_I[x]
+            for i, j in pairs:
+                if n_I and n_V[0][row[i]] * n_I[0][j] == n_V[0][row[j]] * n_I[0][i]:
+                    continue
+                lhs = joint[row[i]] * kernel_I[j]
+                rhs = joint[row[j]] * kernel_I[i]
                 if not holds(lhs, rhs):
                     violations.append({
                         "kind": "consistency",
@@ -730,19 +771,35 @@ def validate_spec(Q: Specification, fixtures: Sequence, tol: float | None = None
                             holds.worst, meta)
 
 
-def cocycle_sides(ratios: dict, keys: Sequence):
-    """(r(x, u), r(x, y) * r(y, u)) over every triple x, y, u of keys, with
-    r(x, u) = ratios[(x, u)]."""
+def cocycle_failures(ratios: dict, keys: Sequence, holds: Comparison,
+                     n: dict | None, common: int):
+    """(r(x, u), r(x, y) * r(y, u)) over the triples x, y, u of keys whose
+    cocycle identity ``holds`` rejects, with r(x, u) = ratios[(x, u)].
+
+    ``n`` holds the ratios' integer numerators over a common denominator
+    ``common``, or is None when the ratios are not exact; an identity is
+    built from the ratios only when n(x, u) * common == n(x, y) * n(y, u)
+    fails.
+    """
     for x in keys:
         for y in keys:
             r_xy = ratios[(x, y)]
             for u in keys:
-                yield ratios[(x, u)], r_xy * ratios[(y, u)]
+                if n and n[(x, u)] * common == n[(x, y)] * n[(y, u)]:
+                    continue
+                lhs, rhs = ratios[(x, u)], r_xy * ratios[(y, u)]
+                if not holds(lhs, rhs):
+                    yield lhs, rhs
 
 
 def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
                  meta: FixtureMeta | None = None) -> ValidationReport:
-    """Check per-site cocycle and the two-site exchange law of an energy field."""
+    """Check per-site cocycle and the two-site exchange law of an energy field.
+
+    When the ratios are exact rationals, each site's ratio tables are put
+    on one denominator, and a cocycle or exchange identity is built from
+    Fractions only when their integer numerators reject it.
+    """
     tol = d.tol if tol is None else tol
     syms = d.alphabet.symbols
     violations = []
@@ -760,18 +817,25 @@ def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
             boundary = concat(z, Configuration(t_vol, (a,)))
             r_s[a] = {(y, v): d.ratio(s, boundary, y, v)
                       for y in syms for v in syms}
+        n_t = _numerator_tables(r_t)
+        n_s = n_t and _numerator_tables(r_s)
 
-        for site, table in ((t, r_t), (s, r_s)):
+        for site, table, ints in ((t, r_t, n_t), (s, r_s, n_s)):
             for b in syms:
-                for lhs, rhs in cocycle_sides(table[b], syms):
-                    if not holds(lhs, rhs):
-                        violations.append({"kind": "cocycle", "t": format_site(site),
-                                           "z": str(z),
-                                           "lhs": float(lhs), "rhs": float(rhs)})
+                n, common = (ints[0][b], ints[1]) if ints else (None, 1)
+                for lhs, rhs in cocycle_failures(table[b], syms, holds, n, common):
+                    violations.append({"kind": "cocycle", "t": format_site(site),
+                                       "z": str(z),
+                                       "lhs": float(lhs), "rhs": float(rhs)})
+        # both sides take one entry of an r_t table and one of an r_s table
+        nt, ns = (n_t[0], n_s[0]) if n_s else (None, None)
         for x in syms:
             for u in syms:
                 for y in syms:
                     for v in syms:
+                        if ns and (nt[y][(x, u)] * ns[u][(y, v)]
+                                   == ns[x][(y, v)] * nt[v][(x, u)]):
+                            continue
                         lhs = r_t[y][(x, u)] * r_s[u][(y, v)]
                         rhs = r_s[x][(y, v)] * r_t[v][(x, u)]
                         if not holds(lhs, rhs):

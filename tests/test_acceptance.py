@@ -384,7 +384,7 @@ def test_criterion_8_determinism():
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": hashseed,
-                 "PYTHONPATH": package_root})
+                 "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"})
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]

@@ -24,9 +24,10 @@ PACKAGE_ROOT = str(Path(gibbsfields.__file__).resolve().parent.parent)
 
 def run_cli(*argv, env):
     """Run `gfl` in a fresh interpreter whose environment is exactly `env`
-    plus PYTHONPATH pointing at the package under test."""
+    plus PYTHONPATH pointing at the package under test. The child writes
+    no bytecode into the checkout."""
     cmd = [sys.executable, "-m", "gibbsfields.cli", *argv]
-    child_env = {**env, "PYTHONPATH": PACKAGE_ROOT}
+    child_env = {**env, "PYTHONPATH": PACKAGE_ROOT, "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run(cmd, capture_output=True, text=True, env=child_env)
 
 

@@ -262,7 +262,7 @@ def test_hamiltonian_gauge_and_recovery():
     e = transition_energy(k)
     configs = e.configurations()
     h0 = hamiltonian_from_energy(e, configs[0])
-    assert h0.weights[configs[0]] == 1 and h0.value(configs[0]) == 0.0
+    assert h0.weights[configs[0]] == 1 and h0.energy(configs[0]) == 0.0
     # energies recovered from weight ratios
     for x in configs:
         for u in configs:
@@ -277,6 +277,21 @@ def test_hamiltonian_gauge_and_recovery():
         assert all(back[c] == k[c] for c in k.probs)
 
 
+def test_hamiltonian_value_is_the_entry_and_energy_is_minus_its_log():
+    """A Hamiltonian table is a table: value(symbol) reads the weight w of a
+    one-site table, as on any kernel, and energy(x) is H(x) = -ln w(x)."""
+    vol = volume(0)
+    k = finite_conditional(seeded_positive_table(vol, BIN, 4), vol,
+                           Configuration(Volume.empty(), ()))
+    configs = enumerate_configurations(vol, BIN)
+    h = hamiltonian_from_energy(transition_energy(k), configs[1])
+    for x in configs:
+        (symbol,) = x.symbols
+        assert h.value(symbol) == h.weights[x] == k.value(symbol) / k.value(1)
+        assert h.energy(x) == -math.log(h.weights[x])
+    assert h.energy(configs[1]) == 0.0
+
+
 def test_hamiltonian_rejects_infinite_values():
     vol = volume(0)
     configs = enumerate_configurations(vol, BIN)
@@ -285,7 +300,7 @@ def test_hamiltonian_rejects_infinite_values():
             seeded_positive_table(vol, BIN, 1), vol, Configuration(Volume.empty(), ()))),
         configs[0])
     table.weights[configs[1]] = Fraction(0)
-    assert table.value(configs[1]) == math.inf
+    assert table.energy(configs[1]) == math.inf
     with pytest.raises(PositivityError):
         table.gibbs_kernel()
 

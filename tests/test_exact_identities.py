@@ -1,0 +1,238 @@
+"""Rational identities decided on integer numerators report exactly what a
+Fraction-only evaluation of the same identities reports.
+
+The reference loops below build every product as a Fraction, join every
+configuration with ``concat`` and compare through ``Comparison``, the way
+the validators did before they compared integer products. Each case
+corrupts one object, so that violations, their order and ``max_residual``
+are all exercised.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gibbsfields.conditionals import ConditionalKernel, KernelCache
+from gibbsfields.energy import TransitionEnergy, check_cocycle
+from gibbsfields.fields import (
+    Comparison,
+    close,
+    integer_numerators,
+    scalar_sum,
+    seeded_positive_table,
+)
+from gibbsfields.lattice import (
+    Configuration,
+    Volume,
+    binary_alphabet,
+    concat,
+    enumerate_configurations,
+    format_site,
+    line_window,
+)
+from gibbsfields.specifications import (
+    OnePointSpec,
+    ValidationReport,
+    onepoint_spec_from_model,
+    pair_site_fixtures,
+    spec_from_model,
+    tef_from_1spec,
+    validate_1spec,
+    validate_spec,
+    validate_tef,
+    volume_split_fixtures,
+)
+
+BIN = binary_alphabet()
+
+
+def reference_validate_spec(Q, fixtures, tol, meta):
+    violations, holds, checked = [], Comparison(tol), 0
+    for V, I, z in fixtures:
+        kernel_V = Q.kernel(V, z)
+        xs = enumerate_configurations(I, Q.alphabet)
+        pairs = list(combinations(xs, 2))
+        for y in enumerate_configurations(V - I, Q.alphabet):
+            kernel_I = Q.kernel(I, concat(z, y))
+            joint = {x: kernel_V[concat(x, y)] for x in xs}
+            checked += len(pairs)
+            for x, u in pairs:
+                lhs, rhs = joint[x] * kernel_I[u], joint[u] * kernel_I[x]
+                if not holds(lhs, rhs):
+                    violations.append({"kind": "consistency", "V": str(V), "I": str(I),
+                                       "z": str(z), "lhs": float(lhs), "rhs": float(rhs)})
+    return ValidationReport("specification-consistency", checked, violations,
+                            holds.worst, meta)
+
+
+def reference_validate_1spec(q, fixtures, tol, meta):
+    syms = q.alphabet.symbols
+    violations, holds = [], Comparison(tol)
+    for t, s, z in fixtures:
+        t_vol, s_vol = Volume.of([t]), Volume.of([s])
+        q_t = {b: q.table(t, concat(z, Configuration(s_vol, (b,)))) for b in syms}
+        q_s = {a: q.table(s, concat(z, Configuration(t_vol, (a,)))) for a in syms}
+        for tables, site in ((q_t, t), (q_s, s)):
+            for table in tables.values():
+                total = scalar_sum(table.values(), q.mode)
+                if not close(total, 1, tol):
+                    violations.append({"kind": "normalization", "site": format_site(site),
+                                       "z": str(z), "sum": float(total)})
+                if any(p <= 0 for p in table.values()):
+                    violations.append({"kind": "positivity", "site": format_site(site),
+                                       "z": str(z)})
+        for x in syms:
+            for u in syms:
+                for y in syms:
+                    for v in syms:
+                        lhs = q_t[y][x] * q_s[x][v] * q_t[v][u] * q_s[u][y]
+                        rhs = q_t[y][u] * q_s[u][v] * q_t[v][x] * q_s[x][y]
+                        if not holds(lhs, rhs):
+                            violations.append({
+                                "kind": "exchange", "t": format_site(t),
+                                "s": format_site(s), "z": str(z),
+                                "symbols": [str(x), str(u), str(y), str(v)],
+                                "lhs": float(lhs), "rhs": float(rhs)})
+    return ValidationReport("one-point-exchange", len(fixtures) * len(syms) ** 4,
+                            violations, holds.worst, meta)
+
+
+def reference_cocycle(ratios, keys, holds):
+    for x in keys:
+        for y in keys:
+            for u in keys:
+                lhs, rhs = ratios[(x, u)], ratios[(x, y)] * ratios[(y, u)]
+                if not holds(lhs, rhs):
+                    yield lhs, rhs
+
+
+def reference_validate_tef(d, fixtures, tol, meta):
+    syms = d.alphabet.symbols
+    violations, holds = [], Comparison(tol)
+    for t, s, z in fixtures:
+        t_vol, s_vol = Volume.of([t]), Volume.of([s])
+        r_t = {b: {(x, u): d.ratio(t, concat(z, Configuration(s_vol, (b,))), x, u)
+                   for x in syms for u in syms} for b in syms}
+        r_s = {a: {(y, v): d.ratio(s, concat(z, Configuration(t_vol, (a,))), y, v)
+                   for y in syms for v in syms} for a in syms}
+        for site, table in ((t, r_t), (s, r_s)):
+            for b in syms:
+                for lhs, rhs in reference_cocycle(table[b], syms, holds):
+                    violations.append({"kind": "cocycle", "t": format_site(site),
+                                       "z": str(z), "lhs": float(lhs), "rhs": float(rhs)})
+        for x in syms:
+            for u in syms:
+                for y in syms:
+                    for v in syms:
+                        lhs = r_t[y][(x, u)] * r_s[u][(y, v)]
+                        rhs = r_s[x][(y, v)] * r_t[v][(x, u)]
+                        if not holds(lhs, rhs):
+                            violations.append({
+                                "kind": "exchange", "t": format_site(t),
+                                "s": format_site(s), "z": str(z),
+                                "symbols": [str(x), str(u), str(y), str(v)],
+                                "lhs": float(lhs), "rhs": float(rhs)})
+    return ValidationReport("energy-field-axioms", len(fixtures) * len(syms) ** 4 * 3,
+                            violations, holds.worst, meta)
+
+
+def reference_check_cocycle(e):
+    configs = e.configurations()
+    ratios = {(x, u): e.ratio(x, u) for x in configs for u in configs}
+    return next(reference_cocycle(ratios, configs, Comparison(e.tol)), None) is None
+
+
+def perturb_kernel(kernel):
+    """Shift mass between the first two entries of a kernel."""
+    probs = dict(kernel.probs)
+    first, second = list(probs)[:2]
+    shift = probs[first] / 2
+    probs[first] -= shift
+    probs[second] += shift
+    return ConditionalKernel(kernel.volume, kernel.condition, probs, kernel.mode, kernel.tol)
+
+
+def rescaled(q, site, boundary, factor):
+    """The 1-spec q with its table at (site, boundary) multiplied by factor."""
+    def table(t, b):
+        out = q.table(t, b)
+        if (t if isinstance(t, tuple) else (t,)) == site and b == boundary:
+            return {a: factor * p for a, p in out.items()}
+        return out
+
+    return OnePointSpec(q.window, q.alphabet, table, q.mode, q.tol, q.label)
+
+
+@st.composite
+def corrupted_cases(draw):
+    """The kind of corruption, a seeded rational table on 3 to 5 sites, a
+    target of its sites (one for a rescaled 1-spec table, else one or two),
+    a condition on the rest and a rescaling factor."""
+    kind = draw(st.sampled_from(["kernel", "table", "ratio"]))
+    window = line_window(draw(st.integers(3, 5)))
+    model = seeded_positive_table(window, BIN, draw(st.integers(0, 10**6)))
+    target = Volume.of(draw(st.lists(st.sampled_from(window.sites), min_size=1,
+                                     max_size=1 if kind == "table" else 2, unique=True)))
+    rest = window - target
+    condition = Configuration(rest, tuple(draw(st.sampled_from(BIN.symbols)) for _ in rest))
+    return kind, model, target, condition, draw(st.fractions(Fraction(1, 3), 3))
+
+
+@given(corrupted_cases())
+@settings(max_examples=30, deadline=None)
+def test_integer_identities_report_what_fractions_report(case):
+    kind, model, target, condition, factor = case
+    window = model.window
+    kernels = KernelCache(model)
+    if kind == "kernel":
+        kernels._cache[(target, condition)] = perturb_kernel(kernels(target, condition))
+    q = onepoint_spec_from_model(model, kernels)
+    if kind == "table":
+        q = rescaled(q, target.sites[0], condition, factor)
+    Q = spec_from_model(model, kernels)
+
+    split_fixtures, split_meta = volume_split_fixtures(window, BIN, 3)
+    assert (validate_spec(Q, split_fixtures, None, split_meta).to_json_dict()
+            == reference_validate_spec(Q, split_fixtures, Q.tol, split_meta).to_json_dict())
+    pair_fixtures, pair_meta = pair_site_fixtures(window, BIN)
+    assert (validate_1spec(q, pair_fixtures, None, pair_meta).to_json_dict()
+            == reference_validate_1spec(q, pair_fixtures, q.tol, pair_meta).to_json_dict())
+    tef = tef_from_1spec(q)
+    assert (validate_tef(tef, pair_fixtures, None, pair_meta).to_json_dict()
+            == reference_validate_tef(tef, pair_fixtures, tef.tol, pair_meta).to_json_dict())
+
+    k = kernels(target, condition)
+    configs = list(k.probs)
+    ratios = {(x, u): k[x] / k[u] for x in configs for u in configs}
+    if kind == "ratio":
+        ratios[(configs[0], configs[-1])] *= 2
+    e = TransitionEnergy.from_ratios(target, condition, ratios)
+    assert check_cocycle(e) == reference_check_cocycle(e) == (kind != "ratio")
+
+
+def test_inexact_rational_tables_fail_normalization():
+    """Every table sums to 1 + 1e-13 exactly; the exchange identity cannot
+    see the excess, so only an exact normalization check reports it."""
+    window = line_window(3)
+    table = {0: Fraction(1, 2) + Fraction(1, 10**13), 1: Fraction(1, 2)}
+    q = OnePointSpec(window, BIN, lambda t, boundary: table)
+    fixtures, meta = pair_site_fixtures(window, BIN)
+    report = validate_1spec(q, fixtures, meta=meta)
+    assert not report.ok
+    assert {v["kind"] for v in report.violations} == {"normalization"}
+    assert len(report.violations) == len(fixtures) * 2 * BIN.size
+    assert close(Fraction(1), 1) and not close(table[0] + table[1], 1)
+    # a rational table whose entries are floats keeps the tolerant check
+    floats = OnePointSpec(window, BIN, lambda t, boundary: {0: 0.5 + 1e-13, 1: 0.5})
+    assert validate_1spec(floats, fixtures, meta=meta).ok
+
+
+
+def test_integer_numerators_read_exact_values_and_reject_the_rest():
+    """Exact values share their least common denominator; a float anywhere
+    yields None, which sends every identity down the Fraction path."""
+    assert integer_numerators([Fraction(1, 2), Fraction(1, 3), 2]) == ([3, 2, 12], 6)
+    assert integer_numerators([Fraction(1, 2), 0.5]) is None
+    assert integer_numerators([]) == ([], 1)

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gibbsfields.lattice import (
+    Alphabet,
     CapacityError,
     Configuration,
     DomainError,
@@ -24,6 +25,7 @@ from gibbsfields.lattice import (
     parse_configuration,
     restrict,
     spin_alphabet,
+    split_positions,
     volume,
 )
 
@@ -147,6 +149,31 @@ def test_index_map_errors_are_not_cached():
         with pytest.raises(DomainError,
                            match=r"^\(2,2\) not in the configuration's domain$"):
             restrict(a, Volume.of([(0, 1), (2, 2)]))
+
+
+@given(split_configurations(), st.sampled_from([binary_alphabet(), Alphabet.of((0, 1, 2))]))
+def test_split_positions_locate_the_joined_configurations(split, alphabet):
+    """Row k, column i of a split's map is where concat(x_i, y_k) stands in
+    the enumeration of V, on 1-D and 2-D volumes."""
+    a, b, I = split
+    V = a.volume | b.volume
+    configs = enumerate_configurations(V, alphabet)
+    xs = enumerate_configurations(I, alphabet)
+    configs_V, xs_I, ys, rows = split_positions(V, I, alphabet)
+    assert (configs_V, xs_I) == (configs, xs)
+    assert ys == enumerate_configurations(V - I, alphabet)
+    assert len(rows) == len(ys)
+    for y, row in zip(ys, rows):
+        assert [configs[n] for n in row] == [concat(x, y) for x in xs]
+
+
+def test_split_position_errors_are_not_cached():
+    V = Volume.of([(0, 0), (0, 1)])
+    outside = Volume.of([(0, 1), (2, 2)])
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"^\(2,2\) not in the split volume$"):
+            split_positions(V, outside, binary_alphabet())
+    assert split_positions(V, Volume.of([(0, 1)]), binary_alphabet())[3] == ((0, 1), (2, 3))
 
 
 def test_enumerate_counts_and_order():
