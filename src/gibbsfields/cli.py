@@ -10,13 +10,13 @@ Exit codes: validate 0 = no violations, 1 = violations or load failure;
 diagnose 0 = uniform-evidence, 2 = divergence-witness, 3 = inconclusive;
 reproduce --check 1 on golden mismatch; any command 4 when a library
 error (a ValueError such as DomainError, CapacityError, OSError or
-OverflowError) stops it.
+OverflowError) stops it, and 2 on a usage error such as a flag the
+command does not read.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from fractions import Fraction
@@ -82,9 +82,11 @@ from .diagnostics import (
     DIVERGENCE_WITNESS,
     UNIFORM_EVIDENCE,
     BoundaryFamily,
+    constant_boundaries,
+    locality_probe_family,
     mixed_family,
     non_gibbs_witness,
-    oscillating_density_boundary,
+    oscillating_family,
     uniform_convergence_report,
 )
 
@@ -195,16 +197,10 @@ def build_family(name: str | None, model, F: Filtration, seed: int) -> BoundaryF
     alphabet = model.alphabet
     binary = set(alphabet.symbols) == {0, 1}
     if name == "constants":
-        from .diagnostics import constant_boundary
-        return BoundaryFamily(
-            tuple(constant_boundary(s, f"const[{alphabet.name_of(s)}]")
-                  for s in alphabet.symbols), "constants")
+        return BoundaryFamily(constant_boundaries(alphabet), "constants")
     if name == "oscillating":
-        return BoundaryFamily(
-            (oscillating_density_boundary(start="high"),
-             oscillating_density_boundary(start="low")), "oscillating-density")
+        return oscillating_family(alphabet)
     if name == "probe":
-        from .diagnostics import locality_probe_family
         return locality_probe_family(alphabet, F)
     if name == "mixed":
         return mixed_family(alphabet, seeds=(seed + 1, seed + 2),
@@ -566,54 +562,43 @@ def cmd_reconstruct(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+FLAG_TYPES = {"tol": float, "gap_tol": float, "seed": int, "max_tuples": int}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gfl", description="lattice random-field conditional-structure toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    # no prefix matching, so that "--mode" is not read as "--model"
-    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def common(p):
-        p.add_argument("--config")
-        p.add_argument("--model")
-        p.add_argument("--site")
-        p.add_argument("--filtration")
-        p.add_argument("--family")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--gap-tol", dest="gap_tol", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--max-tuples", dest="max_tuples", type=int)
+    def add_command(name, fn, summary, *keys):
+        # no prefix matching, so that "--mode" is not read as "--model"
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        # --config and --out, plus a flag for each config key the command reads
+        for key in ("config", "out", *keys):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=FLAG_TYPES.get(key))
+        p.set_defaults(fn=fn)
+        return p
 
-    p_validate = add_command("validate", help="run axiom validators for a model")
-    common(p_validate)
-    p_validate.set_defaults(fn=cmd_validate)
+    add_command("validate", cmd_validate, "run axiom validators for a model",
+                "model", "tol", "seed", "max_tuples")
+    add_command("diagnose", cmd_diagnose, "uniform-convergence diagnostics",
+                "model", "site", "filtration", "family", "gap_tol", "seed")
 
-    p_diag = add_command("diagnose", help="uniform-convergence diagnostics")
-    common(p_diag)
-    p_diag.set_defaults(fn=cmd_diagnose)
-
-    p_rep = add_command("reproduce", help="regenerate the worked-example reports")
+    p_rep = add_command("reproduce", cmd_reproduce, "regenerate the worked-example reports")
     p_rep.add_argument("example", choices=["example1", "example2"])
     p_rep.add_argument("--check", action="store_true")
     p_rep.add_argument("--tau", type=int)
-    common(p_rep)
-    p_rep.set_defaults(fn=cmd_reproduce)
 
-    p_energy = add_command("energy", help="dump energy and Hamiltonian tables")
-    common(p_energy)
+    p_energy = add_command("energy", cmd_energy, "dump energy and Hamiltonian tables", "model")
     p_energy.add_argument("--target", required=True)
     p_energy.add_argument("--boundary", default="")
     p_energy.add_argument("--gauge")
-    p_energy.set_defaults(fn=cmd_energy)
 
-    p_rec = add_command("reconstruct", help="one-point reconstruction on a table file")
-    common(p_rec)
+    p_rec = add_command("reconstruct", cmd_reconstruct, "one-point reconstruction on a table file")
     p_rec.add_argument("--table", required=True)
     p_rec.add_argument("--target", required=True)
     p_rec.add_argument("--condition", default="")
     p_rec.add_argument("--reference")
-    p_rec.set_defaults(fn=cmd_reconstruct)
 
     args = parser.parse_args(argv)
     try:

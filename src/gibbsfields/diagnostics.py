@@ -30,7 +30,7 @@ from .lattice import (
     restrict,
 )
 from .fields import DEFAULT_TOL, RATIONAL, RandomFieldModel, format_scalar
-from .conditionals import ConditionalKernel, KernelCache
+from .conditionals import ConditionalKernel, finite_conditional, limit_along_filtration
 from .energy import energy_distance, stage_moduli, transition_energy
 from .specifications import OnePointSpec
 
@@ -87,6 +87,12 @@ class SiteFunctionBoundary(BoundaryGenerator):
 
 def constant_boundary(symbol, name: str | None = None) -> SiteFunctionBoundary:
     return SiteFunctionBoundary(lambda s: symbol, name or f"const[{symbol}]")
+
+
+def constant_boundaries(alphabet: Alphabet) -> tuple:
+    """One constant boundary per symbol, labelled with the symbol's name."""
+    return tuple(constant_boundary(s, f"const[{alphabet.name_of(s)}]")
+                 for s in alphabet.symbols)
 
 
 def seeded_random_boundary(alphabet: Alphabet, seed: int) -> SiteFunctionBoundary:
@@ -159,6 +165,15 @@ def oscillating_density_boundary(high=Fraction(3, 4), low=Fraction(1, 4),
                                    one, zero)
 
 
+def oscillating_family(alphabet: Alphabet) -> BoundaryFamily:
+    """Both oscillating-density boundaries, on the alphabet's first and last symbols."""
+    zero, one = alphabet.symbols[0], alphabet.symbols[-1]
+    return BoundaryFamily(
+        (oscillating_density_boundary(start="high", one=one, zero=zero),
+         oscillating_density_boundary(start="low", one=one, zero=zero)),
+        "oscillating-density")
+
+
 def constant_density_boundary(p, one=1, zero=0) -> DensityScheduleBoundary:
     p = Fraction(p)
     return DensityScheduleBoundary(lambda n: p, f"density[{p}]", one, zero)
@@ -200,14 +215,12 @@ class BoundaryFamily:
 
 def mixed_family(alphabet: Alphabet, seeds=(1, 2), include_oscillating: bool = False,
                  include_half: bool = False) -> BoundaryFamily:
-    zero, one = alphabet.symbols[0], alphabet.symbols[-1]
-    gens = [constant_boundary(s, f"const[{alphabet.name_of(s)}]") for s in alphabet.symbols]
-    gens += [seeded_random_boundary(alphabet, seed) for seed in seeds]
+    gens = [*constant_boundaries(alphabet),
+            *(seeded_random_boundary(alphabet, seed) for seed in seeds)]
     if include_half:
-        gens.append(positive_half_boundary(one, zero))
+        gens.append(positive_half_boundary(alphabet.symbols[-1], alphabet.symbols[0]))
     if include_oscillating:
-        gens.append(oscillating_density_boundary(start="high", one=one, zero=zero))
-        gens.append(oscillating_density_boundary(start="low", one=one, zero=zero))
+        gens += oscillating_family(alphabet).generators
     return BoundaryFamily(tuple(gens), "constants + seeded random"
                           + (" + density patterns" if include_oscillating else ""))
 
@@ -225,8 +238,7 @@ def locality_probe_family(alphabet: Alphabet, F: Filtration) -> BoundaryFamily:
     """Constants plus, per stage, boundaries that match a constant on that
     stage and flip outside it, so every reportable stage has agreeing
     generator pairs for the quasilocality moduli."""
-    gens = [constant_boundary(s, f"const[{alphabet.name_of(s)}]")
-            for s in alphabet.symbols]
+    gens = list(constant_boundaries(alphabet))
     a, b = alphabet.symbols[0], alphabet.symbols[1]
     for stage in F.volumes[:-1]:
         gens.append(volume_patch_boundary(stage, a, b, alphabet))
@@ -288,6 +300,10 @@ class ConvergenceReport:
         return "\n".join(rows) + "\n"
 
 
+def _target(t) -> Volume:
+    return t if isinstance(t, Volume) else Volume.of([t])
+
+
 def _filtration_label(F: Filtration) -> str:
     return "stages[" + ",".join(str(len(v)) for v in F) + "]"
 
@@ -305,21 +321,11 @@ def uniform_convergence_report(m: RandomFieldModel, t, F: Filtration,
     Stage 0 gaps are measured against the unconditional marginal, so the
     gap sequence has exactly one entry per stage.
     """
-    t_vol = t if isinstance(t, Volume) else Volume.of([t])
-    kernels = KernelCache(m)
-    baseline = m.marginal(t_vol)
-
-    def evaluate(gen):
-        stage_configs = gen.configs(t_vol, F)
-        tables = [kernels(t_vol, z) for z in stage_configs]
-        gaps = []
-        previous = baseline
-        for k in tables:
-            gaps.append(k.sup_distance(previous))
-            previous = k
-        return gen.label, gaps, tables[-1]
-
-    results = [evaluate(gen) for gen in B]
+    t_vol = _target(t)
+    results = []
+    for gen in B:
+        est = limit_along_filtration(m, t_vol, gen.configs(t_vol, F)[-1], F, gap_tol)
+        results.append((gen.label, est.sup_gaps, est.values[-1]))
     zero = Fraction(0) if m.mode == RATIONAL else 0.0
     sup_gaps = []
     for n in range(len(F)):
@@ -365,16 +371,10 @@ def filtration_independence_check(m: RandomFieldModel, t, F1: Filtration,
                                   F2: Filtration, B: BoundaryFamily,
                                   tol: float = DEFAULT_TOL):
     """Compare deepest-stage kernels per generator under two filtrations."""
-    t_vol = t if isinstance(t, Volume) else Volume.of([t])
-    kernels = KernelCache(m)
-
-    def evaluate(gen):
-        deep1 = gen.configs(t_vol, F1)[-1]
-        deep2 = gen.configs(t_vol, F2)[-1]
-        k1, k2 = kernels(t_vol, deep1), kernels(t_vol, deep2)
-        return gen.label, k1.sup_distance(k2), k1, k2
-
-    results = [evaluate(gen) for gen in B]
+    t_vol = _target(t)
+    results = [(gen.label, k1.sup_distance(k2), k1, k2)
+               for gen, (_, k1), (_, k2) in zip(B, _deep_tables(m, t_vol, F1, B),
+                                                _deep_tables(m, t_vol, F2, B))]
     agree = all(float(gap) <= tol for _, gap, _, _ in results)
     report = {
         "model": m.describe(),
@@ -393,27 +393,25 @@ def filtration_independence_check(m: RandomFieldModel, t, F1: Filtration,
     return agree, report
 
 
-def _deep_tables(subject, t_vol: Volume, F: Filtration, B: BoundaryFamily):
-    """Deep-stage kernel per generator, for a model or a one-point spec."""
+def _deep_tables(subject, t_vol: Volume, F: Filtration, B: BoundaryFamily) -> list:
+    """(stage configurations, deepest-stage kernel) per generator, for a
+    model or a one-point spec."""
     if isinstance(subject, OnePointSpec):
-        window = subject.window
-        if F.window | t_vol != window:
+        if F.window | t_vol != subject.window:
             raise GeometryError("spec evaluation needs the filtration to fill the window")
-        out = []
-        for gen in B:
-            stage_configs = gen.configs(t_vol, F)
-            table = subject.table(t_vol.sites[0], stage_configs[-1])
+
+        def kernel(z):
+            table = subject.table(t_vol.sites[0], z)
             probs = {Configuration(t_vol, (a,)): p for a, p in table.items()}
-            out.append((stage_configs,
-                        ConditionalKernel(t_vol, stage_configs[-1], probs,
-                                          subject.mode, subject.tol)))
-        return out, subject.mode, subject.tol
-    kernels = KernelCache(subject)
+            return ConditionalKernel(t_vol, z, probs, subject.mode, subject.tol)
+    else:
+        def kernel(z):
+            return finite_conditional(subject, t_vol, z)
     out = []
     for gen in B:
         stage_configs = gen.configs(t_vol, F)
-        out.append((stage_configs, kernels(t_vol, stage_configs[-1])))
-    return out, subject.mode, subject.tol
+        out.append((stage_configs, kernel(stage_configs[-1])))
+    return out
 
 
 def _locality_verdict(stages: list, tol: float) -> str:
@@ -428,6 +426,30 @@ def _locality_verdict(stages: list, tol: float) -> str:
     return INCONCLUSIVE
 
 
+def _moduli_report(subject, t_vol: Volume, F: Filtration, B: BoundaryFamily,
+                   evaluated: list, distance: Callable, render: Callable,
+                   tol: float, **extra) -> dict:
+    """Stage moduli of one distance over agreeing generator pairs, with the
+    locality verdict; each modulus is rendered by ``render``."""
+    moduli = stage_moduli(evaluated, len(F), distance, subject.mode)
+    stages = [StageStat(n + 1, len(F[n]), worst, pairs)
+              for n, (worst, pairs) in enumerate(moduli)]
+    return {
+        "subject": subject.describe() if hasattr(subject, "describe") else subject.label,
+        "site": format_site(t_vol.sites[0]),
+        "filtration": _filtration_label(F),
+        "family": B.description or "user-family",
+        "family_size": len(B),
+        "stages": [{"n": st.n, "volume_size": st.volume_size,
+                    "modulus": render(st.sup_gap), "pairs": st.pairs}
+                   for st in stages],
+        "moduli": [st.sup_gap for st in stages],
+        "verdict": _locality_verdict(stages, tol),
+        "tol": tol,
+        **extra,
+    }
+
+
 def quasilocality_report(subject, t, F: Filtration, B: BoundaryFamily,
                          tol: float = DEFAULT_TOL) -> dict:
     """Stage moduli of boundary dependence of the one-point kernel.
@@ -438,26 +460,11 @@ def quasilocality_report(subject, t, F: Filtration, B: BoundaryFamily,
     no agreeing pair are reported with pairs = 0 and do not drive the
     verdict.
     """
-    t_vol = t if isinstance(t, Volume) else Volume.of([t])
-    evaluated, mode, _ = _deep_tables(subject, t_vol, F, B)
-    moduli = stage_moduli(evaluated, len(F), ConditionalKernel.sup_distance, mode)
-    stages = [StageStat(n + 1, len(F[n]), worst, pairs)
-              for n, (worst, pairs) in enumerate(moduli)]
-    subject_name = subject.describe() if hasattr(subject, "describe") else subject.label
-    return {
-        "subject": subject_name,
-        "site": format_site(t_vol.sites[0]),
-        "filtration": _filtration_label(F),
-        "family": B.description or "user-family",
-        "family_size": len(B),
-        "stages": [{"n": st.n, "volume_size": st.volume_size,
-                    "modulus": format_scalar(st.sup_gap, mode), "pairs": st.pairs}
-                   for st in stages],
-        "moduli": [st.sup_gap for st in stages],
-        "verdict": _locality_verdict(stages, tol),
-        "tol": tol,
-        "note": "deepest stage omitted: distinct generators cannot agree there",
-    }
+    t_vol = _target(t)
+    return _moduli_report(
+        subject, t_vol, F, B, _deep_tables(subject, t_vol, F, B),
+        ConditionalKernel.sup_distance, lambda v: format_scalar(v, subject.mode), tol,
+        note="deepest stage omitted: distinct generators cannot agree there")
 
 
 def energy_criterion_report(m: RandomFieldModel, t, F: Filtration,
@@ -468,27 +475,13 @@ def energy_criterion_report(m: RandomFieldModel, t, F: Filtration,
     exactly zero when the underlying ratios coincide. Includes the
     smallest kernel entry seen, as a nonnullness statistic.
     """
-    t_vol = t if isinstance(t, Volume) else Volume.of([t])
-    deep, mode, _ = _deep_tables(m, t_vol, F, B)
+    t_vol = _target(t)
+    deep = _deep_tables(m, t_vol, F, B)
     min_prob = min((min(k.probs.values()) for _, k in deep), default=None)
     evaluated = [(stage_configs, transition_energy(k)) for stage_configs, k in deep]
-    moduli = stage_moduli(evaluated, len(F), energy_distance, mode)
-    stages = [StageStat(n + 1, len(F[n]), worst, pairs)
-              for n, (worst, pairs) in enumerate(moduli)]
-    return {
-        "subject": m.describe(),
-        "site": format_site(t_vol.sites[0]),
-        "filtration": _filtration_label(F),
-        "family": B.description or "user-family",
-        "family_size": len(B),
-        "stages": [{"n": st.n, "volume_size": st.volume_size,
-                    "modulus": float(st.sup_gap), "pairs": st.pairs}
-                   for st in stages],
-        "moduli": [st.sup_gap for st in stages],
-        "min_kernel_entry": float(min_prob) if min_prob is not None else None,
-        "verdict": _locality_verdict(stages, tol),
-        "tol": tol,
-    }
+    return _moduli_report(
+        m, t_vol, F, B, evaluated, energy_distance, float, tol,
+        min_kernel_entry=float(min_prob) if min_prob is not None else None)
 
 
 def non_gibbs_witness(m: RandomFieldModel, t, F: Filtration,
@@ -502,16 +495,10 @@ def non_gibbs_witness(m: RandomFieldModel, t, F: Filtration,
     found nothing.
     """
     if strategy == "oscillating-density":
-        zero, one = m.alphabet.symbols[0], m.alphabet.symbols[-1]
-        fam = BoundaryFamily(
-            (oscillating_density_boundary(start="high", one=one, zero=zero),
-             oscillating_density_boundary(start="low", one=one, zero=zero)),
-            "oscillating-density")
+        fam = oscillating_family(m.alphabet)
     elif strategy == "exhaustive-small":
-        t_vol = t if isinstance(t, Volume) else Volume.of([t])
-        first = F[0] - t_vol
-        gens = [constant_boundary(s, f"const[{m.alphabet.name_of(s)}]")
-                for s in m.alphabet.symbols]
+        first = F[0] - _target(t)
+        gens = list(constant_boundaries(m.alphabet))
         for pattern in enumerate_configurations(first, m.alphabet):
             for fill in m.alphabet.symbols:
                 gens.append(_patched_boundary(pattern, fill, m.alphabet))

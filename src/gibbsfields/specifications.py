@@ -39,6 +39,7 @@ from .fields import (
     Comparison,
     FiniteDistribution,
     RandomFieldModel,
+    TableField,
     close,
     integer_numerators,
     normalized,
@@ -196,12 +197,16 @@ def _energy_plan(phi: Potential, translates: list, V: Volume,
     translates' sites outside V, and plan holds, per translate, its
     template's term table and the positions of its sites in
     ``x.symbols + collar`` for a configuration x on V. The boundary must
-    cover those sites.
+    cover those sites; the first translate that reaches past it raises
+    GeometryError.
     """
     where = {s: i for i, s in enumerate(V.sites)}
     collar = []
     plan = []
     for A in translates:
+        missing = (A - V) - boundary.volume
+        if missing:
+            raise GeometryError(f"boundary misses interacting sites {missing}")
         for s in A.sites:
             if s not in where:
                 where[s] = len(where)
@@ -227,12 +232,7 @@ def hamiltonian_from_potential(phi: Potential, t, boundary: Configuration,
     """
     site = t if isinstance(t, tuple) else (t,)
     t_vol = Volume.of([site])
-    translates = _translates(phi, t_vol, window)
-    for A in translates:
-        missing = (A - t_vol) - boundary.volume
-        if missing:
-            raise GeometryError(f"boundary misses interacting sites {missing}")
-    plan, collar = _energy_plan(phi, translates, t_vol, boundary)
+    plan, collar = _energy_plan(phi, _translates(phi, t_vol, window), t_vol, boundary)
     return {a: _energy(plan, (a,) + collar) for a in alphabet.symbols}
 
 
@@ -433,37 +433,20 @@ def finite_volume_gibbs(phi: Potential, V: Volume, boundary: Configuration,
     and touches V; sites of a translate outside V read from the boundary.
     """
     translates = sorted(_translates(phi, V, window), key=lambda a: a.sites)
-    for A in translates:
-        missing = (A - V) - boundary.volume
-        if missing:
-            raise GeometryError(f"boundary misses interaction collar sites {missing}")
-
     plan, collar = _energy_plan(phi, translates, V, boundary)
     weights = {x: math.exp(-_energy(plan, x.symbols + collar))
                for x in enumerate_configurations(V, alphabet)}
     return FiniteDistribution(V, alphabet, normalized(weights, FLOAT), FLOAT, tol)
 
 
-class GibbsVolumeField(RandomFieldModel):
+class GibbsVolumeField(TableField):
     """Random field realized by one finite-volume Gibbs distribution."""
 
     def __init__(self, phi: Potential, window: Volume, alphabet: Alphabet,
                  boundary: Configuration | None = None, tol: float = DEFAULT_TOL):
         self.potential = phi
-        self.window = window
-        self.alphabet = alphabet
-        self.mode = FLOAT
-        self.tol = tol
         self.boundary = boundary or EMPTY_CONFIGURATION
-        self._table = finite_volume_gibbs(phi, window, self.boundary, window, alphabet, tol)
-        self._marginals = {window: self._table}
-
-    def marginal(self, V: Volume) -> FiniteDistribution:
-        self._check_volume(V)
-        if V not in self._marginals:
-            from .fields import marginalize
-            self._marginals[V] = marginalize(self._table, V)
-        return self._marginals[V]
+        super().__init__(finite_volume_gibbs(phi, window, self.boundary, window, alphabet, tol))
 
     def describe(self) -> str:
         return f"gibbs[{len(self.window)} sites]"

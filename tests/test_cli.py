@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,14 +8,20 @@ from pathlib import Path
 import pytest
 
 import gibbsfields
-from gibbsfields.cli import main, reproduce_example1, reproduce_example2
+from gibbsfields.cli import CONFIG_KEYS, main, reproduce_example1, reproduce_example2
+from gibbsfields.diagnostics import (
+    BoundaryFamily,
+    oscillating_density_boundary,
+    uniform_convergence_report,
+)
 from gibbsfields.fields import (
     FLOAT,
     FiniteDistribution,
     seeded_positive_table,
     write_distribution_file,
 )
-from gibbsfields.lattice import binary_alphabet, line_window
+from gibbsfields.lattice import binary_alphabet, box_filtration, line_window
+from gibbsfields.models import bernoulli_product
 
 
 # The directory holding the gibbsfields package this process imported,
@@ -224,6 +231,79 @@ def test_removed_flags_are_rejected(flag):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--model", "bernoulli:p=1/2,window=5", *flag])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--table", "t.tbl", "--target", "(0)", "--model", "bernoulli"],
+    ["reproduce", "example1", "--seed", "3"],
+    ["energy", "--model", "bernoulli", "--target", "(0)", "--tol", "0"],
+    ["validate", "--model", "bernoulli", "--family", "constants"],
+    ["diagnose", "--model", "bernoulli", "--max-tuples", "10"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+COMMAND_OPTIONS = {
+    "validate": {"--model", "--tol", "--seed", "--max-tuples"},
+    "diagnose": {"--model", "--site", "--filtration", "--family", "--gap-tol", "--seed"},
+    "reproduce": {"--check", "--tau"},
+    "energy": {"--model", "--target", "--boundary", "--gauge"},
+    "reconstruct": {"--table", "--target", "--condition", "--reference"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_each_command_declares_exactly_its_options(command, capsys):
+    """Every command takes --config and --out, plus only the options it reads."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    declared = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert declared == {"--help", "--config", "--out"} | COMMAND_OPTIONS[command]
+
+
+def test_a_config_file_with_every_key_works_for_every_command(tmp_path):
+    """Config files stay shared between commands: a key a command has no
+    flag for is still accepted from the file."""
+    values = {"model": "bernoulli:p=1/2,window=5", "site": "(0)",
+              "filtration": "boxes:radii=1,2", "family": "constants", "tol": "1e-10",
+              "gap_tol": "1e-8", "seed": "3", "out": str(tmp_path), "max_tuples": "500"}
+    assert set(values) == set(CONFIG_KEYS)
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    for argv, report in ((["validate"], "validate.json"), (["diagnose"], "diagnose.json"),
+                         (["reproduce", "example1", "--check"], "reproduce_example1.json")):
+        assert main([*argv, "--config", str(config)]) == 0
+        assert json.loads((tmp_path / report).read_text())["config"] == values
+
+
+def test_oscillating_family_takes_the_model_symbols(tmp_path):
+    """On a +-1 spin model the oscillating family runs and reports; it used
+    to look up the symbols 0 and 1 and end in a KeyError traceback."""
+    result = run_cli("diagnose", "--model", "ising:beta=0.4,window=9", "--family",
+                     "oscillating", "--out", str(tmp_path), env={"PATH": "/usr/bin:/bin"})
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    report = json.loads((tmp_path / "diagnose.json").read_text())
+    assert report["family"] == "oscillating-density"
+    assert report["verdict"] == "inconclusive"
+
+
+def test_oscillating_family_on_binary_models_is_the_default_density_pair(tmp_path):
+    model = bernoulli_product(Fraction(1, 2), line_window(9))
+    F = box_filtration(0, [1, 2, 3, 4], model.window)
+    family = BoundaryFamily((oscillating_density_boundary(start="high"),
+                             oscillating_density_boundary(start="low")), "oscillating-density")
+    expected = uniform_convergence_report(model, 0, F, family, 1e-9)
+    assert main(["diagnose", "--model", "bernoulli:p=1/2,window=9", "--family", "oscillating",
+                 "--filtration", "boxes:radii=1,2,3,4", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "diagnose.json").read_text())
+    del payload["config"]
+    assert payload == expected.to_json_dict()
+    assert (tmp_path / "diagnose.csv").read_text() == expected.to_csv()
 
 
 def test_energy_strong_coupling_has_no_vanishing_entry(tmp_path):

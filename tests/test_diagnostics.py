@@ -25,6 +25,9 @@ from gibbsfields.diagnostics import (
     uniform_convergence_report,
     volume_patch_boundary,
 )
+from gibbsfields.conditionals import limit_along_filtration
+from gibbsfields.energy import energy_quasilocality_modulus
+from gibbsfields.fields import format_scalar
 from gibbsfields.lattice import (
     box_filtration,
     interval_filtration,
@@ -270,3 +273,47 @@ def test_volume_patch_agreement():
     assert c_configs[0] == p_configs[0]
     assert c_configs[1] == p_configs[1]
     assert c_configs[2] != p_configs[2]
+
+
+def test_uniform_gaps_are_the_limit_estimates_of_each_deepest_boundary():
+    mi = ising_demo(0.4, window=9)
+    m2, F2 = example2_setup()
+    for m, F, fam in (
+            (mi, box_filtration(0, [1, 2, 3], mi.window), mixed_family(mi.alphabet)),
+            (m2, F2, mixed_family(m2.alphabet, include_oscillating=True, include_half=True))):
+        rep = uniform_convergence_report(m, 0, F, fam, 1e-9)
+        t = volume(0)
+        for gen in fam:
+            est = limit_along_filtration(m, t, gen.configs(t, F)[-1], F, 1e-9)
+            assert rep.per_generator[gen.label]["gaps"] == [
+                format_scalar(g, m.mode) for g in est.sup_gaps]
+
+
+@pytest.mark.parametrize("m, t", [
+    (example1_pair(8, Fraction(1, 2), Fraction(1, 2))[0], 4),
+    (bernoulli_product(Fraction(2, 5), line_window(9)), 0),
+])
+def test_quasilocality_of_a_rational_model_and_of_its_one_point_spec_agree(m, t):
+    F = box_filtration(t, [1, 2, 3, 4], m.window)
+    assert F.window == m.window
+    fam = locality_probe_family(m.alphabet, F)
+    on_model = quasilocality_report(m, t, F, fam, tol=1e-12)
+    on_spec = quasilocality_report(onepoint_spec_from_model(m), t, F, fam, tol=1e-12)
+    for key in ("stages", "moduli", "verdict"):
+        assert on_spec[key] == on_model[key]
+    assert all(isinstance(v, Fraction) for v in on_model["moduli"])
+
+
+def test_energy_criterion_moduli_are_the_energy_quasilocality_moduli():
+    for m in (ising_demo(0.4, window=9), bernoulli_product(Fraction(1, 3), line_window(9))):
+        F = box_filtration(0, [1, 2, 3], m.window)
+        fam = locality_probe_family(m.alphabet, F)
+        assert (energy_criterion_report(m, 0, F, fam)["moduli"]
+                == energy_quasilocality_modulus(m, 0, F, fam))
+    m2, F2 = example2_setup()
+    switch = BoundaryFamily(
+        (constant_density_boundary(Fraction(1, 4)),
+         *[density_switch_boundary(Fraction(1, 4), Fraction(3, 4), i) for i in range(3)]),
+        "density-switch")
+    assert (energy_criterion_report(m2, 0, F2, switch)["moduli"]
+            == energy_quasilocality_modulus(m2, 0, F2, switch))

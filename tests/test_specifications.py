@@ -551,7 +551,8 @@ def test_finite_volume_gibbs_single_site_matches_spec():
 def test_finite_volume_gibbs_boundary_collar_error():
     phi = ising_potential(0.4)
     window = line_window(7)
-    with pytest.raises(GeometryError):
+    # the first translate in site order that leaves the boundary is named
+    with pytest.raises(GeometryError, match=r"^boundary misses interacting sites \(-1\)$"):
         finite_volume_gibbs(phi, volume(0), Configuration(Volume.empty(), ()),
                             window, SPIN)
 
