@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -58,6 +59,7 @@ from .energy import (
 )
 from .specifications import (
     GibbsVolumeField,
+    ValidationReport,
     onepoint_spec_from_model,
     onepoint_spec_from_tef,
     pair_site_fixtures,
@@ -227,8 +229,6 @@ def _random_condition(rng, rest: Volume, alphabet) -> Configuration:
 
 def _consistency_reports(model, tol: float, seed: int) -> list:
     """Marginal tower plus both conditional-consistency identities."""
-    import random
-
     rng = random.Random(seed)
     window = model.window
     sites = window.sites
@@ -244,8 +244,7 @@ def _consistency_reports(model, tol: float, seed: int) -> list:
         nested.append((Volume.of(s_sites), Volume.of(rng.sample(s_sites, size_v))))
     bad = [f"{V}<{S}" for S, V in nested
            if not check_marginal_consistency(model, S, V, tol)]
-    reports.append({"axiom": "marginal-consistency", "fixtures_checked": len(nested),
-                    "violations": bad, "max_residual": 0.0})
+    reports.append(ValidationReport("marginal-consistency", len(nested), bad, 0.0).to_json_dict())
 
     pair_fixtures = []
     for _ in range(20):
@@ -265,8 +264,8 @@ def _consistency_reports(model, tol: float, seed: int) -> list:
     one_point = validate_1spec(onepoint_spec_from_model(model, kernels), site_fixtures, tol)
     for axiom, fixtures, r in (("pair-consistency", pair_fixtures, pair),
                                ("one-point-consistency", site_fixtures, one_point)):
-        reports.append({"axiom": axiom, "fixtures_checked": len(fixtures),
-                        "violations": r.violations, "max_residual": r.max_residual})
+        reports.append(ValidationReport(axiom, len(fixtures), r.violations,
+                                        r.max_residual).to_json_dict())
     return reports
 
 
@@ -283,7 +282,6 @@ def _potential_reports(model, tol: float, seed: int, max_tuples: int) -> list:
     vol_fixtures, vol_meta = volume_split_fixtures(window, alphabet, 3, max_tuples, seed)
     reports.append(validate_spec(Q, vol_fixtures, tol, vol_meta).to_json_dict())
 
-    import random
     rng = random.Random(seed)
     coherence_bad = []
     holds = Comparison(tol)
@@ -300,9 +298,8 @@ def _potential_reports(model, tol: float, seed: int, max_tuples: int) -> list:
             if not holds(direct[c], spec_kernel[c]):
                 coherence_bad.append({"V": str(V), "config": str(c),
                                       "dev": abs(float(direct[c]) - float(spec_kernel[c]))})
-    reports.append({"axiom": "gibbs-spec-coherence", "fixtures_checked": checks,
-                    "violations": coherence_bad, "max_residual": holds.worst,
-                    "infinite_volume_step": "cited, not verified"})
+    coherence = ValidationReport("gibbs-spec-coherence", checks, coherence_bad, holds.worst)
+    reports.append({**coherence.to_json_dict(), "infinite_volume_step": "cited, not verified"})
     return reports
 
 
@@ -316,8 +313,7 @@ def cmd_validate(args) -> int:
         model = build_model(config["model"])
     except (ValidationError, ValueError, OSError, CapacityError, OverflowError) as err:
         payload = {"config": config, "ok": False,
-                   "reports": [{"axiom": "model-load", "fixtures_checked": 0,
-                                "violations": [str(err)], "max_residual": 0.0}]}
+                   "reports": [ValidationReport("model-load", 0, [str(err)], 0.0).to_json_dict()]}
         write_json(out_dir, "validate.json", payload)
         print(f"validate: FAIL (model load: {err})")
         return 1
@@ -329,8 +325,8 @@ def cmd_validate(args) -> int:
         if isinstance(model, MarkovChainPairModel):
             reports.append(_example1_kernel_report(model))
         if not model.marginal(_small_volume(model)).is_positive():
-            reports.append({"axiom": "positivity", "fixtures_checked": 1,
-                            "violations": ["zero marginal entry"], "max_residual": 0.0})
+            reports.append(ValidationReport("positivity", 1, ["zero marginal entry"],
+                                            0.0).to_json_dict())
 
     ok = all(not r["violations"] for r in reports)
     payload = {"config": config, "reports": reports, "ok": ok}
@@ -356,8 +352,7 @@ def _example1_kernel_report(model) -> dict:
         for symbol in model.alphabet.symbols:
             if not (k_plus.value(symbol) == k_minus.value(symbol) == closed[symbol]):
                 bad.append({"t": t, "z": str(z)})
-    return {"axiom": "one-point-kernel-coincidence", "fixtures_checked": checked,
-            "violations": bad, "max_residual": 0.0}
+    return ValidationReport("one-point-kernel-coincidence", checked, bad, 0.0).to_json_dict()
 
 
 def _example1_kernels(plus, minus):

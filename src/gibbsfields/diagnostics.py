@@ -14,9 +14,11 @@ tolerance over the last three stages.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 from typing import Callable, Sequence
 
 from .lattice import (
@@ -31,7 +33,7 @@ from .lattice import (
 )
 from .fields import DEFAULT_TOL, RATIONAL, RandomFieldModel, format_scalar
 from .conditionals import ConditionalKernel, finite_conditional, limit_along_filtration
-from .energy import energy_distance, stage_moduli, transition_energy
+from .energy import TransitionEnergy, transition_energy
 from .specifications import OnePointSpec
 
 UNIFORM_EVIDENCE = "uniform-evidence"
@@ -426,6 +428,37 @@ def _locality_verdict(stages: list, tol: float) -> str:
     return INCONCLUSIVE
 
 
+def stage_moduli(evaluated: list, n_stages: int, distance, mode: str) -> list:
+    """(modulus, pairs) for each stage n < n_stages - 1: the largest distance
+    between the deep values of generator pairs whose stage-n configurations
+    agree, and the number of such pairs. ``evaluated`` holds one (stage
+    configurations, deep value) entry per boundary generator. The deepest
+    stage is left out: distinct generators cannot agree there."""
+    zero = Fraction(0) if mode == RATIONAL else 0.0
+    out = []
+    for n in range(n_stages - 1):
+        worst = zero
+        pairs = 0
+        for (sc_a, a), (sc_b, b) in combinations(evaluated, 2):
+            if sc_a[n] != sc_b[n]:
+                continue
+            pairs += 1
+            gap = distance(a, b)
+            if float(gap) > float(worst):
+                worst = gap
+        out.append((worst, pairs))
+    return out
+
+
+def energy_distance(e_a: TransitionEnergy, e_b: TransitionEnergy) -> float:
+    """Largest |Delta - Delta'| over argument pairs, exactly zero when the
+    underlying ratios coincide."""
+    ratios = ((e_a.ratio(x, u), e_b.ratio(x, u))
+              for x, u in permutations(e_a.configurations(), 2))
+    return max((abs(math.log(float(ra)) - math.log(float(rb)))
+                for ra, rb in ratios if ra != rb), default=0.0)
+
+
 def _moduli_report(subject, t_vol: Volume, F: Filtration, B: BoundaryFamily,
                    evaluated: list, distance: Callable, render: Callable,
                    tol: float, **extra) -> dict:
@@ -482,6 +515,13 @@ def energy_criterion_report(m: RandomFieldModel, t, F: Filtration,
     return _moduli_report(
         m, t_vol, F, B, evaluated, energy_distance, float, tol,
         min_kernel_entry=float(min_prob) if min_prob is not None else None)
+
+
+def energy_quasilocality_modulus(m: RandomFieldModel, t, F: Filtration, boundaries) -> list:
+    """Stage moduli of the one-point energy, stages 1 .. len(F) - 1, as
+    ``energy_criterion_report`` measures them over a family, or a sequence,
+    of boundary generators. Duplicate generator labels raise ValueError."""
+    return energy_criterion_report(m, t, F, BoundaryFamily(tuple(boundaries)))["moduli"]
 
 
 def non_gibbs_witness(m: RandomFieldModel, t, F: Filtration,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .lattice import Configuration, DomainError, Volume
 from .fields import (
@@ -203,56 +203,6 @@ def check_hamiltonian_consistency(m: RandomFieldModel, V: Volume, I: Volume,
     if not V.isdisjoint(I) or not V or not I:
         raise DomainError("need disjoint nonempty volumes")
     return validate_spec(spec_from_model(m, kernels), [(V | I, V, z)], m.tol).ok
-
-
-def stage_moduli(evaluated: list, n_stages: int, distance, mode: str) -> list:
-    """(modulus, pairs) for each stage n < n_stages - 1: the largest distance
-    between the deep values of generator pairs whose stage-n configurations
-    agree, and the number of such pairs. ``evaluated`` holds one (stage
-    configurations, deep value) entry per boundary generator. The deepest
-    stage is left out: distinct generators cannot agree there."""
-    zero = Fraction(0) if mode == RATIONAL else 0.0
-    out = []
-    for n in range(n_stages - 1):
-        worst = zero
-        pairs = 0
-        for (sc_a, a), (sc_b, b) in combinations(evaluated, 2):
-            if sc_a[n] != sc_b[n]:
-                continue
-            pairs += 1
-            gap = distance(a, b)
-            if float(gap) > float(worst):
-                worst = gap
-        out.append((worst, pairs))
-    return out
-
-
-def energy_distance(e_a: TransitionEnergy, e_b: TransitionEnergy) -> float:
-    """Largest |Delta - Delta'| over argument pairs, exactly zero when the
-    underlying ratios coincide."""
-    ratios = ((e_a.ratio(x, u), e_b.ratio(x, u))
-              for x, u in permutations(e_a.configurations(), 2))
-    return max((abs(math.log(float(ra)) - math.log(float(rb)))
-                for ra, rb in ratios if ra != rb), default=0.0)
-
-
-def energy_quasilocality_modulus(m: RandomFieldModel, t, F, boundaries,
-                                 kernels: KernelCache | None = None) -> list:
-    """Stage moduli of the one-point energy over a family of boundaries.
-
-    Each boundary generator is evaluated at the deepest filtration stage;
-    the stage-n modulus is the largest |Delta - Delta'| over generator
-    pairs whose restrictions agree on the n-th stage, maximized over
-    argument pairs. Stages reported: 1 .. len(F)-1 (at the deepest stage
-    every agreeing pair is identical, so that modulus is vacuous).
-    """
-    t_vol = t if isinstance(t, Volume) else Volume.of([t])
-    kernels = kernels or KernelCache(m)
-    evaluated = []
-    for gen in boundaries:
-        stage_configs = gen.configs(t_vol, F)
-        evaluated.append((stage_configs, transition_energy(kernels(t_vol, stage_configs[-1]))))
-    return [worst for worst, _ in stage_moduli(evaluated, len(F), energy_distance, m.mode)]
 
 
 def energy_table_text(e: TransitionEnergy, alphabet) -> str:

@@ -203,8 +203,10 @@ def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
 class RandomFieldModel:
     """Provider of exact marginal distributions on sub-volumes of a window.
 
-    Subclasses implement ``marginal`` and may override ``prob`` with a
-    closed form; the default reads single entries off the marginal table.
+    A subclass overrides ``marginal``, ``prob`` or both, and each default
+    reads the other: the default marginal tabulates ``prob`` over every
+    configuration on V, and the default ``prob`` reads single entries off
+    the marginal table.
     """
 
     window: Volume
@@ -213,7 +215,9 @@ class RandomFieldModel:
     tol: float = DEFAULT_TOL
 
     def marginal(self, V: Volume) -> FiniteDistribution:
-        raise NotImplementedError
+        self._check_volume(V)
+        probs = {c: self.prob(c) for c in enumerate_configurations(V, self.alphabet)}
+        return FiniteDistribution(V, self.alphabet, probs, self.mode, self.tol)
 
     def prob(self, c: Configuration):
         """Marginal probability of a single configuration."""
@@ -278,11 +282,6 @@ class ProductField(RandomFieldModel):
         for v in c.symbols:
             out *= self.law[v]
         return out
-
-    def marginal(self, V: Volume) -> FiniteDistribution:
-        self._check_volume(V)
-        probs = {c: self.prob(c) for c in enumerate_configurations(V, self.alphabet)}
-        return FiniteDistribution(V, self.alphabet, probs, self.mode, self.tol)
 
     def describe(self) -> str:
         return f"product[{dict((self.alphabet.name_of(k), str(v)) for k, v in self.law.items())}]"

@@ -152,9 +152,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, symbol) -> int:
-        return self.symbols.index(symbol)
-
     def name_of(self, symbol) -> str:
         return self.names[self.symbols.index(symbol)]
 
@@ -184,10 +181,6 @@ class Configuration:
     def __post_init__(self):
         if len(self.symbols) != len(self.volume):
             raise ValueError("one symbol per site required")
-
-    @property
-    def domain(self) -> Volume:
-        return self.volume
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -21,6 +21,7 @@ from .lattice import (
     Configuration,
     Volume,
     binary_alphabet,
+    enumerate_configurations,
     grid_window,
     line_window,
     spin_alphabet,
@@ -91,8 +92,6 @@ class MarkovChainPairModel(RandomFieldModel):
     def _prefix_table(self, n: int) -> FiniteDistribution:
         table = self._prefixes.get(n)
         if table is None:
-            from .lattice import enumerate_configurations
-
             vol = Volume.of(range(1, n + 1))
             probs = {c: self.prefix_probability(c)
                      for c in enumerate_configurations(vol, self.alphabet)}
@@ -168,13 +167,6 @@ class BernoulliMixtureModel(RandomFieldModel):
                 math.factorial(n + tau),
             )
         return self.tau * _beta(ones + self.tau, n - ones + 1)
-
-    def marginal(self, V: Volume) -> FiniteDistribution:
-        from .lattice import enumerate_configurations
-
-        self._check_volume(V)
-        probs = {c: self.prob(c) for c in enumerate_configurations(V, self.alphabet)}
-        return FiniteDistribution(V, self.alphabet, probs, self.mode, self.tol)
 
     def conditional_one(self, condition_size: int, condition_ones: int):
         """P(x_t = 1 | z) = (|z| + tau) / (|Lambda| + tau + 1)."""

@@ -68,9 +68,7 @@ class Potential:
     def of(mapping) -> "Potential":
         normalized = {}
         for (template, cfg), value in mapping.items():
-            anchor = template.sites[0]
-            shifted_sites = tuple(_shift(s, _neg(anchor)) for s in template)
-            shifted = Volume(shifted_sites)
+            shifted = _anchored(template)
             normalized[(shifted, Configuration(shifted, cfg.symbols))] = float(value)
         return Potential(tuple(sorted(normalized.items(), key=lambda kv: (kv[0][0].sites, kv[0][1].symbols))))
 
@@ -91,9 +89,7 @@ class Potential:
 
     def _terms_at(self, A: Volume) -> dict:
         """Term table of the template of which A is a translate."""
-        anchor = A.sites[0]
-        template = Volume(tuple(_shift(s, _neg(anchor)) for s in A))
-        return self._term_tables.get(template, {})
+        return self._term_tables.get(_anchored(A), {})
 
     def value(self, A: Volume, cfg: Configuration) -> float:
         return self._terms_at(A).get(cfg.symbols, 0.0)
@@ -113,8 +109,10 @@ def _shift(site, delta):
     return tuple(a + b for a, b in zip(site, delta))
 
 
-def _neg(site):
-    return tuple(-a for a in site)
+def _anchored(A: Volume) -> Volume:
+    """The translate of A whose first site is the origin."""
+    anchor = A.sites[0]
+    return Volume(tuple(tuple(a - b for a, b in zip(s, anchor)) for s in A))
 
 
 def ising_potential(beta: float, h: float = 0.0, d: int = 1) -> Potential:
@@ -661,6 +659,24 @@ def _numerator_tables(tables: dict):
     return {b: {k: next(ints) for k in table} for b, table in tables.items()}, exact[1]
 
 
+def _two_site_tables(read: Callable, t, s, z: Configuration, syms: tuple) -> tuple:
+    """The tables read at t under each symbol b at s, and at s under each
+    symbol a at t, on the boundary z, with their numerator tables
+    (``_numerator_tables``): (at_t, at_s, n_t, n_s). ``read(site,
+    boundary)`` gives one table; n_s is read only when n_t is exact."""
+    t_vol, s_vol = Volume.of([t]), Volume.of([s])
+    at_t = {b: read(t, concat(z, Configuration(s_vol, (b,)))) for b in syms}
+    at_s = {a: read(s, concat(z, Configuration(t_vol, (a,)))) for a in syms}
+    # the tables at t and at s hold one number type: one scan finds floats
+    n_t = _numerator_tables(at_t)
+    return at_t, at_s, n_t, n_t and _numerator_tables(at_s)
+
+
+def _exchange_violation(t, s, z: Configuration, symbols: tuple, lhs, rhs) -> dict:
+    return {"kind": "exchange", "t": format_site(t), "s": format_site(s), "z": str(z),
+            "symbols": [str(a) for a in symbols], "lhs": float(lhs), "rhs": float(rhs)}
+
+
 def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None,
                    meta: FixtureMeta | None = None) -> ValidationReport:
     """Check normalization, positivity and the two-site exchange identity.
@@ -674,12 +690,7 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None
     violations = []
     holds = Comparison(tol)
     for t, s, z in fixtures:
-        t_vol, s_vol = Volume.of([t]), Volume.of([s])
-        q_t = {b: q.table(t, concat(z, Configuration(s_vol, (b,)))) for b in syms}
-        q_s = {a: q.table(s, concat(z, Configuration(t_vol, (a,)))) for a in syms}
-        # the tables at t and at s hold one number type: one scan finds floats
-        n_t = _numerator_tables(q_t)
-        n_s = n_t and _numerator_tables(q_s)
+        q_t, q_s, n_t, n_s = _two_site_tables(q.table, t, s, z, syms)
         for tables, ints, site in ((q_t, n_t, t), (q_s, n_s, s)):
             for b, table in tables.items():
                 if not (ints and sum(ints[0][b].values()) == ints[1]):
@@ -702,12 +713,8 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None
                         lhs = q_t[y][x] * q_s[x][v] * q_t[v][u] * q_s[u][y]
                         rhs = q_t[y][u] * q_s[u][v] * q_t[v][x] * q_s[x][y]
                         if not holds(lhs, rhs):
-                            violations.append({
-                                "kind": "exchange",
-                                "t": format_site(t), "s": format_site(s), "z": str(z),
-                                "symbols": [str(x), str(u), str(y), str(v)],
-                                "lhs": float(lhs), "rhs": float(rhs),
-                            })
+                            violations.append(
+                                _exchange_violation(t, s, z, (x, u, y, v), lhs, rhs))
     return ValidationReport("one-point-exchange", len(fixtures) * len(syms) ** 4,
                             violations, holds.worst, meta)
 
@@ -787,22 +794,12 @@ def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
     syms = d.alphabet.symbols
     violations = []
     holds = Comparison(tol)
-    for t, s, z in fixtures:
-        t_vol, s_vol = Volume.of([t]), Volume.of([s])
-        # hoist boundary construction and ratio tables out of the symbol loops
-        r_t = {}
-        r_s = {}
-        for b in syms:
-            boundary = concat(z, Configuration(s_vol, (b,)))
-            r_t[b] = {(x, u): d.ratio(t, boundary, x, u)
-                      for x in syms for u in syms}
-        for a in syms:
-            boundary = concat(z, Configuration(t_vol, (a,)))
-            r_s[a] = {(y, v): d.ratio(s, boundary, y, v)
-                      for y in syms for v in syms}
-        n_t = _numerator_tables(r_t)
-        n_s = n_t and _numerator_tables(r_s)
 
+    def ratios(site, boundary):
+        return {(x, u): d.ratio(site, boundary, x, u) for x in syms for u in syms}
+
+    for t, s, z in fixtures:
+        r_t, r_s, n_t, n_s = _two_site_tables(ratios, t, s, z, syms)
         for site, table, ints in ((t, r_t, n_t), (s, r_s, n_s)):
             for b in syms:
                 n, common = (ints[0][b], ints[1]) if ints else (None, 1)
@@ -822,11 +819,7 @@ def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
                         lhs = r_t[y][(x, u)] * r_s[u][(y, v)]
                         rhs = r_s[x][(y, v)] * r_t[v][(x, u)]
                         if not holds(lhs, rhs):
-                            violations.append({
-                                "kind": "exchange",
-                                "t": format_site(t), "s": format_site(s), "z": str(z),
-                                "symbols": [str(x), str(u), str(y), str(v)],
-                                "lhs": float(lhs), "rhs": float(rhs),
-                            })
+                            violations.append(
+                                _exchange_violation(t, s, z, (x, u, y, v), lhs, rhs))
     return ValidationReport("energy-field-axioms", len(fixtures) * len(syms) ** 4 * 3,
                             violations, holds.worst, meta)

@@ -14,6 +14,7 @@ from gibbsfields.diagnostics import (
     constant_density_boundary,
     density_switch_boundary,
     energy_criterion_report,
+    energy_quasilocality_modulus,
     filtration_independence_check,
     locality_probe_family,
     mixed_family,
@@ -26,7 +27,6 @@ from gibbsfields.diagnostics import (
     volume_patch_boundary,
 )
 from gibbsfields.conditionals import limit_along_filtration
-from gibbsfields.energy import energy_quasilocality_modulus
 from gibbsfields.fields import format_scalar
 from gibbsfields.lattice import (
     box_filtration,
@@ -317,3 +317,14 @@ def test_energy_criterion_moduli_are_the_energy_quasilocality_moduli():
         "density-switch")
     assert (energy_criterion_report(m2, 0, F2, switch)["moduli"]
             == energy_quasilocality_modulus(m2, 0, F2, switch))
+
+
+def test_energy_quasilocality_modulus_reads_a_family_or_a_list():
+    m = ising_demo(0.4, window=9)
+    F = box_filtration(0, [1, 2, 3], m.window)
+    fam = locality_probe_family(m.alphabet, F)
+    assert (energy_quasilocality_modulus(m, 0, F, fam)
+            == energy_quasilocality_modulus(m, 0, F, list(fam.generators)))
+    twin = constant_boundary(1, "const[+1]")
+    with pytest.raises(ValueError, match="duplicate generator labels"):
+        energy_quasilocality_modulus(m, 0, F, [*fam.generators, twin])

@@ -18,7 +18,6 @@ from gibbsfields.energy import (
     check_decomposition,
     check_hamiltonian_consistency,
     check_one_point_exchange,
-    energy_quasilocality_modulus,
     gibbs_form_from_energy,
     hamiltonian_from_energy,
     transition_energy,
@@ -45,6 +44,7 @@ from gibbsfields.specifications import (
 from gibbsfields.diagnostics import (
     constant_density_boundary,
     density_switch_boundary,
+    energy_quasilocality_modulus,
     locality_probe_family,
 )
 
