@@ -84,7 +84,7 @@ def integer_numerators(values: Sequence):
 def scalar_sum(values: Iterable, mode: str):
     if mode == RATIONAL:
         return sum(values, Fraction(0))
-    return math.fsum(float(v) for v in values)
+    return math.fsum(values)
 
 
 def normalized(weights: Mapping, mode: str) -> dict:
@@ -158,7 +158,13 @@ class ConditionalKernel:
 
 class FiniteDistribution(ConditionalKernel):
     """Exact probability table over all configurations on a finite volume:
-    the kernel under the empty condition, in canonical key order."""
+    the kernel under the empty condition.
+
+    Its keys are in canonical order, that of ``enumerate_configurations``,
+    and this is a contract: the j-th key of ``probs`` is the configuration
+    whose symbols' alphabet indices, read site by site as the digits of a
+    base-k number, spell j. ``marginalize`` reads entries by that code.
+    """
 
     def __init__(self, volume: Volume, alphabet: Alphabet, probs: Mapping,
                  mode: str = RATIONAL, tol: float = DEFAULT_TOL):
@@ -186,17 +192,28 @@ class FiniteDistribution(ConditionalKernel):
 
 
 def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
-    """Sum out the sites of p.volume outside V."""
+    """Sum out the sites of p.volume outside V.
+
+    Entry j of p sits at mixed-radix code j, a site at position i having
+    stride k^(n-1-i). The codes are laid out with V's sites as the outer
+    digits, so each configuration on V owns one contiguous slice of
+    k^(n-|V|) entries.
+    """
     if not V.issubset(p.volume):
         raise DomainError(f"{V - p.volume} not inside the distribution's volume")
     if V == p.volume:
         return p
-    positions = [p.volume.index(s) for s in V]
-    buckets: dict = {}
-    for c, prob in p.items():
-        symbols = c.symbols
-        buckets.setdefault(tuple(symbols[i] for i in positions), []).append(prob)
-    probs = {Configuration(V, key): scalar_sum(vals, p.mode) for key, vals in buckets.items()}
+    k, n = p.alphabet.size, len(p.volume)
+    codes = [0]
+    for s in (*V, *(p.volume - V)):
+        w = k ** (n - 1 - p.volume.index(s))
+        codes = [c + d for c in codes for d in range(0, k * w, w)]
+    entries = list(p.probs.values())
+    values = [entries[j] for j in codes]
+    width = k ** (n - len(V))
+    configs = enumerate_configurations(V, p.alphabet)
+    probs = {c: scalar_sum(values[i * width:(i + 1) * width], p.mode)
+             for i, c in enumerate(configs)}
     return FiniteDistribution(V, p.alphabet, probs, p.mode, p.tol)
 
 

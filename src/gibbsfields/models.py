@@ -78,16 +78,21 @@ class MarkovChainPairModel(RandomFieldModel):
         self._marginals: dict = {}
 
     def prefix_probability(self, x: Configuration) -> Fraction:
-        """Closed-form probability of a configuration on a prefix 1..n."""
+        """Closed-form probability of a configuration on a prefix 1..n,
+        multiplied out in integers: each factor (1 + a/b)/2 is (b + a)/(2b)."""
         sites = x.volume.sites
         n = len(sites)
         if sites != tuple((j,) for j in range(1, n + 1)):
             raise ValueError("closed form applies to prefixes 1..n only")
-        p = Fraction(1)
-        for j in range(1, n):
-            p *= (1 + self.c[j - 1] * x[(j,)] * x[(j + 1,)]) / 2
-        p *= (1 + self.sign * x[(n,)] * self.k[n]) / 2
-        return p
+        xs = x.symbols
+        num = den = 1
+        for c, left, right in zip(self.c, xs, xs[1:]):
+            num *= c.denominator + c.numerator * left * right
+            den *= 2 * c.denominator
+        tail = self.k[n]
+        num *= tail.denominator + self.sign * xs[-1] * tail.numerator
+        den *= 2 * tail.denominator
+        return Fraction(num, den)
 
     def _prefix_table(self, n: int) -> FiniteDistribution:
         table = self._prefixes.get(n)

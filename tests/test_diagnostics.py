@@ -1,5 +1,7 @@
 import json
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -304,19 +306,36 @@ def test_quasilocality_of_a_rational_model_and_of_its_one_point_spec_agree(m, t)
     assert all(isinstance(v, Fraction) for v in on_model["moduli"])
 
 
-def test_energy_criterion_moduli_are_the_energy_quasilocality_moduli():
-    for m in (ising_demo(0.4, window=9), bernoulli_product(Fraction(1, 3), line_window(9))):
-        F = box_filtration(0, [1, 2, 3], m.window)
-        fam = locality_probe_family(m.alphabet, F)
-        assert (energy_criterion_report(m, 0, F, fam)["moduli"]
-                == energy_quasilocality_modulus(m, 0, F, fam))
-    m2, F2 = example2_setup()
-    switch = BoundaryFamily(
-        (constant_density_boundary(Fraction(1, 4)),
-         *[density_switch_boundary(Fraction(1, 4), Fraction(3, 4), i) for i in range(3)]),
-        "density-switch")
-    assert (energy_criterion_report(m2, 0, F2, switch)["moduli"]
-            == energy_quasilocality_modulus(m2, 0, F2, switch))
+def test_energy_moduli_of_a_product_field_are_exactly_zero():
+    m = bernoulli_product(Fraction(1, 3), line_window(9))
+    F = box_filtration(0, [1, 2, 3], m.window)
+    moduli = energy_quasilocality_modulus(m, 0, F, locality_probe_family(m.alphabet, F))
+    assert moduli == [Fraction(0), Fraction(0)]
+    assert all(type(v) is Fraction for v in moduli)
+
+
+def test_energy_moduli_of_example2_follow_its_closed_form_conditional():
+    m, F = example2_setup()
+    gens = (constant_density_boundary(Fraction(1, 4)),
+            *[density_switch_boundary(Fraction(1, 4), Fraction(3, 4), i) for i in range(3)])
+    t = volume(0)
+
+    def log_ratios(z):
+        q = m.conditional_one(len(z), z.count(1))
+        return [math.log(float(q / (1 - q))), math.log(float((1 - q) / q))]
+
+    stage_configs = [g.configs(t, F) for g in gens]
+    want = []
+    for n in range(len(F) - 1):
+        worst = Fraction(0)
+        for sc_a, sc_b in combinations(stage_configs, 2):
+            if sc_a[n] == sc_b[n]:
+                gap = max(abs(a - b) for a, b in zip(log_ratios(sc_a[-1]), log_ratios(sc_b[-1])))
+                worst = max(worst, gap)
+        want.append(worst)
+    got = energy_quasilocality_modulus(m, 0, F, BoundaryFamily(gens, "density-switch"))
+    assert all(v > 0 for v in got)
+    assert got == want
 
 
 def test_energy_quasilocality_modulus_reads_a_family_or_a_list():

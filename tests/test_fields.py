@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -18,6 +19,7 @@ from gibbsfields.fields import (
     write_distribution_file,
 )
 from gibbsfields.lattice import (
+    Alphabet,
     Configuration,
     DomainError,
     Volume,
@@ -29,7 +31,7 @@ from gibbsfields.lattice import (
     spin_alphabet,
     volume,
 )
-from gibbsfields.models import example1_pair, example2_model
+from gibbsfields.models import example1_pair, example2_model, ising_demo
 from gibbsfields.specifications import finite_volume_gibbs, ising_potential
 
 
@@ -159,12 +161,28 @@ def test_marginalize_matches_the_per_entry_reference():
     grid = grid_window(3, 3)
     ising = finite_volume_gibbs(ising_potential(0.7, 0.3, 2), grid, EMPTY_CONFIGURATION,
                                 grid, spin_alphabet())
-    for p, text in ((rational, str), (ising, float.hex)):
-        for V in sub_volumes(p.volume):
+    ternary = seeded_positive_table(grid_window(2, 3), Alphabet.of((0, 1, 2)), 11).table
+    chain = ising_demo(0.4, window=13).table
+    chain_volumes = [Volume.empty(), volume(0), volume(-6, -1, 0, 5), volume(-6, 6),
+                     Volume.of(range(-6, 6)), Volume.of(range(-3, 4))]
+    cases = [(rational, str, sub_volumes(rational.volume)),
+             (ising, float.hex, sub_volumes(ising.volume)),
+             (ternary, str, sub_volumes(ternary.volume)),
+             (chain, float.hex, chain_volumes)]
+    for p, text, volumes in cases:
+        for V in volumes:
             got, want = marginalize(p, V), naive_marginalize(p, V)
             assert got.volume == V
+            assert list(got.probs) == list(enumerate_configurations(V, p.alphabet))
             assert [(c, text(v)) for c, v in got.items()] == \
                 [(c, text(v)) for c, v in want.items()]
+
+
+def test_float_scalar_sum_is_fsum_of_floats():
+    values = [0.1, 1e100, Fraction(1, 3), -1e100, 7, 0.2, Fraction(-5, 7), 2**60 + 1, 1e-300]
+    for vals in (values, values[::-1], values[2:]):
+        assert float.hex(scalar_sum(vals, FLOAT)) == \
+            float.hex(math.fsum(float(v) for v in vals))
 
 
 def exact_mixture_prob(tau, size, ones):

@@ -95,6 +95,31 @@ def test_example1_nonuniform_couplings():
     assert k_m.value(1) == closed[1]
 
 
+def product_of_fraction_factors(model, x):
+    """Oracle: the prefix closed form as a product of Fraction factors."""
+    n = len(x)
+    p = Fraction(1)
+    for j in range(1, n):
+        p *= (1 + model.c[j - 1] * x[(j,)] * x[(j + 1,)]) / 2
+    p *= (1 + model.sign * x[(n,)] * model.k[n]) / 2
+    return p
+
+
+def test_example1_prefix_probability_matches_the_fraction_product():
+    c = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 7), Fraction(1, 5), Fraction(5, 9),
+         Fraction(1, 2), Fraction(4, 5)]
+    for model in example1_pair(8, c, Fraction(1, 3)):
+        for n in range(1, 9):
+            for x in enumerate_configurations(Volume.of(range(1, n + 1)), model.alphabet):
+                got = model.prefix_probability(x)
+                want = product_of_fraction_factors(model, x)
+                assert type(got) is Fraction
+                assert got == want and str(got) == str(want)
+        for sites in ((2,), (1, 3), (2, 3, 4)):
+            with pytest.raises(ValueError):
+                model.prefix_probability(Configuration(volume(*sites), (1,) * len(sites)))
+
+
 def exact_mixture_prob(tau, size, ones):
     total = Fraction(0)
     a = ones + tau - 1
