@@ -27,9 +27,11 @@ from pathlib import Path
 from .lattice import (
     CapacityError,
     Configuration,
+    DomainError,
     Filtration,
     Volume,
     box_filtration,
+    box_volume,
     enumerate_configurations,
     format_site,
     interval_filtration,
@@ -177,8 +179,10 @@ def build_filtration(spec: str | None, model) -> Filtration:
             r *= 3
         if radii:
             return box_filtration(center, radii, model.window)
+    # a box that did not grow is dropped: a small window may hold only one
     margin = _window_margin(model.window, center)
-    return box_filtration(center, list(range(1, max(2, margin) + 1)), model.window)
+    boxes = (box_volume(center, r, model.window) for r in range(1, max(2, margin) + 1))
+    return Filtration(tuple(dict.fromkeys(boxes)))
 
 
 def _default_site(model):
@@ -232,6 +236,9 @@ def _consistency_reports(model, tol: float, seed: int) -> list:
     rng = random.Random(seed)
     window = model.window
     sites = window.sites
+    if len(sites) < 2:
+        raise DomainError(f"a {len(sites)}-site window holds no consistency fixture; "
+                          "validate needs at least 2 sites")
     reports = []
 
     # dense tables are built for these checks, so cap the volume sizes
@@ -248,7 +255,7 @@ def _consistency_reports(model, tol: float, seed: int) -> list:
 
     pair_fixtures = []
     for _ in range(20):
-        size_v = rng.randint(2, min(4, len(sites) - 1))
+        size_v = rng.randint(2, max(2, min(4, len(sites) - 1)))
         v_sites = rng.sample(sites, size_v)
         V = Volume.of(v_sites)
         I = Volume.of(rng.sample(v_sites, rng.randint(1, size_v - 1)))
@@ -287,7 +294,7 @@ def _potential_reports(model, tol: float, seed: int, max_tuples: int) -> list:
     holds = Comparison(tol)
     checks = 0
     for _ in range(30):
-        size_v = rng.randint(1, 3)
+        size_v = rng.randint(1, min(3, len(window)))
         V = Volume.of(rng.sample(window.sites, size_v))
         rest = window - V
         z = Configuration(rest, tuple(rng.choice(alphabet.symbols) for _ in rest))
@@ -540,7 +547,7 @@ def cmd_reconstruct(args) -> int:
                  if args.reference else None)
     rebuilt = reconstruct_from_one_point(
         one_point_from_model(model), target, condition, model.alphabet,
-        reference=reference, mode=model.mode, tol=model.tol)
+        reference=reference, mode=model.mode)
     agree = direct.table_equal(rebuilt)
     payload = {
         "config": config,

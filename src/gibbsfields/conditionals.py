@@ -57,7 +57,7 @@ def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> Cond
     probs = {}
     for x in enumerate_configurations(V, m.alphabet):
         probs[x] = m.prob(concat(x, z)) / pz
-    return ConditionalKernel(V, z, probs, m.mode, m.tol)
+    return ConditionalKernel(V, z, probs, m.mode)
 
 
 class KernelCache:
@@ -142,7 +142,7 @@ def check_pair_consistency(m: RandomFieldModel, I: Volume, V: Volume,
         raise DomainError("need a proper nonempty subset I of V")
     # specifications builds on this module, so it is imported at call time
     from .specifications import spec_from_model, validate_spec
-    return validate_spec(spec_from_model(m, kernels), [(V, I, z)], m.tol).ok
+    return validate_spec(spec_from_model(m, kernels), [(V, I, z)]).ok
 
 
 def check_one_point_consistency(m: RandomFieldModel, t, s, z: Configuration,
@@ -157,7 +157,7 @@ def check_one_point_consistency(m: RandomFieldModel, t, s, z: Configuration,
     normalized.
     """
     from .specifications import onepoint_spec_from_model, validate_1spec
-    return validate_1spec(onepoint_spec_from_model(m, kernels), [(t, s, z)], m.tol).ok
+    return validate_1spec(onepoint_spec_from_model(m, kernels), [(t, s, z)]).ok
 
 
 OnePointKernelFn = Callable[[object, Configuration], Mapping]
@@ -172,7 +172,7 @@ def one_point_from_model(m: RandomFieldModel) -> OnePointKernelFn:
 def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Configuration,
                                alphabet: Alphabet, reference: Configuration | None = None,
                                site_order: Sequence | None = None,
-                               mode: str = RATIONAL, tol: float = DEFAULT_TOL) -> ConditionalKernel:
+                               mode: str = RATIONAL) -> ConditionalKernel:
     """Rebuild the kernel on V from one-point kernels.
 
     For sites t_1..t_n of V (canonical order unless site_order is given)
@@ -234,7 +234,7 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
         return w
 
     weights = {x: weight(x) for x in enumerate_configurations(V, alphabet)}
-    return ConditionalKernel(V, z, normalized(weights, mode), mode, tol)
+    return ConditionalKernel(V, z, normalized(weights, mode), mode)
 
 
 def markov_radius(m: RandomFieldModel, t, max_r: int,
@@ -244,7 +244,7 @@ def markov_radius(m: RandomFieldModel, t, max_r: int,
 
     For each candidate r, every volume between ball(t,r)\\t and the window
     complement is enumerated, and kernels under conditions agreeing on the
-    ball must coincide (exactly in rational mode, within tol otherwise).
+    ball must coincide (exactly in rational mode, within DEFAULT_TOL otherwise).
     """
     site = t if isinstance(t, tuple) else (t,)
     t_vol = Volume.of([site])
@@ -274,6 +274,6 @@ def _insensitive_beyond(m, t_vol, core, extras, kernels) -> bool:
             seen = groups.get(key)
             if seen is None:
                 groups[key] = k
-            elif not seen.table_equal(k, m.tol):
+            elif not seen.table_equal(k):
                 return False
     return True

@@ -405,7 +405,7 @@ def _deep_tables(subject, t_vol: Volume, F: Filtration, B: BoundaryFamily) -> li
         def kernel(z):
             table = subject.table(t_vol.sites[0], z)
             probs = {Configuration(t_vol, (a,)): p for a, p in table.items()}
-            return ConditionalKernel(t_vol, z, probs, subject.mode, subject.tol)
+            return ConditionalKernel(t_vol, z, probs, subject.mode)
     else:
         def kernel(z):
             return finite_conditional(subject, t_vol, z)

@@ -16,7 +16,6 @@ from itertools import combinations
 
 from .lattice import Configuration, DomainError, Volume
 from .fields import (
-    DEFAULT_TOL,
     RATIONAL,
     Comparison,
     RandomFieldModel,
@@ -56,13 +55,12 @@ class TransitionEnergy:
     volume: Volume
     condition: Configuration
     mode: str = RATIONAL
-    tol: float = DEFAULT_TOL
     _probs: dict | None = None
     _ratios: dict | None = None
 
     @staticmethod
-    def from_ratios(volume, condition, ratios: dict, mode=RATIONAL, tol=DEFAULT_TOL):
-        return TransitionEnergy(volume, condition, mode, tol, None, dict(ratios))
+    def from_ratios(volume, condition, ratios: dict, mode=RATIONAL):
+        return TransitionEnergy(volume, condition, mode, None, dict(ratios))
 
     @property
     def kernel_backed(self) -> bool:
@@ -87,7 +85,7 @@ def transition_energy(k: ConditionalKernel) -> TransitionEnergy:
     """Energy table of a strictly positive kernel."""
     if not k.is_positive():
         raise PositivityError("kernel has a vanishing entry; energies undefined")
-    return TransitionEnergy(k.volume, k.condition, k.mode, k.tol, k.probs, None)
+    return TransitionEnergy(k.volume, k.condition, k.mode, k.probs, None)
 
 
 def check_antisymmetry(e: TransitionEnergy) -> bool:
@@ -95,10 +93,10 @@ def check_antisymmetry(e: TransitionEnergy) -> bool:
     configs = e.configurations()
     one = Fraction(1) if e.mode == RATIONAL else 1.0
     for x in configs:
-        if not close(e.ratio(x, x), one, e.tol):
+        if not close(e.ratio(x, x), one):
             return False
     for x, u in combinations(configs, 2):
-        if not close(e.ratio(x, u) * e.ratio(u, x), one, e.tol):
+        if not close(e.ratio(x, u) * e.ratio(u, x), one):
             return False
     return True
 
@@ -110,7 +108,7 @@ def check_cocycle(e: TransitionEnergy) -> bool:
     ratios = {(x, u): e.ratio(x, u) for x in configs for u in configs}
     ints = integer_numerators(list(ratios.values()))
     n, common = (dict(zip(ratios, ints[0])), ints[1]) if ints else (None, 1)
-    failures = cocycle_failures(ratios, configs, Comparison(e.tol), n, common)
+    failures = cocycle_failures(ratios, configs, Comparison(), n, common)
     return next(failures, None) is None
 
 
@@ -128,7 +126,7 @@ def check_decomposition(m: RandomFieldModel, V: Volume, I: Volume,
     if not V.isdisjoint(I) or not V or not I:
         raise DomainError("need disjoint nonempty volumes")
     fixtures = [(V | I, V, z), (V | I, I, z)]
-    return validate_spec(spec_from_model(m, kernels), fixtures, m.tol).ok
+    return validate_spec(spec_from_model(m, kernels), fixtures).ok
 
 
 def check_one_point_exchange(m: RandomFieldModel, t, s, z: Configuration,
@@ -141,7 +139,7 @@ def check_one_point_exchange(m: RandomFieldModel, t, s, z: Configuration,
     kernels.
     """
     tef = tef_from_1spec(onepoint_spec_from_model(m, kernels))
-    return validate_tef(tef, [(t, s, z)], m.tol).ok
+    return validate_tef(tef, [(t, s, z)]).ok
 
 
 def gibbs_form_from_energy(e: TransitionEnergy, reference: Configuration) -> ConditionalKernel:
@@ -156,7 +154,7 @@ def gibbs_form_from_energy(e: TransitionEnergy, reference: Configuration) -> Con
     if reference not in configs:
         raise DomainError("reference must be a configuration on the energy's volume")
     probs = normalized({x: e.ratio(x, reference) for x in configs}, e.mode)
-    return ConditionalKernel(e.volume, e.condition, probs, e.mode, e.tol)
+    return ConditionalKernel(e.volume, e.condition, probs, e.mode)
 
 
 class HamiltonianTable(ConditionalKernel):
@@ -168,8 +166,8 @@ class HamiltonianTable(ConditionalKernel):
     """
 
     def __init__(self, volume: Volume, condition: Configuration, gauge: Configuration,
-                 weights: dict, mode: str = RATIONAL, tol: float = DEFAULT_TOL):
-        super().__init__(volume, condition, weights, mode, tol)
+                 weights: dict, mode: str = RATIONAL):
+        super().__init__(volume, condition, weights, mode)
         self.gauge = gauge
         self.weights = self.probs
 
@@ -182,13 +180,13 @@ class HamiltonianTable(ConditionalKernel):
         if not self.is_positive():
             raise PositivityError("infinite Hamiltonian values admit no Gibbs form")
         return ConditionalKernel(self.volume, self.condition,
-                                 normalized(self.probs, self.mode), self.mode, self.tol)
+                                 normalized(self.probs, self.mode), self.mode)
 
 
 def hamiltonian_from_energy(e: TransitionEnergy, gauge: Configuration) -> HamiltonianTable:
     """Hamiltonian with the zero of energy pinned at the gauge configuration."""
     weights = {x: e.ratio(x, gauge) for x in e.configurations()}
-    return HamiltonianTable(e.volume, e.condition, gauge, weights, e.mode, e.tol)
+    return HamiltonianTable(e.volume, e.condition, gauge, weights, e.mode)
 
 
 def check_hamiltonian_consistency(m: RandomFieldModel, V: Volume, I: Volume,
@@ -202,7 +200,7 @@ def check_hamiltonian_consistency(m: RandomFieldModel, V: Volume, I: Volume,
     """
     if not V.isdisjoint(I) or not V or not I:
         raise DomainError("need disjoint nonempty volumes")
-    return validate_spec(spec_from_model(m, kernels), [(V | I, V, z)], m.tol).ok
+    return validate_spec(spec_from_model(m, kernels), [(V | I, V, z)]).ok
 
 
 def energy_table_text(e: TransitionEnergy, alphabet) -> str:

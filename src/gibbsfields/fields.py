@@ -2,9 +2,9 @@
 
 A distribution carries a numeric mode: "rational" tables hold
 ``fractions.Fraction`` entries and all identities are checked with exact
-equality; "float" tables hold binary floats and comparisons use a
-declared relative tolerance (default 1e-12). Float summations go through
-``math.fsum`` so results do not depend on evaluation order.
+equality; "float" tables hold binary floats and each check compares
+them within the tolerance it is given (default 1e-12). Float sums go
+through ``math.fsum`` so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Comparison:
     """Compares the two sides of identities at one tolerance and keeps the
     largest residual among those that do not hold exactly."""
 
-    def __init__(self, tol: float):
+    def __init__(self, tol: float = DEFAULT_TOL):
         self.tol = tol
         self.worst = 0.0
 
@@ -115,7 +115,6 @@ class ConditionalKernel:
     condition: Configuration
     probs: dict  # Configuration on volume -> scalar
     mode: str = RATIONAL
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if not self.volume.isdisjoint(self.condition.volume):
@@ -150,9 +149,8 @@ class ConditionalKernel:
             return max(abs(self.probs[c] - other.probs[c]) for c in self.probs)
         return max(abs(float(self.probs[c]) - float(other.probs[c])) for c in self.probs)
 
-    def table_equal(self, other: "ConditionalKernel", tol: float | None = None) -> bool:
-        """Entry-wise comparison (exact / within tol, default self.tol)."""
-        tol = self.tol if tol is None else tol
+    def table_equal(self, other: "ConditionalKernel", tol: float = DEFAULT_TOL) -> bool:
+        """Entry-wise comparison (exact / within tol)."""
         return all(close(self.probs[c], other.probs[c], tol) for c in self.probs)
 
 
@@ -167,28 +165,28 @@ class FiniteDistribution(ConditionalKernel):
     """
 
     def __init__(self, volume: Volume, alphabet: Alphabet, probs: Mapping,
-                 mode: str = RATIONAL, tol: float = DEFAULT_TOL):
+                 mode: str = RATIONAL):
         order = enumerate_configurations(volume, alphabet)
         # canonical key order makes serialization and iteration deterministic
         try:
             table = {c: probs[c] for c in order}
         except KeyError as missing:
             raise ValidationError(f"missing probability for {missing.args[0]}")
-        super().__init__(volume, EMPTY_CONFIGURATION, table, mode, tol)
+        super().__init__(volume, EMPTY_CONFIGURATION, table, mode)
         self.alphabet = alphabet
         if len(probs) != len(table):
             raise ValidationError("probability table keys are not exactly the enumeration")
         for c, p in self.probs.items():
             if self.mode == RATIONAL and not isinstance(p, Fraction):
                 raise ValidationError(f"non-rational entry {p!r} in rational mode")
-            if p < 0 and not (self.mode == FLOAT and p >= -self.tol):
+            if p < 0 and not (self.mode == FLOAT and p >= -DEFAULT_TOL):
                 raise ValidationError(f"negative probability {p} at {c}")
         total = scalar_sum(self.probs.values(), self.mode)
         if self.mode == RATIONAL:
             if total != 1:
                 raise ValidationError(f"probabilities sum to {total}, not 1")
-        elif abs(total - 1.0) > self.tol:
-            raise ValidationError(f"probabilities sum to {total!r}, off by more than {self.tol}")
+        elif abs(total - 1.0) > DEFAULT_TOL:
+            raise ValidationError(f"probabilities sum to {total!r}, off by more than {DEFAULT_TOL}")
 
 
 def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
@@ -214,7 +212,7 @@ def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
     configs = enumerate_configurations(V, p.alphabet)
     probs = {c: scalar_sum(values[i * width:(i + 1) * width], p.mode)
              for i, c in enumerate(configs)}
-    return FiniteDistribution(V, p.alphabet, probs, p.mode, p.tol)
+    return FiniteDistribution(V, p.alphabet, probs, p.mode)
 
 
 class RandomFieldModel:
@@ -229,12 +227,11 @@ class RandomFieldModel:
     window: Volume
     alphabet: Alphabet
     mode: str = RATIONAL
-    tol: float = DEFAULT_TOL
 
     def marginal(self, V: Volume) -> FiniteDistribution:
         self._check_volume(V)
         probs = {c: self.prob(c) for c in enumerate_configurations(V, self.alphabet)}
-        return FiniteDistribution(V, self.alphabet, probs, self.mode, self.tol)
+        return FiniteDistribution(V, self.alphabet, probs, self.mode)
 
     def prob(self, c: Configuration):
         """Marginal probability of a single configuration."""
@@ -258,7 +255,6 @@ class TableField(RandomFieldModel):
         self.window = table.volume
         self.alphabet = table.alphabet
         self.mode = table.mode
-        self.tol = table.tol
         self._marginals: dict = {table.volume: table}
 
     def marginal(self, V: Volume) -> FiniteDistribution:
@@ -272,25 +268,24 @@ class TableField(RandomFieldModel):
 
 
 def table_field(window: Volume, alphabet: Alphabet, probs,
-                mode: str = RATIONAL, tol: float = DEFAULT_TOL) -> TableField:
+                mode: str = RATIONAL) -> TableField:
     """Wrap a full probability table as a random field model."""
     if isinstance(probs, FiniteDistribution):
         return TableField(probs)
-    return TableField(FiniteDistribution(window, alphabet, probs, mode, tol))
+    return TableField(FiniteDistribution(window, alphabet, probs, mode))
 
 
 class ProductField(RandomFieldModel):
     """Independent sites, one fixed single-site law everywhere."""
 
     def __init__(self, window: Volume, alphabet: Alphabet, law: Mapping,
-                 mode: str = RATIONAL, tol: float = DEFAULT_TOL):
+                 mode: str = RATIONAL):
         self.window = window
         self.alphabet = alphabet
         self.mode = mode
-        self.tol = tol
         self.law = {s: to_scalar(law[s], mode) for s in alphabet.symbols}
         total = scalar_sum(self.law.values(), mode)
-        if mode == RATIONAL and total != 1 or mode == FLOAT and abs(total - 1) > tol:
+        if mode == RATIONAL and total != 1 or mode == FLOAT and abs(total - 1) > DEFAULT_TOL:
             raise ValidationError(f"single-site law sums to {total}")
 
     def prob(self, c: Configuration):
@@ -305,12 +300,12 @@ class ProductField(RandomFieldModel):
 
 
 def check_marginal_consistency(m: RandomFieldModel, S: Volume, V: Volume,
-                               tol: float | None = None) -> bool:
+                               tol: float = DEFAULT_TOL) -> bool:
     """True iff the marginal of P_S on V equals P_V (exact / within tol)."""
     if not (V.issubset(S) and S.issubset(m.window)):
         raise DomainError("need V inside S inside the window")
     derived = marginalize(m.marginal(S), V)
-    return m.marginal(V).table_equal(derived, m.tol if tol is None else tol)
+    return m.marginal(V).table_equal(derived, tol)
 
 
 def seeded_positive_table(window: Volume, alphabet: Alphabet, seed: int,

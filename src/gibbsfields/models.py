@@ -27,7 +27,6 @@ from .lattice import (
     spin_alphabet,
 )
 from .fields import (
-    DEFAULT_TOL,
     RATIONAL,
     FiniteDistribution,
     ProductField,
@@ -68,7 +67,6 @@ class MarkovChainPairModel(RandomFieldModel):
         self.window = Volume.of(range(1, N + 1))
         self.alphabet = spin_alphabet()
         self.mode = RATIONAL
-        self.tol = DEFAULT_TOL
         # k[t] for t = 1..N, with k_N = kappa and k_t = c_t * k_{t+1}
         k = {N: kappa}
         for t in range(N - 1, 0, -1):
@@ -152,7 +150,6 @@ class BernoulliMixtureModel(RandomFieldModel):
     def __init__(self, tau, window: Volume):
         self.window = window
         self.alphabet = binary_alphabet()
-        self.tol = DEFAULT_TOL
         if isinstance(tau, (int, Fraction)) and Fraction(tau).denominator == 1:
             self.tau = int(tau)
             self.mode = RATIONAL
@@ -216,7 +213,7 @@ class IsingDemoModel(GibbsVolumeField):
     """Nearest-neighbor Ising field on a small window, free outer boundary."""
 
     def __init__(self, beta: float, h: float = 0.0, d: int = 1,
-                 window: Volume | int = 11, tol: float = DEFAULT_TOL):
+                 window: Volume | int = 11):
         if d not in (1, 2):
             raise ValueError("demo supports d in {1, 2}")
         if isinstance(window, int):
@@ -228,7 +225,7 @@ class IsingDemoModel(GibbsVolumeField):
         self.beta = beta
         self.h = h
         self.d = d
-        super().__init__(ising_potential(beta, h, d), window, spin_alphabet(), tol=tol)
+        super().__init__(ising_potential(beta, h, d), window, spin_alphabet())
 
     def describe(self) -> str:
         return f"ising[beta={self.beta}, h={self.h}, d={self.d}, {len(self.window)} sites]"

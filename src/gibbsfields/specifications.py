@@ -73,11 +73,8 @@ class Potential:
         return Potential(tuple(sorted(normalized.items(), key=lambda kv: (kv[0][0].sites, kv[0][1].symbols))))
 
     def templates(self) -> list:
-        seen = []
-        for (template, _), _ in self.terms:
-            if template not in seen:
-                seen.append(template)
-        return seen
+        """The term templates in first-seen order."""
+        return list(self._term_tables)
 
     @cached_property
     def _term_tables(self) -> dict:
@@ -132,7 +129,7 @@ def ising_potential(beta: float, h: float = 0.0, d: int = 1) -> Potential:
     return Potential.of(terms)
 
 
-def zero_potential(d: int = 1) -> Potential:
+def zero_potential() -> Potential:
     return Potential(())
 
 
@@ -293,7 +290,7 @@ def tef_from_1spec(q: "OnePointSpec") -> OnePointTEF:
         except ZeroDivisionError:
             raise PositivityError(f"one-point kernel vanishes under {boundary}") from None
 
-    return OnePointTEF(q.window, q.alphabet, ratio, q.mode, q.tol, "tef-from-1spec")
+    return OnePointTEF(q.window, q.alphabet, ratio, q.mode, DEFAULT_TOL, "tef-from-1spec")
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +308,10 @@ class OnePointSpec:
     alphabet: Alphabet
     table_fn: Callable  # (site, boundary Configuration) -> {symbol: scalar}
     mode: str = RATIONAL
-    tol: float = DEFAULT_TOL
     label: str = "1spec"
 
     def table(self, t, boundary: Configuration) -> dict:
         return self.table_fn(t, boundary)
-
-    def as_one_point(self) -> Callable:
-        return self.table_fn
 
 
 @dataclass
@@ -329,7 +322,6 @@ class Specification:
     alphabet: Alphabet
     kernel_fn: Callable  # (Volume, boundary Configuration) -> {Configuration: scalar}
     mode: str = RATIONAL
-    tol: float = DEFAULT_TOL
     label: str = "spec"
 
     def kernel(self, V: Volume, boundary: Configuration) -> dict:
@@ -346,8 +338,7 @@ def onepoint_spec_from_model(m: RandomFieldModel,
         k = kernels(Volume.of([site]), boundary)
         return {c.symbols[0]: p for c, p in k.items()}
 
-    return OnePointSpec(m.window, m.alphabet, table, m.mode, m.tol,
-                        label=f"1spec({m.describe()})")
+    return OnePointSpec(m.window, m.alphabet, table, m.mode, f"1spec({m.describe()})")
 
 
 def spec_from_model(m: RandomFieldModel, kernels: KernelCache | None = None) -> Specification:
@@ -358,8 +349,7 @@ def spec_from_model(m: RandomFieldModel, kernels: KernelCache | None = None) -> 
     def kernel(V, boundary):
         return kernels(V, boundary).probs
 
-    return Specification(m.window, m.alphabet, kernel, m.mode, m.tol,
-                         label=f"spec({m.describe()})")
+    return Specification(m.window, m.alphabet, kernel, m.mode, f"spec({m.describe()})")
 
 
 def onepoint_spec_from_tef(d: OnePointTEF) -> OnePointSpec:
@@ -388,8 +378,7 @@ def onepoint_spec_from_tef(d: OnePointTEF) -> OnePointSpec:
             q = cache[key] = distinct.setdefault(tuple(map(repr, q.values())), q)
         return q
 
-    return OnePointSpec(d.window, d.alphabet, table, d.mode, d.tol,
-                        label=f"1spec({d.label})")
+    return OnePointSpec(d.window, d.alphabet, table, d.mode, f"1spec({d.label})")
 
 
 def spec_from_onepoint(q: OnePointSpec) -> Specification:
@@ -401,7 +390,6 @@ def spec_from_onepoint(q: OnePointSpec) -> Specification:
     Returned tables are cache-owned and must not be mutated; a call that
     raises caches nothing.
     """
-    one_point = q.as_one_point()
     cache: dict = {}
 
     def kernel(V, boundary):
@@ -412,19 +400,17 @@ def spec_from_onepoint(q: OnePointSpec) -> Specification:
         k = cache.get(key)
         if k is None:
             k = cache[key] = reconstruct_from_one_point(
-                one_point, V, boundary, q.alphabet, mode=q.mode, tol=q.tol).probs
+                q.table_fn, V, boundary, q.alphabet, mode=q.mode).probs
         return k
 
-    return Specification(q.window, q.alphabet, kernel, q.mode, q.tol,
-                         label=f"spec({q.label})")
+    return Specification(q.window, q.alphabet, kernel, q.mode, f"spec({q.label})")
 
 
 # ---------------------------------------------------------------------------
 # finite-volume Gibbs distributions
 
 def finite_volume_gibbs(phi: Potential, V: Volume, boundary: Configuration,
-                        window: Volume, alphabet: Alphabet,
-                        tol: float = DEFAULT_TOL) -> FiniteDistribution:
+                        window: Volume, alphabet: Alphabet) -> FiniteDistribution:
     """Distribution proportional to exp(-H) on V with fixed outside values.
 
     H sums every translate of a potential template that fits in the window
@@ -434,17 +420,17 @@ def finite_volume_gibbs(phi: Potential, V: Volume, boundary: Configuration,
     plan, collar = _energy_plan(phi, translates, V, boundary)
     weights = {x: math.exp(-_energy(plan, x.symbols + collar))
                for x in enumerate_configurations(V, alphabet)}
-    return FiniteDistribution(V, alphabet, normalized(weights, FLOAT), FLOAT, tol)
+    return FiniteDistribution(V, alphabet, normalized(weights, FLOAT), FLOAT)
 
 
 class GibbsVolumeField(TableField):
     """Random field realized by one finite-volume Gibbs distribution."""
 
     def __init__(self, phi: Potential, window: Volume, alphabet: Alphabet,
-                 boundary: Configuration | None = None, tol: float = DEFAULT_TOL):
+                 boundary: Configuration | None = None):
         self.potential = phi
         self.boundary = boundary or EMPTY_CONFIGURATION
-        super().__init__(finite_volume_gibbs(phi, window, self.boundary, window, alphabet, tol))
+        super().__init__(finite_volume_gibbs(phi, window, self.boundary, window, alphabet))
 
     def describe(self) -> str:
         return f"gibbs[{len(self.window)} sites]"
@@ -461,7 +447,6 @@ class MeasureSystem:
     alphabet: Alphabet
     value_fn: Callable  # Configuration -> positive scalar
     mode: str = RATIONAL
-    tol: float = DEFAULT_TOL
     label: str = "mu"
 
     def value(self, c: Configuration):
@@ -475,8 +460,7 @@ class MeasureSystem:
 
 
 def measure_system_from_model(m: RandomFieldModel) -> MeasureSystem:
-    return MeasureSystem(m.window, m.alphabet, m.prob, m.mode, m.tol,
-                         label=f"mu({m.describe()})")
+    return MeasureSystem(m.window, m.alphabet, m.prob, m.mode, f"mu({m.describe()})")
 
 
 def measure_system_from_potential(phi: Potential, window: Volume,
@@ -488,7 +472,7 @@ def measure_system_from_potential(phi: Potential, window: Volume,
         plan, _ = _energy_plan(phi, translates, c.volume, EMPTY_CONFIGURATION)
         return math.exp(-_energy(plan, c.symbols))
 
-    return MeasureSystem(window, alphabet, value, FLOAT, DEFAULT_TOL, "mu(gibbs-weights)")
+    return MeasureSystem(window, alphabet, value, FLOAT, "mu(gibbs-weights)")
 
 
 @dataclass
@@ -514,7 +498,7 @@ class StagedTEFReport:
 
 
 def tef_from_measure_system(mu: MeasureSystem, t, F: Filtration, boundary,
-                            tol: float | None = None) -> StagedTEFReport:
+                            tol: float = DEFAULT_TOL) -> StagedTEFReport:
     """Stage-wise energy ratios mu(x z_n) / mu(u z_n) and their stability.
 
     The boundary is a full configuration on (at least) the deepest stage
@@ -523,7 +507,6 @@ def tef_from_measure_system(mu: MeasureSystem, t, F: Filtration, boundary,
     """
     site = t if isinstance(t, tuple) else (t,)
     t_vol = Volume.of([site])
-    tol = mu.tol if tol is None else tol
     if hasattr(boundary, "configs"):
         stage_configs = boundary.configs(t_vol, F)
     else:
@@ -582,6 +565,26 @@ class ValidationReport:
         return out
 
 
+def _fixtures(groups: list, alphabet: Alphabet, width: int, max_tuples: int,
+              seed: int) -> tuple:
+    """(a, b, boundary) fixtures of groups (a, b, rest, tuples per boundary):
+    every boundary on rest when the tuple space fits the budget, else the
+    same number of seeded sampled boundaries per group, that number being
+    the budget over len(groups) * |X|^(2 * width)."""
+    k = alphabet.size
+    space = sum(k ** len(rest) * inner for _, _, rest, inner in groups)
+    if space <= max_tuples:
+        fixtures = [(a, b, z) for a, b, rest, _ in groups
+                    for z in enumerate_configurations(rest, alphabet)]
+        return fixtures, FixtureMeta(space, space, False)
+    rng = random.Random(seed)
+    per_group = max(1, max_tuples // max(1, len(groups) * k ** (2 * width)))
+    fixtures = [(a, b, Configuration(rest, tuple(rng.choice(alphabet.symbols) for _ in rest)))
+                for a, b, rest, _ in groups for _ in range(per_group)]
+    checked = per_group * sum(inner for _, _, _, inner in groups)
+    return fixtures, FixtureMeta(space, checked, True, seed)
+
+
 def pair_site_fixtures(window: Volume, alphabet: Alphabet,
                        max_tuples: int = EXHAUSTIVE_TUPLE_BUDGET,
                        seed: int = 0) -> tuple:
@@ -590,26 +593,9 @@ def pair_site_fixtures(window: Volume, alphabet: Alphabet,
     Exhaustive when (pairs * boundaries * |X|^4) fits the budget, else a
     seeded sample of boundaries per pair.
     """
-    sites = window.sites
-    pairs = list(combinations(sites, 2))
-    n_boundary_sites = len(sites) - 2
-    inner = alphabet.size ** 4
-    space = len(pairs) * (alphabet.size ** n_boundary_sites) * inner
-    fixtures = []
-    if space <= max_tuples:
-        for t, s in pairs:
-            rest = window - Volume.of([t, s])
-            for z in enumerate_configurations(rest, alphabet):
-                fixtures.append((t, s, z))
-        return fixtures, FixtureMeta(space, len(fixtures) * inner, False)
-    rng = random.Random(seed)
-    per_pair = max(1, max_tuples // (len(pairs) * inner))
-    for t, s in pairs:
-        rest = window - Volume.of([t, s])
-        for _ in range(per_pair):
-            symbols = tuple(rng.choice(alphabet.symbols) for _ in rest)
-            fixtures.append((t, s, Configuration(rest, symbols)))
-    return fixtures, FixtureMeta(space, len(fixtures) * inner, True, seed)
+    groups = [(t, s, window - Volume.of([t, s]), alphabet.size ** 4)
+              for t, s in combinations(window.sites, 2)]
+    return _fixtures(groups, alphabet, 2, max_tuples, seed)
 
 
 def volume_split_fixtures(window: Volume, alphabet: Alphabet, max_volume: int = 3,
@@ -617,35 +603,16 @@ def volume_split_fixtures(window: Volume, alphabet: Alphabet, max_volume: int = 
                           seed: int = 0) -> tuple:
     """(V, I, boundary) fixtures for the multi-point consistency axiom; the
     boundaries of all splits of one V share one volume, window - V."""
-    sites = window.sites
-    splits = []
+    k = alphabet.size
+    groups = []
     for v_size in range(2, max_volume + 1):
-        for v_sites in combinations(sites, v_size):
+        for v_sites in combinations(window.sites, v_size):
             V = Volume.of(v_sites)
             rest = window - V
             for i_size in range(1, v_size):
                 for i_sites in combinations(v_sites, i_size):
-                    splits.append((V, Volume.of(i_sites), rest))
-    space = 0
-    for V, I, _ in splits:
-        inner = (alphabet.size ** (2 * len(I))) * (alphabet.size ** (len(V) - len(I)))
-        space += (alphabet.size ** (len(sites) - len(V))) * inner
-    fixtures = []
-    if space <= max_tuples:
-        for V, I, rest in splits:
-            for z in enumerate_configurations(rest, alphabet):
-                fixtures.append((V, I, z))
-        return fixtures, FixtureMeta(space, space, False)
-    rng = random.Random(seed)
-    per_split = max(1, max_tuples // max(1, len(splits) * alphabet.size ** (2 * max_volume)))
-    checked = 0
-    for V, I, rest in splits:
-        inner = (alphabet.size ** (2 * len(I))) * (alphabet.size ** (len(V) - len(I)))
-        for _ in range(per_split):
-            symbols = tuple(rng.choice(alphabet.symbols) for _ in rest)
-            fixtures.append((V, I, Configuration(rest, symbols)))
-            checked += inner
-    return fixtures, FixtureMeta(space, checked, True, seed)
+                    groups.append((V, Volume.of(i_sites), rest, k ** (v_size + i_size)))
+    return _fixtures(groups, alphabet, max_volume, max_tuples, seed)
 
 
 def _numerator_tables(tables: dict):
@@ -677,7 +644,7 @@ def _exchange_violation(t, s, z: Configuration, symbols: tuple, lhs, rhs) -> dic
             "symbols": [str(a) for a in symbols], "lhs": float(lhs), "rhs": float(rhs)}
 
 
-def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None,
+def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float = DEFAULT_TOL,
                    meta: FixtureMeta | None = None) -> ValidationReport:
     """Check normalization, positivity and the two-site exchange identity.
 
@@ -685,7 +652,6 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None
     a normalization or exchange identity is built from Fractions only when
     their integer numerators reject it.
     """
-    tol = q.tol if tol is None else tol
     syms = q.alphabet.symbols
     violations = []
     holds = Comparison(tol)
@@ -719,7 +685,7 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float | None = None
                             violations, holds.worst, meta)
 
 
-def validate_spec(Q: Specification, fixtures: Sequence, tol: float | None = None,
+def validate_spec(Q: Specification, fixtures: Sequence, tol: float = DEFAULT_TOL,
                   meta: FixtureMeta | None = None) -> ValidationReport:
     """Check the subset-consistency identity of a specification.
 
@@ -729,7 +695,6 @@ def validate_spec(Q: Specification, fixtures: Sequence, tol: float | None = None
     an identity is built from Fractions only when their integer numerators
     reject it.
     """
-    tol = Q.tol if tol is None else tol
     alphabet = Q.alphabet
     violations = []
     holds = Comparison(tol)

@@ -362,3 +362,43 @@ def test_validate_tol_reaches_the_table_checks(tmp_path):
     code, counts = violations("--tol", "0")
     assert code == 1
     assert counts["pair-consistency"] > 0 and counts["one-point-consistency"] > 0
+
+
+# (descriptor, sites, validate exit code, diagnose exit code) with the
+# default filtration. The chain of example1 needs two sites, so it has no
+# 1-site case; "table" reads a seeded table file on a line of that many sites.
+SMOKE_MATRIX = [
+    *[(kind, 1, 4, 0) for kind in ("example2", "bernoulli", "table")],
+    ("ising", 1, 0, 0),
+    *[(kind, n, 0, 3) for n in (2, 3) for kind in ("example1", "example2", "ising", "table")],
+    *[("bernoulli", n, 0, 0) for n in (2, 3)],
+    ("ising:d=2", 9, 0, 3),
+]
+
+
+@pytest.mark.parametrize("kind,sites,validate_code,diagnose_code", SMOKE_MATRIX)
+def test_small_windows_validate_and_diagnose(tmp_path, capsys, kind, sites,
+                                             validate_code, diagnose_code):
+    """Every descriptor kind at 1 to 3 sites, and the default 3x3 grid:
+    the default filtration keeps the boxes that grow (one stage when the
+    window holds one box), the fixture draws fit a 2-site window, and the
+    only exit 4 is the named 1-site error of validate."""
+    if kind == "table":
+        path = tmp_path / "small.tbl"
+        write_distribution_file(
+            seeded_positive_table(line_window(sites), binary_alphabet(), sites).table, path)
+        model = f"table:{path}"
+    elif ":" in kind:
+        model = kind
+    else:
+        model = f"{kind}:{'N' if kind == 'example1' else 'window'}={sites}"
+    out = ["--out", str(tmp_path)]
+    assert main(["validate", "--model", model, "--max-tuples", "2000", *out]) == validate_code
+    err = capsys.readouterr().err
+    if validate_code == 4:
+        assert err == ("gfl validate: DomainError: a 1-site window holds no consistency "
+                       "fixture; validate needs at least 2 sites\n")
+    else:
+        assert err == ""
+    assert main(["diagnose", "--model", model, *out]) == diagnose_code
+    assert capsys.readouterr().err == ""

@@ -219,8 +219,7 @@ def perturb_kernel(kernel):
     shift = probs[keys[0]] / 2
     probs[keys[0]] -= shift
     probs[keys[1]] += shift
-    return ConditionalKernel(kernel.volume, kernel.condition, probs,
-                             kernel.mode, kernel.tol)
+    return ConditionalKernel(kernel.volume, kernel.condition, probs, kernel.mode)
 
 
 def test_consistency_negative_controls():
@@ -371,7 +370,7 @@ def test_reconstruction_matches_naive_reference_bitwise_on_floats():
     spin = spin_alphabet()
     window = line_window(5)
     q = onepoint_spec_from_tef(tef_from_potential(ising_potential(0.4, 0.3), window, spin))
-    one_point = q.as_one_point()
+    one_point = q.table_fn
     V = volume(-1, 0, 1)
     z = Configuration(window - V, (1, -1))
     ref = Configuration(V, (1, -1, 1))

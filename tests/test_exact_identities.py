@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gibbsfields.conditionals import ConditionalKernel, KernelCache
 from gibbsfields.energy import TransitionEnergy, check_cocycle
 from gibbsfields.fields import (
+    DEFAULT_TOL,
     Comparison,
     close,
     integer_numerators,
@@ -141,7 +142,7 @@ def reference_validate_tef(d, fixtures, tol, meta):
 def reference_check_cocycle(e):
     configs = e.configurations()
     ratios = {(x, u): e.ratio(x, u) for x in configs for u in configs}
-    return next(reference_cocycle(ratios, configs, Comparison(e.tol)), None) is None
+    return next(reference_cocycle(ratios, configs, Comparison()), None) is None
 
 
 def perturb_kernel(kernel):
@@ -151,7 +152,7 @@ def perturb_kernel(kernel):
     shift = probs[first] / 2
     probs[first] -= shift
     probs[second] += shift
-    return ConditionalKernel(kernel.volume, kernel.condition, probs, kernel.mode, kernel.tol)
+    return ConditionalKernel(kernel.volume, kernel.condition, probs, kernel.mode)
 
 
 def rescaled(q, site, boundary, factor):
@@ -162,7 +163,7 @@ def rescaled(q, site, boundary, factor):
             return {a: factor * p for a, p in out.items()}
         return out
 
-    return OnePointSpec(q.window, q.alphabet, table, q.mode, q.tol, q.label)
+    return OnePointSpec(q.window, q.alphabet, table, q.mode, q.label)
 
 
 @st.composite
@@ -194,11 +195,11 @@ def test_integer_identities_report_what_fractions_report(case):
     Q = spec_from_model(model, kernels)
 
     split_fixtures, split_meta = volume_split_fixtures(window, BIN, 3)
-    assert (validate_spec(Q, split_fixtures, None, split_meta).to_json_dict()
-            == reference_validate_spec(Q, split_fixtures, Q.tol, split_meta).to_json_dict())
+    assert (validate_spec(Q, split_fixtures, meta=split_meta).to_json_dict()
+            == reference_validate_spec(Q, split_fixtures, DEFAULT_TOL, split_meta).to_json_dict())
     pair_fixtures, pair_meta = pair_site_fixtures(window, BIN)
-    assert (validate_1spec(q, pair_fixtures, None, pair_meta).to_json_dict()
-            == reference_validate_1spec(q, pair_fixtures, q.tol, pair_meta).to_json_dict())
+    assert (validate_1spec(q, pair_fixtures, meta=pair_meta).to_json_dict()
+            == reference_validate_1spec(q, pair_fixtures, DEFAULT_TOL, pair_meta).to_json_dict())
     tef = tef_from_1spec(q)
     assert (validate_tef(tef, pair_fixtures, None, pair_meta).to_json_dict()
             == reference_validate_tef(tef, pair_fixtures, tef.tol, pair_meta).to_json_dict())

@@ -147,7 +147,7 @@ def naive_marginalize(p, V):
         key = Configuration(V, tuple(c.symbols[c.volume.index(s)] for s in V))
         buckets.setdefault(key, []).append(prob)
     probs = {c: scalar_sum(vals, p.mode) for c, vals in buckets.items()}
-    return FiniteDistribution(V, p.alphabet, probs, p.mode, p.tol)
+    return FiniteDistribution(V, p.alphabet, probs, p.mode)
 
 
 def sub_volumes(vol):
@@ -243,7 +243,6 @@ def test_check_marginal_consistency_negative_control():
             self.window = inner.window
             self.alphabet = inner.alphabet
             self.mode = inner.mode
-            self.tol = inner.tol
 
         def marginal(self, V):
             table = self.inner.marginal(V)

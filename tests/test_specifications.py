@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +10,7 @@ from gibbsfields.conditionals import finite_conditional
 from gibbsfields.energy import TransitionEnergy, check_cocycle
 from gibbsfields.fields import FLOAT, seeded_positive_table
 from gibbsfields.lattice import (
+    Alphabet,
     Configuration,
     GeometryError,
     Volume,
@@ -351,7 +352,7 @@ def test_validate_spec_pass_and_corrupted():
             kernel[keys[1]] += shift
         return kernel
 
-    bad = Specification(m.window, BIN, corrupted, m.mode, 0.0)
+    bad = Specification(m.window, BIN, corrupted, m.mode)
     report = validate_spec(bad, fixtures[:40], tol=0.0)
     assert not report.ok
 
@@ -439,7 +440,7 @@ def reference_1spec(d):
         return specifications.normalized(
             {a: d.ratio(t, boundary, a, ref) for a in d.alphabet.symbols}, d.mode)
 
-    return specifications.OnePointSpec(d.window, d.alphabet, table, d.mode, d.tol)
+    return specifications.OnePointSpec(d.window, d.alphabet, table, d.mode)
 
 
 def reference_spec(q):
@@ -450,10 +451,10 @@ def reference_spec(q):
             table = q.table(V.sites[0], boundary)
             return {Configuration(V, (a,)): p for a, p in table.items()}
         k = specifications.reconstruct_from_one_point(
-            q.as_one_point(), V, boundary, q.alphabet, mode=q.mode, tol=q.tol)
+            q.table_fn, V, boundary, q.alphabet, mode=q.mode)
         return dict(k.items())
 
-    return specifications.Specification(q.window, q.alphabet, kernel, q.mode, q.tol)
+    return specifications.Specification(q.window, q.alphabet, kernel, q.mode)
 
 
 def test_cached_specs_still_catch_a_far_dependence():
@@ -532,6 +533,72 @@ def test_fixture_budget_sampling_deterministic():
     sampled_b, meta_b = pair_site_fixtures(window, BIN, max_tuples=512, seed=5)
     assert meta_a.sampled and sampled_a == sampled_b
     assert len(sampled_a) < len(exhaustive)
+
+
+def reference_pair_site_fixtures(window, alphabet, max_tuples, seed):
+    """pair_site_fixtures as two separate loops, before the shared sampler."""
+    sites = window.sites
+    pairs = list(combinations(sites, 2))
+    inner = alphabet.size ** 4
+    space = len(pairs) * (alphabet.size ** (len(sites) - 2)) * inner
+    fixtures = []
+    if space <= max_tuples:
+        for t, s in pairs:
+            for z in enumerate_configurations(window - Volume.of([t, s]), alphabet):
+                fixtures.append((t, s, z))
+        return fixtures, specifications.FixtureMeta(space, len(fixtures) * inner, False)
+    rng = random.Random(seed)
+    per_pair = max(1, max_tuples // (len(pairs) * inner))
+    for t, s in pairs:
+        rest = window - Volume.of([t, s])
+        for _ in range(per_pair):
+            symbols = tuple(rng.choice(alphabet.symbols) for _ in rest)
+            fixtures.append((t, s, Configuration(rest, symbols)))
+    return fixtures, specifications.FixtureMeta(space, len(fixtures) * inner, True, seed)
+
+
+def reference_volume_split_fixtures(window, alphabet, max_volume, max_tuples, seed):
+    """volume_split_fixtures before the shared sampler."""
+    k, sites, splits = alphabet.size, window.sites, []
+    for v_size in range(2, max_volume + 1):
+        for v_sites in combinations(sites, v_size):
+            for i_size in range(1, v_size):
+                for i_sites in combinations(v_sites, i_size):
+                    splits.append((Volume.of(v_sites), Volume.of(i_sites),
+                                   window - Volume.of(v_sites)))
+    space = sum(k ** (len(sites) - len(V)) * k ** (len(V) + len(I)) for V, I, _ in splits)
+    fixtures = []
+    if space <= max_tuples:
+        for V, I, rest in splits:
+            for z in enumerate_configurations(rest, alphabet):
+                fixtures.append((V, I, z))
+        return fixtures, specifications.FixtureMeta(space, space, False)
+    rng = random.Random(seed)
+    per_split = max(1, max_tuples // max(1, len(splits) * k ** (2 * max_volume)))
+    checked = 0
+    for V, I, rest in splits:
+        for _ in range(per_split):
+            symbols = tuple(rng.choice(alphabet.symbols) for _ in rest)
+            fixtures.append((V, I, Configuration(rest, symbols)))
+            checked += k ** (len(V) + len(I))
+    return fixtures, specifications.FixtureMeta(space, checked, True, seed)
+
+
+def test_shared_fixture_sampler_matches_the_two_reference_loops():
+    """Pairs and splits, exhaustive and sampled, on line and grid windows
+    and three alphabets: the same fixtures in the same order, and metadata
+    with the same repr."""
+    ternary = Alphabet.of((0, 1, 2))
+    windows = [line_window(n) for n in (2, 3, 5, 7)] + [grid_window(3, 3), grid_window(2, 3)]
+    for window, alphabet in product(windows, (BIN, SPIN, ternary)):
+        for budget, seed in product((0, 1, 7, 64, 500, 2000, 10**4, 10**6), (0, 5)):
+            cases = [(pair_site_fixtures(window, alphabet, budget, seed),
+                      reference_pair_site_fixtures(window, alphabet, budget, seed))]
+            cases += [(volume_split_fixtures(window, alphabet, v, budget, seed),
+                       reference_volume_split_fixtures(window, alphabet, v, budget, seed))
+                      for v in (2, 3)]
+            for (fixtures, meta), (want, want_meta) in cases:
+                assert fixtures == want and repr(meta) == repr(want_meta)
 
 
 def test_finite_volume_gibbs_single_site_matches_spec():

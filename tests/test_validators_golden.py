@@ -63,7 +63,7 @@ def rescaled(q: OnePointSpec, site, boundary, factor) -> OnePointSpec:
             return {a: factor * p if a == first else p for a, p in out.items()}
         return out
 
-    return OnePointSpec(q.window, q.alphabet, table, q.mode, q.tol, q.label)
+    return OnePointSpec(q.window, q.alphabet, table, q.mode, q.label)
 
 
 def library_reports() -> dict:
