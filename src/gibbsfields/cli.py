@@ -236,9 +236,6 @@ def _consistency_reports(model, tol: float, seed: int) -> list:
     rng = random.Random(seed)
     window = model.window
     sites = window.sites
-    if len(sites) < 2:
-        raise DomainError(f"a {len(sites)}-site window holds no consistency fixture; "
-                          "validate needs at least 2 sites")
     reports = []
 
     # dense tables are built for these checks, so cap the volume sizes
@@ -325,6 +322,9 @@ def cmd_validate(args) -> int:
         print(f"validate: FAIL (model load: {err})")
         return 1
 
+    if len(model.window) < 2:
+        raise DomainError(f"a {len(model.window)}-site window holds no consistency fixture; "
+                          "validate needs at least 2 sites")
     if isinstance(model, GibbsVolumeField):
         reports = _potential_reports(model, tol, seed, max_tuples)
     else:

@@ -167,9 +167,10 @@ class FiniteDistribution(ConditionalKernel):
     def __init__(self, volume: Volume, alphabet: Alphabet, probs: Mapping,
                  mode: str = RATIONAL):
         order = enumerate_configurations(volume, alphabet)
-        # canonical key order makes serialization and iteration deterministic
+        # canonical key order makes serialization and iteration deterministic;
+        # a table already in that order is copied without hashing its keys
         try:
-            table = {c: probs[c] for c in order}
+            table = dict(probs) if tuple(probs) == order else {c: probs[c] for c in order}
         except KeyError as missing:
             raise ValidationError(f"missing probability for {missing.args[0]}")
         super().__init__(volume, EMPTY_CONFIGURATION, table, mode)

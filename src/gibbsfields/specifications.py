@@ -233,10 +233,12 @@ def hamiltonian_from_potential(phi: Potential, t, boundary: Configuration,
 
 @dataclass
 class OnePointTEF:
-    """One-point transition energy field given as a ratio evaluator.
+    """One-point transition energy field given as ratio tables.
 
-    ratio(t, boundary, x, u) is exp of the energy difference between
-    symbols x and u at site t under the boundary configuration.
+    table(t, boundary) is the dict {(x, u): ratio} over all symbol pairs,
+    the ratio being exp of the energy difference between symbols x and u
+    at site t under the boundary configuration; ratio(t, boundary, x, u)
+    is one entry. A field given only a ratio_fn builds each table from it.
     """
 
     window: Volume
@@ -245,6 +247,13 @@ class OnePointTEF:
     mode: str = FLOAT
     tol: float = DEFAULT_TOL
     label: str = "tef"
+    table_fn: Callable | None = None  # (site, boundary Configuration) -> {(x, u): scalar}
+
+    def table(self, t, boundary: Configuration) -> dict:
+        if self.table_fn is not None:
+            return self.table_fn(t, boundary)
+        syms = self.alphabet.symbols
+        return {(x, u): self.ratio_fn(t, boundary, x, u) for x in syms for u in syms}
 
     def ratio(self, t, boundary: Configuration, x, u):
         return self.ratio_fn(t, boundary, x, u)
@@ -253,44 +262,59 @@ class OnePointTEF:
         return math.log(float(self.ratio(t, boundary, x, u)))
 
 
+def _tef_of_tables(table: Callable, window: Volume, alphabet: Alphabet, mode: str,
+                   label: str) -> OnePointTEF:
+    """The field read from whole tables; its ratio_fn reads one entry."""
+    return OnePointTEF(window, alphabet, lambda t, b, x, u: table(t, b)[(x, u)], mode,
+                       DEFAULT_TOL, label, table)
+
+
 def tef_from_potential(phi: Potential, window: Volume, alphabet: Alphabet) -> OnePointTEF:
     """Energy field delta_t(x,u) = H_t(u) - H_t(x) from a finite-range potential.
 
     H_t reads the boundary only on the interaction neighbourhood of t, so
     a boundary seen for the first time is looked up by its restriction to
-    that neighbourhood; the table is then stored under both keys.
+    that neighbourhood; the ratio table is built once per (site, local
+    boundary) and then stored under both keys. Returned tables are
+    cache-owned and must not be mutated.
     """
+    syms = alphabet.symbols
     cache: dict = {}
     neighbourhoods: dict = {}
 
-    def ratio(t, boundary, x, u):
+    def table(t, boundary):
         site = t if isinstance(t, tuple) else (t,)
         key = (site, boundary)
-        h = cache.get(key)
-        if h is None:
+        r = cache.get(key)
+        if r is None:
             near = neighbourhoods.get(site)
             if near is None:
                 near = neighbourhoods[site] = _interaction_neighbourhood(phi, site, window)
             local = restrict(boundary, near & boundary.volume)
-            h = cache.get((site, local))
-            if h is None:
-                h = cache[(site, local)] = hamiltonian_from_potential(
-                    phi, site, local, window, alphabet)
-            cache[key] = h
-        return math.exp(h[u] - h[x])
+            r = cache.get((site, local))
+            if r is None:
+                h = hamiltonian_from_potential(phi, site, local, window, alphabet)
+                r = cache[(site, local)] = {(x, u): math.exp(h[u] - h[x])
+                                            for x in syms for u in syms}
+            cache[key] = r
+        return r
 
-    return OnePointTEF(window, alphabet, ratio, FLOAT, DEFAULT_TOL, "tef-from-potential")
+    return _tef_of_tables(table, window, alphabet, FLOAT, "tef-from-potential")
 
 
 def tef_from_1spec(q: "OnePointSpec") -> OnePointTEF:
-    def ratio(t, boundary, x, u):
-        table = q.table(t, boundary)
+    """Energy field of a one-point family: ratio(x, u) = q(x) / q(u), each
+    table built from one read of the one-point table."""
+    syms = q.alphabet.symbols
+
+    def table(t, boundary):
+        p = q.table(t, boundary)
         try:
-            return table[x] / table[u]
+            return {(x, u): p[x] / p[u] for x in syms for u in syms}
         except ZeroDivisionError:
             raise PositivityError(f"one-point kernel vanishes under {boundary}") from None
 
-    return OnePointTEF(q.window, q.alphabet, ratio, q.mode, DEFAULT_TOL, "tef-from-1spec")
+    return _tef_of_tables(table, q.window, q.alphabet, q.mode, "tef-from-1spec")
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +396,8 @@ def onepoint_spec_from_tef(d: OnePointTEF) -> OnePointSpec:
         key = (site, boundary)
         q = cache.get(key)
         if q is None:
-            q = normalized({a: d.ratio(site, boundary, a, ref) for a in d.alphabet.symbols},
-                           d.mode)
+            r = d.table(site, boundary)
+            q = normalized({a: r[(a, ref)] for a in d.alphabet.symbols}, d.mode)
             # repr round-trips floats and Fractions, so only exact equals are shared
             q = cache[key] = distinct.setdefault(tuple(map(repr, q.values())), q)
         return q
@@ -759,12 +783,8 @@ def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
     syms = d.alphabet.symbols
     violations = []
     holds = Comparison(tol)
-
-    def ratios(site, boundary):
-        return {(x, u): d.ratio(site, boundary, x, u) for x in syms for u in syms}
-
     for t, s, z in fixtures:
-        r_t, r_s, n_t, n_s = _two_site_tables(ratios, t, s, z, syms)
+        r_t, r_s, n_t, n_s = _two_site_tables(d.table, t, s, z, syms)
         for site, table, ints in ((t, r_t, n_t), (s, r_s, n_s)):
             for b in syms:
                 n, common = (ints[0][b], ints[1]) if ints else (None, 1)

@@ -368,8 +368,7 @@ def test_validate_tol_reaches_the_table_checks(tmp_path):
 # default filtration. The chain of example1 needs two sites, so it has no
 # 1-site case; "table" reads a seeded table file on a line of that many sites.
 SMOKE_MATRIX = [
-    *[(kind, 1, 4, 0) for kind in ("example2", "bernoulli", "table")],
-    ("ising", 1, 0, 0),
+    *[(kind, 1, 4, 0) for kind in ("example2", "bernoulli", "table", "ising")],
     *[(kind, n, 0, 3) for n in (2, 3) for kind in ("example1", "example2", "ising", "table")],
     *[("bernoulli", n, 0, 0) for n in (2, 3)],
     ("ising:d=2", 9, 0, 3),

@@ -59,6 +59,25 @@ def test_distribution_requires_full_enumeration():
         FiniteDistribution(vol, BIN, partial)
 
 
+def test_distribution_keys_come_back_canonical_and_unaliased():
+    vol = volume(0, 1)
+    configs = enumerate_configurations(vol, BIN)
+    probs = {c: Fraction(n + 1, 10) for n, c in enumerate(configs)}
+    # out of order, and on keys equal to but distinct from the enumeration's
+    shuffled = {Configuration(vol, c.symbols): probs[c] for c in reversed(configs)}
+    p = FiniteDistribution(vol, BIN, shuffled)
+    assert list(p.probs) == list(configs) and p.probs == probs
+    # in order: a copy, so mutating the caller's dict leaves the table alone
+    q = FiniteDistribution(vol, BIN, probs)
+    assert list(q.probs) == list(configs) and q.probs is not probs
+    probs[configs[0]] = Fraction(9)
+    assert q[configs[0]] == Fraction(1, 10)
+    # a missing key is still named
+    del shuffled[Configuration(vol, (0, 1))]
+    with pytest.raises(ValidationError, match="missing probability"):
+        FiniteDistribution(vol, BIN, shuffled)
+
+
 def test_distribution_rejects_negative():
     vol = volume(0)
     bad = {Configuration(vol, (0,)): Fraction(3, 2),

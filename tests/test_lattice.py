@@ -1,4 +1,8 @@
+import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -65,6 +69,54 @@ def test_volumes_and_configurations_are_slotted_frozen_values():
     assert Volume.of([0, 1]) == v and hash(Volume.of([0, 1])) == hash(v)
     assert {c: "kept"}[twin] == "kept"
     assert Configuration(v, (0, 1)) != c and Volume.of([0, 2]) != v
+
+
+def test_equal_values_hash_equal_and_differ_from_other_types():
+    v, twin_v = Volume.of([(0, 1), (2, 3)]), Volume(((0, 1), (2, 3)))
+    c, twin_c = Configuration(v, ("a", "b")), Configuration(twin_v, ("a", "b"))
+    assert v is not twin_v and v == twin_v and hash(v) == hash(twin_v)
+    assert c is not twin_c and c == twin_c and hash(c) == hash(twin_c)
+    assert c != Configuration(v, ("b", "a"))
+    assert c != Configuration(volume((0, 1), (2, 4)), ("a", "b"))
+    for value, tup in ((v, v.sites), (c, c.symbols), (EMPTY_CONFIGURATION, ())):
+        assert value != tup and not value == tup and value != "x" and value != object()
+    assert v != c and c != v
+
+
+def test_pickle_keeps_equality_and_hash():
+    v = Volume.of([(0, 1), (2, 3)])
+    for value in (v, Volume.empty(), EMPTY_CONFIGURATION, Configuration(v, (1, -1)),
+                  Configuration(v, ("up", "down"))):
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and hash(again) == hash(value)
+        assert {value: "kept"}[again] == "kept"
+
+
+def test_a_pickle_from_another_hash_seed_finds_its_fresh_twin():
+    """A hash stored by one interpreter must not be reused by another: a
+    configuration on string symbols, hashed and pickled under one
+    PYTHONHASHSEED, is found as a dict key next to a fresh twin built
+    under another, and the other way round."""
+    v = Volume.of([0, 1])
+    c = Configuration(v, ("up", "down"))
+    payload = pickle.dumps({v: "v", c: "c"})  # both keys hashed before pickling
+    child = (
+        "import pickle, sys\n"
+        "from gibbsfields.lattice import Configuration, Volume\n"
+        "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "v = Volume.of([0, 1])\n"
+        "c = Configuration(v, ('up', 'down'))\n"
+        "assert loaded[v] == 'v' and loaded[c] == 'c'\n"
+        "fresh = {v: 'v', c: 'c'}\n"
+        "assert all(fresh[key] == value for key, value in loaded.items())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in ("1", "12345"):
+        result = subprocess.run([sys.executable, "-c", child], input=payload,
+                                capture_output=True,
+                                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src,
+                                     "PYTHONHASHSEED": seed})
+        assert result.returncode == 0, result.stderr.decode()
 
 
 def test_concat_basic_and_empty():

@@ -359,18 +359,22 @@ def test_validate_spec_pass_and_corrupted():
 
 def test_validate_reads_one_table_per_distinct_key(monkeypatch):
     """The Gibbs path of gfl validate reconstructs each multi-site
-    (V, boundary) once and normalizes each one-point (site, boundary) once,
-    whichever validator or loop asks first."""
+    (V, boundary) once, normalizes each one-point (site, boundary) once,
+    whichever validator or loop asks first, and evaluates each one-point
+    Hamiltonian once per (site, local boundary); the validators read whole
+    energy-field tables, never a single ratio."""
     from gibbsfields import cli
 
     model = cli.build_model("ising:beta=0.4,d=1,window=5")
-    kernel_keys, table_keys, reconstructions = [], [], []
+    kernel_keys, table_keys, reconstructions, hamiltonians = [], [], [], []
     normalizations = [0]
+    tef_table_reads = [0]
     tef_ratio_calls = [0]
 
     real_reconstruct = specifications.reconstruct_from_one_point
     real_normalized = specifications.normalized
-    real_ratio = OnePointTEF.ratio
+    real_hamiltonian = specifications.hamiltonian_from_potential
+    real_table = OnePointTEF.table
     real_1spec = cli.onepoint_spec_from_tef
     real_spec = cli.spec_from_onepoint
 
@@ -382,9 +386,17 @@ def test_validate_reads_one_table_per_distinct_key(monkeypatch):
         normalizations[0] += 1
         return real_normalized(weights, mode)
 
+    def hamiltonian(phi, t, boundary, *args):
+        hamiltonians.append((t, boundary))
+        return real_hamiltonian(phi, t, boundary, *args)
+
+    def table(self, t, boundary):
+        tef_table_reads[0] += 1
+        return real_table(self, t, boundary)
+
     def ratio(self, t, boundary, x, u):
         tef_ratio_calls[0] += 1
-        return real_ratio(self, t, boundary, x, u)
+        raise AssertionError("the validate path reads whole tables")
 
     def recording_1spec(tef):
         q = real_1spec(tef)
@@ -411,6 +423,8 @@ def test_validate_reads_one_table_per_distinct_key(monkeypatch):
 
     monkeypatch.setattr(specifications, "reconstruct_from_one_point", reconstruct)
     monkeypatch.setattr(specifications, "normalized", normalized)
+    monkeypatch.setattr(specifications, "hamiltonian_from_potential", hamiltonian)
+    monkeypatch.setattr(OnePointTEF, "table", table)
     monkeypatch.setattr(OnePointTEF, "ratio", ratio)
     monkeypatch.setattr(cli, "onepoint_spec_from_tef", recording_1spec)
     monkeypatch.setattr(cli, "spec_from_onepoint", recording_spec)
@@ -425,11 +439,55 @@ def test_validate_reads_one_table_per_distinct_key(monkeypatch):
     assert set(reconstructions) == set(kernel_keys)
     assert len(table_keys) > len(set(table_keys))
     assert normalizations[0] == len(set(table_keys))
-    # validate_tef reads |X|**2 ratios per site, boundary and symbol of the
-    # other site; each normalization reads |X| more
+    # one Hamiltonian per site and local boundary: two end sites with one
+    # neighbour, three inner sites with two
+    assert len(hamiltonians) == len(set(hamiltonians)) == 2 * 2 + 3 * 2 ** 2
+    # validate_tef reads one table per site, boundary and symbol of the
+    # other site; each normalization reads one more
     fixtures, _ = pair_site_fixtures(model.window, SPIN)
-    assert tef_ratio_calls[0] == (len(fixtures) * 2 * SPIN.size ** 3
-                                  + SPIN.size * normalizations[0])
+    assert tef_table_reads[0] == len(fixtures) * 2 * SPIN.size + normalizations[0]
+    assert tef_ratio_calls[0] == 0
+
+
+def _pair_fixture_keys(window, alphabet):
+    """Every (site, boundary) key that validate_tef reads on the pair-site
+    fixtures of the window."""
+    fixtures, _ = pair_site_fixtures(window, alphabet)
+    for t, s, z in fixtures:
+        for site, other in ((t, s), (s, t)):
+            for b in alphabet.symbols:
+                yield site, concat(z, Configuration(Volume.of([other]), (b,)))
+
+
+@pytest.mark.parametrize("kind", ["potential", "1spec-float", "1spec-rational", "ratio_fn"])
+def test_tef_tables_hold_the_ratios_bit_for_bit(kind):
+    """Every entry of a table is its ratio, bit for bit, and the potential's
+    tables hold exp(H_t(u) - H_t(x)) of the Hamiltonian under the whole
+    boundary, the per-entry expression the tables replaced."""
+    phi, window = ising_potential(0.4), line_window(6)
+
+    def per_entry(t, boundary, x, u):
+        h = hamiltonian_from_potential(phi, t, boundary, window, SPIN)
+        return math.exp(h[u] - h[x])
+
+    make = {
+        "potential": lambda: tef_from_potential(phi, window, SPIN),
+        "1spec-float": lambda: tef_from_1spec(onepoint_spec_from_model(ising_demo(0.4, window=6))),
+        "1spec-rational": lambda: tef_from_1spec(
+            onepoint_spec_from_model(seeded_positive_table(window, SPIN, seed=6))),
+        "ratio_fn": lambda: OnePointTEF(window, SPIN, per_entry, FLOAT),
+    }
+    d = make[kind]()
+    pairs = [(x, u) for x in SPIN.symbols for u in SPIN.symbols]
+    for site, boundary in _pair_fixture_keys(window, SPIN):
+        table = d.table(site, boundary)
+        assert list(table) == pairs
+        for (x, u), r in table.items():
+            one = d.ratio(site, boundary, x, u)
+            assert type(r) is type(one)
+            assert r == one if isinstance(r, Fraction) else r.hex() == one.hex()
+            if kind == "potential":
+                assert r.hex() == per_entry(site, boundary, x, u).hex()
 
 
 def reference_1spec(d):
