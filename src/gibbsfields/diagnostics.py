@@ -211,9 +211,6 @@ class BoundaryFamily:
     def __iter__(self):
         return iter(self.generators)
 
-    def labels(self):
-        return [g.label for g in self.generators]
-
 
 def mixed_family(alphabet: Alphabet, seeds=(1, 2), include_oscillating: bool = False,
                  include_half: bool = False) -> BoundaryFamily:

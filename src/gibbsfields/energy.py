@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .lattice import Configuration, DomainError, Volume
@@ -91,24 +90,22 @@ def transition_energy(k: ConditionalKernel) -> TransitionEnergy:
 def check_antisymmetry(e: TransitionEnergy) -> bool:
     """ratio(x,u) * ratio(u,x) == 1 and ratio(x,x) == 1 for all pairs."""
     configs = e.configurations()
-    one = Fraction(1) if e.mode == RATIONAL else 1.0
     for x in configs:
-        if not close(e.ratio(x, x), one):
+        if not close(e.ratio(x, x), 1):
             return False
     for x, u in combinations(configs, 2):
-        if not close(e.ratio(x, u) * e.ratio(u, x), one):
+        if not close(e.ratio(x, u) * e.ratio(u, x), 1):
             return False
     return True
 
 
 def check_cocycle(e: TransitionEnergy) -> bool:
-    """ratio(x,u) == ratio(x,y) * ratio(y,u) over all triples; decided on
-    integer numerators when the ratios are exact rationals."""
+    """ratio(x,u) == ratio(x,y) * ratio(y,u) over all triples, decided on
+    the ratios' numerators over one denominator."""
     configs = e.configurations()
     ratios = {(x, u): e.ratio(x, u) for x in configs for u in configs}
-    ints = integer_numerators(list(ratios.values()))
-    n, common = (dict(zip(ratios, ints[0])), ints[1]) if ints else (None, 1)
-    failures = cocycle_failures(ratios, configs, Comparison(), n, common)
+    ints, common = integer_numerators(ratios.values(), e.mode)
+    failures = cocycle_failures(dict(zip(ratios, ints)), configs, Comparison(), common)
     return next(failures, None) is None
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .lattice import (
     EMPTY_CONFIGURATION,
@@ -51,32 +51,43 @@ def residual(lhs, rhs) -> float:
 
 class Comparison:
     """Compares the two sides of identities at one tolerance and keeps the
-    largest residual among those that do not hold exactly."""
+    largest residual among those that do not hold exactly.
+
+    Each side is a numerator over ``scale`` (``integer_numerators``): the
+    identity holds when the numerators are equal, is rejected when both are
+    rational, and is otherwise decided within tol. The residual is taken
+    on the quotients, and int / int is correctly rounded, so it is that of
+    the exact Fractions with no Fraction built.
+    """
 
     def __init__(self, tol: float = DEFAULT_TOL):
         self.tol = tol
         self.worst = 0.0
 
-    def __call__(self, lhs, rhs) -> bool:
+    def __call__(self, lhs, rhs, scale=1) -> bool:
         if lhs == rhs:
             return True
-        self.worst = max(self.worst, residual(lhs, rhs))
+        self.worst = max(self.worst, residual(lhs / scale, rhs / scale))
         return close(lhs, rhs, self.tol)
 
 
-def integer_numerators(values: Sequence):
-    """Exact rational values as ints over their least common denominator.
+def integer_numerators(values: Iterable, mode: str) -> tuple:
+    """Values as numerators over one denominator: (numerators, denominator).
 
-    Returns (numerators, denominator), or None when some value is not
-    rational (has no ``denominator``, as a float). Two products of such
-    values with the same number of factors are equal exactly when the
-    products of their numerators are, so identities are decided in integer
-    arithmetic, with no gcd; a side with one factor fewer is multiplied by
-    the denominator.
+    Exact rational values become ints over their least common denominator.
+    Two products of such values with the same number of factors are equal
+    exactly when the products of their numerators are, so identities are
+    decided in integer arithmetic, with no gcd; a side with one factor
+    fewer is multiplied by the denominator. Float values are their own
+    numerators over 1: in float mode they come back as given, unread, and
+    in rational mode a value with no ``denominator`` sends them all back.
     """
+    if mode == FLOAT:
+        return values, 1
+    values = list(values)
     denominators = [getattr(v, "denominator", None) for v in values]
     if None in denominators:
-        return None
+        return values, 1
     common = math.lcm(*denominators)
     return [v.numerator * (common // d) for v, d in zip(values, denominators)], common
 

@@ -87,10 +87,6 @@ class Volume:
     def empty() -> "Volume":
         return _EMPTY_VOLUME
 
-    @property
-    def dim(self) -> int | None:
-        return len(self.sites[0]) if self.sites else None
-
     def __len__(self) -> int:
         return len(self.sites)
 

@@ -43,7 +43,6 @@ from .fields import (
     close,
     integer_numerators,
     normalized,
-    scalar_sum,
 )
 from .conditionals import KernelCache, PositivityError, reconstruct_from_one_point
 
@@ -257,9 +256,6 @@ class OnePointTEF:
 
     def ratio(self, t, boundary: Configuration, x, u):
         return self.ratio_fn(t, boundary, x, u)
-
-    def value(self, t, boundary: Configuration, x, u) -> float:
-        return math.log(float(self.ratio(t, boundary, x, u)))
 
 
 def _tef_of_tables(table: Callable, window: Volume, alphabet: Alphabet, mode: str,
@@ -639,28 +635,22 @@ def volume_split_fixtures(window: Volume, alphabet: Alphabet, max_volume: int = 
     return _fixtures(groups, alphabet, max_volume, max_tuples, seed)
 
 
-def _numerator_tables(tables: dict):
-    """The entries of every table as ints over one common denominator:
-    ({table key: {entry key: int}}, denominator), or None unless every
-    entry is rational."""
-    exact = integer_numerators([p for table in tables.values() for p in table.values()])
-    if exact is None:
-        return None
-    ints = iter(exact[0])
-    return {b: {k: next(ints) for k in table} for b, table in tables.items()}, exact[1]
-
-
-def _two_site_tables(read: Callable, t, s, z: Configuration, syms: tuple) -> tuple:
+def _two_site_tables(read: Callable, t, s, z: Configuration, syms: tuple, mode: str) -> tuple:
     """The tables read at t under each symbol b at s, and at s under each
-    symbol a at t, on the boundary z, with their numerator tables
-    (``_numerator_tables``): (at_t, at_s, n_t, n_s). ``read(site,
-    boundary)`` gives one table; n_s is read only when n_t is exact."""
+    symbol a at t, on the boundary z, as numerators over one denominator
+    (``integer_numerators``): (n_t, n_s, d). ``read(site, boundary)`` gives
+    one table; tables over 1 come back as read."""
     t_vol, s_vol = Volume.of([t]), Volume.of([s])
     at_t = {b: read(t, concat(z, Configuration(s_vol, (b,)))) for b in syms}
     at_s = {a: read(s, concat(z, Configuration(t_vol, (a,)))) for a in syms}
-    # the tables at t and at s hold one number type: one scan finds floats
-    n_t = _numerator_tables(at_t)
-    return at_t, at_s, n_t, n_t and _numerator_tables(at_s)
+    ints, d = integer_numerators(
+        (p for tables in (at_t, at_s) for table in tables.values() for p in table.values()), mode)
+    if d == 1:
+        return at_t, at_s, 1
+    ints = iter(ints)
+    n_t, n_s = ({b: {k: next(ints) for k in table} for b, table in tables.items()}
+                for tables in (at_t, at_s))
+    return n_t, n_s, d
 
 
 def _exchange_violation(t, s, z: Configuration, symbols: tuple, lhs, rhs) -> dict:
@@ -672,39 +662,34 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float = DEFAULT_TOL
                    meta: FixtureMeta | None = None) -> ValidationReport:
     """Check normalization, positivity and the two-site exchange identity.
 
-    Each site's tables of exact rationals are put on one denominator, and
-    a normalization or exchange identity is built from Fractions only when
-    their integer numerators reject it.
+    The tables of both sites are read as numerators over one denominator
+    d, so a table sums to d and each side of an exchange identity is a
+    product of four numerators over d^4.
     """
     syms = q.alphabet.symbols
     violations = []
     holds = Comparison(tol)
     for t, s, z in fixtures:
-        q_t, q_s, n_t, n_s = _two_site_tables(q.table, t, s, z, syms)
-        for tables, ints, site in ((q_t, n_t, t), (q_s, n_s, s)):
-            for b, table in tables.items():
-                if not (ints and sum(ints[0][b].values()) == ints[1]):
-                    total = scalar_sum(table.values(), q.mode)
-                    if not close(total, 1, tol):
-                        violations.append({"kind": "normalization", "site": format_site(site),
-                                           "z": str(z), "sum": float(total)})
-                if any(p <= 0 for p in table.values()):
+        n_t, n_s, d = _two_site_tables(q.table, t, s, z, syms, q.mode)
+        for tables, site in ((n_t, t), (n_s, s)):
+            for table in tables.values():
+                total = math.fsum(table.values()) if q.mode == FLOAT else sum(table.values())
+                if total != d and not close(total, d, tol):
+                    violations.append({"kind": "normalization", "site": format_site(site),
+                                       "z": str(z), "sum": float(total / d)})
+                if any(n <= 0 for n in table.values()):
                     violations.append({"kind": "positivity", "site": format_site(site),
                                        "z": str(z)})
-        # both sides take one entry of each of q_t[y], q_s[x], q_t[v], q_s[u]
-        nt, ns = (n_t[0], n_s[0]) if n_s else (None, None)
+        scale = d ** 4
         for x in syms:
             for u in syms:
                 for y in syms:
                     for v in syms:
-                        if ns and (nt[y][x] * ns[x][v] * nt[v][u] * ns[u][y]
-                                   == nt[y][u] * ns[u][v] * nt[v][x] * ns[x][y]):
-                            continue
-                        lhs = q_t[y][x] * q_s[x][v] * q_t[v][u] * q_s[u][y]
-                        rhs = q_t[y][u] * q_s[u][v] * q_t[v][x] * q_s[x][y]
-                        if not holds(lhs, rhs):
-                            violations.append(
-                                _exchange_violation(t, s, z, (x, u, y, v), lhs, rhs))
+                        lhs = n_t[y][x] * n_s[x][v] * n_t[v][u] * n_s[u][y]
+                        rhs = n_t[y][u] * n_s[u][v] * n_t[v][x] * n_s[x][y]
+                        if not holds(lhs, rhs, scale):
+                            violations.append(_exchange_violation(
+                                t, s, z, (x, u, y, v), lhs / scale, rhs / scale))
     return ValidationReport("one-point-exchange", len(fixtures) * len(syms) ** 4,
                             violations, holds.worst, meta)
 
@@ -715,9 +700,9 @@ def validate_spec(Q: Specification, fixtures: Sequence, tol: float = DEFAULT_TOL
 
     The kernel on V is read once per fixture in enumeration order, and the
     joined configurations xy are positions from the split's cached map
-    (``lattice.split_positions``). When the kernels hold exact rationals,
-    an identity is built from Fractions only when their integer numerators
-    reject it.
+    (``lattice.split_positions``). Each kernel is read as numerators over
+    its own denominator, so each side of an identity, one entry of the
+    kernel on V times one of the kernel on I, is over d_V * d_I.
     """
     alphabet = Q.alphabet
     violations = []
@@ -726,85 +711,69 @@ def validate_spec(Q: Specification, fixtures: Sequence, tol: float = DEFAULT_TOL
     for V, I, z in fixtures:
         configs, xs, ys, rows = split_positions(V, I, alphabet)
         kernel_V = Q.kernel(V, z)
-        joint = [kernel_V[c] for c in configs]
-        n_V = integer_numerators(joint)
+        n_V, d_V = integer_numerators([kernel_V[c] for c in configs], Q.mode)
         pairs = list(combinations(range(len(xs)), 2))
         for y, row in zip(ys, rows):
             kernel = Q.kernel(I, concat(z, y))
-            kernel_I = [kernel[x] for x in xs]
-            # each side takes one entry of kernel_V and one of kernel_I
-            n_I = integer_numerators(kernel_I) if n_V else None
+            n_I, d_I = integer_numerators([kernel[x] for x in xs], Q.mode)
+            scale = d_V * d_I
             checked += len(pairs)
             for i, j in pairs:
-                if n_I and n_V[0][row[i]] * n_I[0][j] == n_V[0][row[j]] * n_I[0][i]:
-                    continue
-                lhs = joint[row[i]] * kernel_I[j]
-                rhs = joint[row[j]] * kernel_I[i]
-                if not holds(lhs, rhs):
+                lhs = n_V[row[i]] * n_I[j]
+                rhs = n_V[row[j]] * n_I[i]
+                if not holds(lhs, rhs, scale):
                     violations.append({
                         "kind": "consistency",
                         "V": str(V), "I": str(I), "z": str(z),
-                        "lhs": float(lhs), "rhs": float(rhs),
+                        "lhs": float(lhs / scale), "rhs": float(rhs / scale),
                     })
     return ValidationReport("specification-consistency", checked, violations,
                             holds.worst, meta)
 
 
-def cocycle_failures(ratios: dict, keys: Sequence, holds: Comparison,
-                     n: dict | None, common: int):
+def cocycle_failures(ratios: dict, keys: Sequence, holds: Comparison, d: int):
     """(r(x, u), r(x, y) * r(y, u)) over the triples x, y, u of keys whose
-    cocycle identity ``holds`` rejects, with r(x, u) = ratios[(x, u)].
-
-    ``n`` holds the ratios' integer numerators over a common denominator
-    ``common``, or is None when the ratios are not exact; an identity is
-    built from the ratios only when n(x, u) * common == n(x, y) * n(y, u)
-    fails.
-    """
+    cocycle identity ``holds`` rejects, with r(x, u) = ratios[(x, u)] / d:
+    ratios holds numerators over d (``integer_numerators``), and the
+    identity compares n(x, u) * d with n(x, y) * n(y, u) over d^2."""
+    scale = d * d
     for x in keys:
         for y in keys:
-            r_xy = ratios[(x, y)]
+            n_xy = ratios[(x, y)]
             for u in keys:
-                if n and n[(x, u)] * common == n[(x, y)] * n[(y, u)]:
-                    continue
-                lhs, rhs = ratios[(x, u)], r_xy * ratios[(y, u)]
-                if not holds(lhs, rhs):
-                    yield lhs, rhs
+                lhs, rhs = ratios[(x, u)] * d, n_xy * ratios[(y, u)]
+                if not holds(lhs, rhs, scale):
+                    yield float(lhs / scale), float(rhs / scale)
 
 
 def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
                  meta: FixtureMeta | None = None) -> ValidationReport:
     """Check per-site cocycle and the two-site exchange law of an energy field.
 
-    When the ratios are exact rationals, each site's ratio tables are put
-    on one denominator, and a cocycle or exchange identity is built from
-    Fractions only when their integer numerators reject it.
+    The ratio tables of both sites are read as numerators over one
+    denominator, so each side of an exchange identity, one entry of an r_t
+    table times one of an r_s table, is over its square.
     """
     tol = d.tol if tol is None else tol
     syms = d.alphabet.symbols
     violations = []
     holds = Comparison(tol)
     for t, s, z in fixtures:
-        r_t, r_s, n_t, n_s = _two_site_tables(d.table, t, s, z, syms)
-        for site, table, ints in ((t, r_t, n_t), (s, r_s, n_s)):
-            for b in syms:
-                n, common = (ints[0][b], ints[1]) if ints else (None, 1)
-                for lhs, rhs in cocycle_failures(table[b], syms, holds, n, common):
+        r_t, r_s, common = _two_site_tables(d.table, t, s, z, syms, d.mode)
+        for site, tables in ((t, r_t), (s, r_s)):
+            for table in tables.values():
+                for lhs, rhs in cocycle_failures(table, syms, holds, common):
                     violations.append({"kind": "cocycle", "t": format_site(site),
-                                       "z": str(z),
-                                       "lhs": float(lhs), "rhs": float(rhs)})
-        # both sides take one entry of an r_t table and one of an r_s table
-        nt, ns = (n_t[0], n_s[0]) if n_s else (None, None)
+                                       "z": str(z), "lhs": lhs, "rhs": rhs})
+        scale = common * common
         for x in syms:
             for u in syms:
                 for y in syms:
                     for v in syms:
-                        if ns and (nt[y][(x, u)] * ns[u][(y, v)]
-                                   == ns[x][(y, v)] * nt[v][(x, u)]):
-                            continue
                         lhs = r_t[y][(x, u)] * r_s[u][(y, v)]
                         rhs = r_s[x][(y, v)] * r_t[v][(x, u)]
-                        if not holds(lhs, rhs):
-                            violations.append(
-                                _exchange_violation(t, s, z, (x, u, y, v), lhs, rhs))
+                        if not holds(lhs, rhs, scale):
+                            violations.append(_exchange_violation(
+                                t, s, z, (x, u, y, v), lhs / scale, rhs / scale))
     return ValidationReport("energy-field-axioms", len(fixtures) * len(syms) ** 4 * 3,
                             violations, holds.worst, meta)

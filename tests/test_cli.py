@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gibbsfields
+from gibbsfields import cli
 from gibbsfields.cli import CONFIG_KEYS, main, reproduce_example1, reproduce_example2
 from gibbsfields.diagnostics import (
     BoundaryFamily,
@@ -20,7 +21,12 @@ from gibbsfields.fields import (
     seeded_positive_table,
     write_distribution_file,
 )
-from gibbsfields.lattice import binary_alphabet, box_filtration, line_window
+from gibbsfields.lattice import (
+    binary_alphabet,
+    box_filtration,
+    enumerate_configurations,
+    line_window,
+)
 from gibbsfields.models import bernoulli_product
 
 
@@ -116,6 +122,49 @@ def test_reproduce_checks(tmp_path):
     assert Fraction(by_key[(4, 2)]) == Fraction(2 + 2, 4 + 3)
 
 
+def test_reproduce_check_fails_without_a_golden_or_on_a_mismatch(tmp_path, monkeypatch,
+                                                                 capsys):
+    assert main(["reproduce", "example2", "--tau", "2", "--check",
+                 "--out", str(tmp_path)]) == 1
+    assert "only the default tau=1 report has a golden" in capsys.readouterr().out
+    golden = json.loads(cli._golden_path("example1").read_text())
+    golden["example"] = "another example"
+    changed = tmp_path / "example1.json"
+    changed.write_text(json.dumps(golden))
+    monkeypatch.setattr(cli, "_golden_path", lambda name: changed)
+    assert main(["reproduce", "example1", "--check", "--out", str(tmp_path)]) == 1
+    assert "check: MISMATCH in fields ['example']" in capsys.readouterr().out
+
+
+def test_validate_reports_a_zero_marginal_entry(tmp_path):
+    window, alphabet = line_window(3), binary_alphabet()
+    configs = enumerate_configurations(window, alphabet)
+    probs = {c: Fraction(0) if i == 0 else Fraction(1, 7) for i, c in enumerate(configs)}
+    path = tmp_path / "zero.tbl"
+    write_distribution_file(FiniteDistribution(window, alphabet, probs), path)
+    assert main(["validate", "--model", f"table:{path}", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "validate.json").read_text())
+    assert report["reports"][-1]["axiom"] == "positivity"
+    assert report["reports"][-1]["violations"] == ["zero marginal entry"]
+
+
+def test_example1_kernel_check_reports_a_closed_form_mismatch(tmp_path, monkeypatch):
+    """With the closed form halved, every interior kernel disagrees with it."""
+    kernels = cli._example1_kernels
+
+    def halved(plus, minus):
+        for t, z, k_plus, k_minus, closed in kernels(plus, minus):
+            yield t, z, k_plus, k_minus, {a: p / 2 for a, p in closed.items()}
+
+    monkeypatch.setattr(cli, "_example1_kernels", halved)
+    assert main(["validate", "--model", "example1:N=6,c=1/2,kappa=1/2",
+                 "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "validate.json").read_text())
+    coincidence = report["reports"][-1]
+    assert coincidence["axiom"] == "one-point-kernel-coincidence"
+    assert len(coincidence["violations"]) == 2 * coincidence["fixtures_checked"]
+
+
 def test_reproduce_golden_content():
     r1 = reproduce_example1()
     assert r1["unit_case_up_up"] == "9/10"
@@ -155,7 +204,8 @@ def test_reconstruct_command(tmp_path):
 
 def test_config_file_and_override(tmp_path):
     config = tmp_path / "exp.cfg"
-    config.write_text("model=bernoulli:p=1/2,window=9\nseed=7\nout=" + str(tmp_path) + "\n")
+    config.write_text("# an experiment\n\nmodel=bernoulli:p=1/2,window=9\nseed=7\nout="
+                      + str(tmp_path) + "\n")
     assert main(["diagnose", "--config", str(config)]) == 0
     report = json.loads((tmp_path / "diagnose.json").read_text())
     assert report["config"]["seed"] == "7"
@@ -290,6 +340,16 @@ def test_oscillating_family_takes_the_model_symbols(tmp_path):
     report = json.loads((tmp_path / "diagnose.json").read_text())
     assert report["family"] == "oscillating-density"
     assert report["verdict"] == "inconclusive"
+
+
+def test_diagnose_takes_the_probe_family_and_an_interval_filtration(tmp_path):
+    assert main(["diagnose", "--model", "ising:beta=0.4,window=9", "--family", "probe",
+                 "--filtration", "intervals:spans=1:1,2:2,3:3",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "diagnose.json").read_text())
+    assert [s["volume_size"] for s in report["stages"]] == [3, 5, 7]
+    assert report["family"] == "constants + per-stage patches"
+    assert report["family_size"] == 6
 
 
 def test_oscillating_family_on_binary_models_is_the_default_density_pair(tmp_path):

@@ -12,6 +12,7 @@ from gibbsfields.diagnostics import (
     NONLOCALITY_WITNESS,
     QUASILOCAL_EVIDENCE,
     UNIFORM_EVIDENCE,
+    constant_boundaries,
     constant_boundary,
     constant_density_boundary,
     density_switch_boundary,
@@ -201,6 +202,30 @@ def test_quasilocality_verdicts():
     assert rep2["verdict"] == NONLOCALITY_WITNESS
     assert all(Fraction(s["modulus"]) >= Fraction(2, 5)
                for s in rep2["stages"] if s["pairs"])
+
+
+def test_locality_verdict_is_inconclusive_without_pairs_or_between_tol_and_ten_tol():
+    """Two constant boundaries never agree on a stage, so no stage has a
+    pair and neither report can judge; and a last modulus m judged at
+    tol = m / 2 is neither within tol nor at least 10 tol."""
+    mi = ising_demo(0.4, window=9)
+    Fi = box_filtration(0, [1, 2, 3], mi.window)
+    constants = BoundaryFamily(constant_boundaries(mi.alphabet), "constants")
+    for report in (quasilocality_report, energy_criterion_report):
+        rep = report(mi, 0, Fi, constants)
+        assert [s["pairs"] for s in rep["stages"]] == [0, 0]
+        assert rep["verdict"] == INCONCLUSIVE
+
+    m2, F2 = example2_setup()
+    switch_fam = BoundaryFamily(
+        (constant_density_boundary(Fraction(1, 4)),
+         *[density_switch_boundary(Fraction(1, 4), Fraction(3, 4), i)
+           for i in range(3)]), "density-switch")
+    modulus = float(quasilocality_report(m2, 0, F2, switch_fam)["moduli"][-1])
+    assert modulus == float(Fraction(81, 163))
+    verdicts = [quasilocality_report(m2, 0, F2, switch_fam, tol)["verdict"]
+                for tol in (modulus, modulus / 2, modulus / 20)]
+    assert verdicts == [QUASILOCAL_EVIDENCE, INCONCLUSIVE, NONLOCALITY_WITNESS]
 
 
 def test_quasilocality_on_spec_object():

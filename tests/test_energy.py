@@ -104,6 +104,18 @@ def test_antisymmetry_and_cocycle_exact():
         assert check_cocycle(e)
 
 
+def test_antisymmetry_negative_control():
+    """ratio(x, x) = 2 breaks antisymmetry, and the Gibbs form refuses it."""
+    _, k = sample_kernel()
+    configs = list(k.probs)
+    ratios = {(x, u): k.probs[x] / k.probs[u] for x in configs for u in configs}
+    ratios[(configs[0], configs[0])] = Fraction(2)
+    e = TransitionEnergy.from_ratios(k.volume, k.condition, ratios)
+    assert not check_antisymmetry(e)
+    with pytest.raises(InconsistentEnergyError):
+        gibbs_form_from_energy(e, configs[0])
+
+
 def test_cocycle_negative_control():
     _, k = sample_kernel()
     configs = list(k.probs)

@@ -5,7 +5,9 @@ The reference loops below build every product as a Fraction, join every
 configuration with ``concat`` and compare through ``Comparison``, the way
 the validators did before they compared integer products. Each case
 corrupts one object, so that violations, their order and ``max_residual``
-are all exercised.
+are all exercised. A case reads the seeded table either as Fractions or
+as floats, so the one path is pinned on numerators over their common
+denominator and on float tables, their own numerators over 1.
 """
 
 from fractions import Fraction
@@ -18,11 +20,14 @@ from gibbsfields.conditionals import ConditionalKernel, KernelCache
 from gibbsfields.energy import TransitionEnergy, check_cocycle
 from gibbsfields.fields import (
     DEFAULT_TOL,
+    FLOAT,
+    RATIONAL,
     Comparison,
     close,
     integer_numerators,
     scalar_sum,
     seeded_positive_table,
+    table_field,
 )
 from gibbsfields.lattice import (
     Configuration,
@@ -168,12 +173,15 @@ def rescaled(q, site, boundary, factor):
 
 @st.composite
 def corrupted_cases(draw):
-    """The kind of corruption, a seeded rational table on 3 to 5 sites, a
-    target of its sites (one for a rescaled 1-spec table, else one or two),
-    a condition on the rest and a rescaling factor."""
+    """The kind of corruption, a seeded rational table on 3 to 5 sites or
+    its float form, a target of its sites (one for a rescaled 1-spec table,
+    else one or two), a condition on the rest and a rescaling factor."""
     kind = draw(st.sampled_from(["kernel", "table", "ratio"]))
     window = line_window(draw(st.integers(3, 5)))
     model = seeded_positive_table(window, BIN, draw(st.integers(0, 10**6)))
+    if draw(st.sampled_from([RATIONAL, FLOAT])) == FLOAT:
+        model = table_field(window, BIN, {c: float(p) for c, p in model.table.items()},
+                            FLOAT)
     target = Volume.of(draw(st.lists(st.sampled_from(window.sites), min_size=1,
                                      max_size=1 if kind == "table" else 2, unique=True)))
     rest = window - target
@@ -182,7 +190,7 @@ def corrupted_cases(draw):
 
 
 @given(corrupted_cases())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_integer_identities_report_what_fractions_report(case):
     kind, model, target, condition, factor = case
     window = model.window
@@ -209,7 +217,7 @@ def test_integer_identities_report_what_fractions_report(case):
     ratios = {(x, u): k[x] / k[u] for x in configs for u in configs}
     if kind == "ratio":
         ratios[(configs[0], configs[-1])] *= 2
-    e = TransitionEnergy.from_ratios(target, condition, ratios)
+    e = TransitionEnergy.from_ratios(target, condition, ratios, k.mode)
     assert check_cocycle(e) == reference_check_cocycle(e) == (kind != "ratio")
 
 
@@ -231,9 +239,14 @@ def test_inexact_rational_tables_fail_normalization():
 
 
 
-def test_integer_numerators_read_exact_values_and_reject_the_rest():
-    """Exact values share their least common denominator; a float anywhere
-    yields None, which sends every identity down the Fraction path."""
-    assert integer_numerators([Fraction(1, 2), Fraction(1, 3), 2]) == ([3, 2, 12], 6)
-    assert integer_numerators([Fraction(1, 2), 0.5]) is None
-    assert integer_numerators([]) == ([], 1)
+def test_integer_numerators_read_exact_values_and_floats_over_1():
+    """Exact values share their least common denominator; floats are their
+    own numerators over 1, read as they are in float mode and sent back
+    whole when a float sits among rational-mode values."""
+    assert (integer_numerators([Fraction(1, 2), Fraction(1, 3), 2], RATIONAL)
+            == ([3, 2, 12], 6))
+    assert integer_numerators([Fraction(1, 2), 0.5], RATIONAL) == ([Fraction(1, 2), 0.5], 1)
+    assert integer_numerators([], RATIONAL) == ([], 1)
+    floats = [0.25, 0.75]
+    assert integer_numerators(floats, FLOAT) == (floats, 1)
+    assert integer_numerators(floats, FLOAT)[0] is floats

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from gibbsfields.fields import (
     FLOAT,
     FiniteDistribution,
+    ProductField,
+    RandomFieldModel,
     ValidationError,
     check_marginal_consistency,
     marginalize,
@@ -293,6 +295,39 @@ def test_distribution_file_roundtrip_bit_exact(tmp_path):
     second = tmp_path / "second.tbl"
     write_distribution_file(again, second)
     assert path.read_text() == second.read_text()
+
+
+def test_a_table_file_with_named_symbols_reads_them_as_names(tmp_path):
+    path = tmp_path / "named.tbl"
+    path.write_text("volume\t(0);(1)\nalphabet\tdown;up\nmode\trational\n"
+                    "down,down\t1/8\ndown,up\t3/8\nup,down\t1/4\nup,up\t1/4\n")
+    p = read_distribution_file(path)
+    assert p.alphabet.symbols == ("down", "up")
+    assert p[Configuration(volume(0, 1), ("down", "up"))] == Fraction(3, 8)
+
+
+def test_product_field_law_entries_take_the_mode():
+    """Rational mode keeps ints, strings and Fractions exact and refuses a
+    float; float mode reads every entry as a float."""
+    exact = ProductField(line_window(2), BIN, {0: "1/4", 1: Fraction(3, 4)})
+    assert exact.law == {0: Fraction(1, 4), 1: Fraction(3, 4)}
+    assert ProductField(line_window(2), BIN, {0: 1, 1: 0}).law == {0: Fraction(1), 1: Fraction(0)}
+    with pytest.raises(ValidationError, match="not exactly representable"):
+        ProductField(line_window(2), BIN, {0: 0.25, 1: Fraction(3, 4)})
+    floats = ProductField(line_window(2), BIN, {0: "0.25", 1: Fraction(3, 4)}, FLOAT)
+    assert floats.law == {0: 0.25, 1: 0.75}
+    assert all(type(v) is float for v in floats.law.values())
+
+
+def test_a_model_is_described_by_its_class_unless_it_says_more():
+    class Uniform(RandomFieldModel):
+        window, alphabet = line_window(2), BIN
+
+        def prob(self, c):
+            return Fraction(1, 2 ** len(c))
+
+    assert Uniform().describe() == "Uniform"
+    assert Uniform().marginal(volume(0))[Configuration(volume(0), (1,))] == Fraction(1, 2)
 
 
 def test_float_mode_tolerance():

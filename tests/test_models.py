@@ -154,6 +154,17 @@ def test_example2_conditional_formula_exact():
                 assert k.value(1) == Fraction(ones + tau, lam_size + tau + 1)
 
 
+def test_example2_float_conditional_formula():
+    """A non-integer tau puts the mixture in float mode, where the closed
+    form is a float quotient."""
+    model = example2_model(1.5, 13)
+    assert model.mode == "float"
+    z = Configuration(volume(1, 2, 3, 4), (1, 0, 1, 1))
+    k = finite_conditional(model, volume(0), z)
+    assert model.conditional_one(4, 3) == (3 + 1.5) / (4 + 1.5 + 1)
+    assert math.isclose(k.value(1), model.conditional_one(4, 3), rel_tol=1e-12)
+
+
 def test_example2_conditional_depends_only_on_count():
     model = example2_model(2, 13)
     lam = volume(1, 2, 3, 4)

@@ -8,7 +8,7 @@ import pytest
 from gibbsfields import specifications
 from gibbsfields.conditionals import finite_conditional
 from gibbsfields.energy import TransitionEnergy, check_cocycle
-from gibbsfields.fields import FLOAT, seeded_positive_table
+from gibbsfields.fields import FLOAT, RATIONAL, seeded_positive_table
 from gibbsfields.lattice import (
     Alphabet,
     Configuration,
@@ -27,7 +27,9 @@ from gibbsfields.lattice import (
 )
 from gibbsfields.models import bernoulli_product, example2_model, ising_demo
 from gibbsfields.specifications import (
+    GibbsVolumeField,
     MeasureSystem,
+    OnePointSpec,
     OnePointTEF,
     finite_volume_gibbs,
     format_potential,
@@ -96,6 +98,8 @@ def test_potential_parse_example_line():
     pair = Volume.of([(0,), (1,)])
     assert phi.value(pair, Configuration(pair, (1, 1))) == -0.5
     assert phi.value(pair, Configuration(pair, (-1, -1))) == 0.0
+    commented = "# nearest-neighbour pair\n\n(0),(1) | +1,+1 | -0.5\n"
+    assert parse_potential(commented, SPIN) == phi
 
 
 def test_one_point_hamiltonian_and_tef_hand_expansion():
@@ -252,11 +256,27 @@ def test_1spec_ising_and_perturbed():
             table[-1] = 1 - table[1]
         return table
 
-    from gibbsfields.specifications import OnePointSpec
-
     bad = OnePointSpec(window, SPIN, perturbed, FLOAT)
     report = validate_1spec(bad, at_origin, tol=1e-12)
     assert not report.ok
+
+
+@pytest.mark.parametrize("mode, table", [
+    (RATIONAL, {0: 1, 1: 0}),
+    (RATIONAL, {0: Fraction(1), 1: Fraction(0)}),
+    (FLOAT, {0: 1.0, 1: 0.0}),
+])
+def test_1spec_with_a_vanishing_entry_fails_positivity_only(mode, table):
+    """Each of the 6 fixtures of 3 sites reads 2 tables at t and 2 at s,
+    each with a zero entry; the tables sum to 1 and, being one table, keep
+    every exchange identity."""
+    window = line_window(3)
+    q = OnePointSpec(window, BIN, lambda t, boundary: table, mode)
+    fixtures, meta = pair_site_fixtures(window, BIN)
+    report = validate_1spec(q, fixtures, meta=meta)
+    assert len(fixtures) == 6
+    assert [v["kind"] for v in report.violations] == ["positivity"] * 24
+    assert report.max_residual == 0.0
 
 
 def test_onepoint_spec_from_tef_matches_cosh_form():
@@ -762,6 +782,20 @@ def test_measure_system_product_stabilizes_immediately():
     assert report.stabilized
     assert all(r[(1, 0)] == Fraction(1, 3) for r in report.stage_ratios)
     assert report.evaluator()((0,), boundary, 1, 0) == Fraction(1, 3)
+
+
+def test_measure_system_table_holds_every_value_on_a_volume():
+    m = bernoulli_product(Fraction(1, 4), line_window(3))
+    mu = measure_system_from_model(m)
+    table = mu.table(volume(0, 1))
+    assert list(table) == list(enumerate_configurations(volume(0, 1), m.alphabet))
+    assert all(table[c] == m.prob(c) for c in table)
+    assert sum(table.values()) == 1
+
+
+def test_a_gibbs_volume_field_is_described_by_its_size():
+    field = GibbsVolumeField(ising_potential(0.4), line_window(3), SPIN)
+    assert field.describe() == "gibbs[3 sites]"
 
 
 def test_measure_system_ising_markov_cancellation():
