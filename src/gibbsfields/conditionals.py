@@ -10,6 +10,7 @@ and the Markov radius of a site.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -19,7 +20,9 @@ from .lattice import (
     DomainError,
     Filtration,
     GeometryError,
+    MAP_CACHE_SIZE,
     Volume,
+    _concat_map,
     box_volume,
     concat,
     enumerate_configurations,
@@ -199,19 +202,19 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
     if reference.volume != V:
         raise DomainError("reference must live on the target volume")
     rank = [V.sites.index(t) for t in order]  # position in V of each factor's site
-    rests = [V - Volume((t,)) for t in order]
+    plans = _factor_plans(V, order, z.volume)
     ref = reference.symbols
-    tables: dict = {}  # prefix of x along order -> (one-point table, interleaved)
+    tables: dict = {}  # prefix of x along order -> (one-point table, mixed on V)
     products: dict = {(): Fraction(1) if mode == RATIONAL else 1.0}
 
     def factor_table(prefix: tuple):
-        j = len(prefix)
         mixed = list(ref)
         for i, symbol in zip(rank, prefix):
             mixed[i] = symbol
-        del mixed[rank[j]]
-        interleaved = Configuration(rests[j], tuple(mixed))
-        return one_point(order[j], concat(z, interleaved)), interleaved
+        union, take = plans[len(prefix)]
+        symbols = z.symbols + tuple(mixed)
+        boundary = Configuration(union, tuple(symbols[i] for i in take))
+        return one_point(order[len(prefix)], boundary), mixed
 
     def weight(x: Configuration):
         key = tuple(x.symbols[i] for i in rank)
@@ -224,9 +227,10 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
                 entry = tables.get(prefix)
                 if entry is None:
                     entry = tables[prefix] = factor_table(prefix)
-                table, interleaved = entry
+                table, mixed = entry
                 num, den = table[key[j]], table[ref[rank[j]]]
                 if num <= 0 or den <= 0:
+                    interleaved = restrict(Configuration(V, tuple(mixed)), V - Volume((order[j],)))
                     raise PositivityError(
                         f"one-point kernel vanishes at factor {j} under {interleaved}")
                 nxt = products[head] = w * (num / den)
@@ -235,6 +239,19 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
 
     weights = {x: weight(x) for x in enumerate_configurations(V, alphabet)}
     return ConditionalKernel(V, z, normalized(weights, mode), mode)
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def _factor_plans(V: Volume, order: tuple, condition: Volume) -> tuple:
+    """Per factor of reconstruct_from_one_point, at site t: (union, take),
+    its boundary living on union, the condition's volume joined with V
+    minus t, and holding ``(z.symbols + mixed)[i] for i in take``."""
+    plans = []
+    for t in order:
+        union, take = _concat_map(condition, V - Volume((t,)))
+        j = len(condition) + V.index(t)  # t's position in condition.sites + V.sites
+        plans.append((union, tuple(i + (i >= j) for i in take)))
+    return tuple(plans)
 
 
 def markov_radius(m: RandomFieldModel, t, max_r: int,

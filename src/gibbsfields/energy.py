@@ -90,13 +90,8 @@ def transition_energy(k: ConditionalKernel) -> TransitionEnergy:
 def check_antisymmetry(e: TransitionEnergy) -> bool:
     """ratio(x,u) * ratio(u,x) == 1 and ratio(x,x) == 1 for all pairs."""
     configs = e.configurations()
-    for x in configs:
-        if not close(e.ratio(x, x), 1):
-            return False
-    for x, u in combinations(configs, 2):
-        if not close(e.ratio(x, u) * e.ratio(u, x), 1):
-            return False
-    return True
+    return (all(close(e.ratio(x, x), 1) for x in configs)
+            and all(close(e.ratio(x, u) * e.ratio(u, x), 1) for x, u in combinations(configs, 2)))
 
 
 def check_cocycle(e: TransitionEnergy) -> bool:

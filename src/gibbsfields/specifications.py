@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .lattice import (
@@ -25,6 +25,8 @@ from .lattice import (
     Filtration,
     GeometryError,
     Volume,
+    _concat_map,
+    as_site,
     concat,
     enumerate_configurations,
     format_site,
@@ -92,17 +94,9 @@ class Potential:
 
     def reach(self) -> int:
         """Largest L-infinity distance between two sites of one template."""
-        best = 0
-        for template in self.templates():
-            for a in template:
-                for b in template:
-                    d = max(abs(x - y) for x, y in zip(a, b))
-                    best = max(best, d)
-        return best
-
-
-def _shift(site, delta):
-    return tuple(a + b for a, b in zip(site, delta))
+        return max((max(abs(x - y) for x, y in zip(a, b))
+                    for template in self.templates() for a in template for b in template),
+                   default=0)
 
 
 def _anchored(A: Volume) -> Volume:
@@ -118,9 +112,8 @@ def ising_potential(beta: float, h: float = 0.0, d: int = 1) -> Potential:
     for axis in range(d):
         step = tuple(1 if i == axis else 0 for i in range(d))
         pair = Volume.of([origin, step])
-        for a in (-1, 1):
-            for b in (-1, 1):
-                terms[(pair, Configuration(pair, (a, b)))] = -beta * a * b
+        for a, b in product((-1, 1), repeat=2):
+            terms[(pair, Configuration(pair, (a, b)))] = -beta * a * b
     if h != 0.0:
         single = Volume.of([origin])
         for a in (-1, 1):
@@ -171,7 +164,8 @@ def _translates(phi: Potential, V: Volume, container: Volume) -> list:
                 if s in seen:
                     continue
                 seen.add(s)
-                translate = Volume(tuple(sorted(_shift(site, s) for site in template)))
+                translate = Volume(tuple(sorted(tuple(a + b for a, b in zip(site, s))
+                                                for site in template)))
                 if translate.issubset(container):
                     out.append(translate)
     return out
@@ -224,8 +218,7 @@ def hamiltonian_from_potential(phi: Potential, t, boundary: Configuration,
     The boundary must cover every interacting site inside the window.
     Returns a symbol -> float table.
     """
-    site = t if isinstance(t, tuple) else (t,)
-    t_vol = Volume.of([site])
+    t_vol = Volume.of([t])
     plan, collar = _energy_plan(phi, _translates(phi, t_vol, window), t_vol, boundary)
     return {a: _energy(plan, (a,) + collar) for a in alphabet.symbols}
 
@@ -354,8 +347,7 @@ def onepoint_spec_from_model(m: RandomFieldModel,
     kernels = kernels or KernelCache(m)
 
     def table(t, boundary):
-        site = t if isinstance(t, tuple) else (t,)
-        k = kernels(Volume.of([site]), boundary)
+        k = kernels(Volume.of([t]), boundary)
         return {c.symbols[0]: p for c, p in k.items()}
 
     return OnePointSpec(m.window, m.alphabet, table, m.mode, f"1spec({m.describe()})")
@@ -510,11 +502,7 @@ class StagedTEFReport:
         if not self.stabilized:
             raise InconsistentTEFError("stage ratios did not stabilize")
         final = self.final_ratios
-
-        def ratio(t, boundary, x, u):
-            return final[(x, u)]
-
-        return ratio
+        return lambda t, boundary, x, u: final[(x, u)]
 
 
 def tef_from_measure_system(mu: MeasureSystem, t, F: Filtration, boundary,
@@ -536,11 +524,8 @@ def tef_from_measure_system(mu: MeasureSystem, t, F: Filtration, boundary,
     pairs = [(x, u) for x in syms for u in syms if x != u]
     stage_ratios = []
     for z in stage_configs:
-        ratios = {}
-        cache = {a: mu.value(concat(Configuration(t_vol, (a,)), z)) for a in syms}
-        for x, u in pairs:
-            ratios[(x, u)] = cache[x] / cache[u]
-        stage_ratios.append(ratios)
+        value = {a: mu.value(concat(Configuration(t_vol, (a,)), z)) for a in syms}
+        stage_ratios.append({(x, u): value[x] / value[u] for x, u in pairs})
     stabilized = len(stage_ratios) >= 2 and all(
         close(stage_ratios[-1][p], stage_ratios[-2][p], tol) for p in pairs)
     return StagedTEFReport(site, F, stage_ratios, stabilized, stage_ratios[-1],
@@ -635,26 +620,66 @@ def volume_split_fixtures(window: Volume, alphabet: Alphabet, max_volume: int = 
     return _fixtures(groups, alphabet, max_volume, max_tuples, seed)
 
 
-def _two_site_tables(read: Callable, t, s, z: Configuration, syms: tuple, mode: str) -> tuple:
-    """The tables read at t under each symbol b at s, and at s under each
-    symbol a at t, on the boundary z, as numerators over one denominator
-    (``integer_numerators``): (n_t, n_s, d). ``read(site, boundary)`` gives
-    one table; tables over 1 come back as read."""
-    t_vol, s_vol = Volume.of([t]), Volume.of([s])
-    at_t = {b: read(t, concat(z, Configuration(s_vol, (b,)))) for b in syms}
-    at_s = {a: read(s, concat(z, Configuration(t_vol, (a,)))) for a in syms}
-    ints, d = integer_numerators(
-        (p for tables in (at_t, at_s) for table in tables.values() for p in table.values()), mode)
-    if d == 1:
-        return at_t, at_s, 1
-    ints = iter(ints)
-    n_t, n_s = ({b: {k: next(ints) for k in table} for b, table in tables.items()}
-                for tables in (at_t, at_s))
-    return n_t, n_s, d
+def _two_site_report(axiom: str, read: Callable, fixtures: Sequence, syms: tuple, mode: str,
+                     tol: float, identities: int, meta, verdict: Callable) -> ValidationReport:
+    """Report of a two-site validator on the tables at t under each symbol
+    at s and at s under each symbol at t, on each fixture's boundary z.
+
+    Each exact (site, boundary) is read once per call, its boundary being
+    z's symbols with one inserted at a position kept per (z.volume, site).
+    Each distinct repr of a table's items gets a code. ``verdict(n_t, n_s,
+    d, holds)`` runs once per tuple of codes, on the tables as numerators
+    over one denominator (``integer_numerators``) keyed by the other
+    site's symbol, and yields failing records with 0, 1 and 2 for t, s and
+    z. Each fixture replays them with its own t, s and z, and folds their
+    worst residual into max_residual.
+    """
+    seen: dict = {}  # (site, boundary volume, symbols) -> (table, code)
+    codes: dict = {}  # repr of a table's items -> its code
+    slots: dict = {}  # (z.volume, site) -> (z.volume with the site, its position)
+    memo: dict = {}  # code tuple -> (records, worst residual)
+
+    def side(t, s, z):
+        slot = slots.get((z.volume, s))
+        if slot is None:
+            union, take = _concat_map(z.volume, Volume((as_site(s),)))
+            slot = slots[(z.volume, s)] = (union, take.index(len(z)))
+        union, i = slot
+        head, tail = z.symbols[:i], z.symbols[i:]
+        for b in syms:
+            symbols = head + (b,) + tail
+            entry = seen.get((t, union, symbols))
+            if entry is None:
+                table = read(t, Configuration(union, symbols))
+                code = codes.setdefault(repr(tuple(table.items())), len(codes))
+                entry = seen[(t, union, symbols)] = (table, code)
+            yield entry
+
+    violations = []
+    worst = 0.0
+    for t, s, z in fixtures:
+        tables, key = zip(*side(t, s, z), *side(s, t, z))
+        decided = memo.get(key)
+        if decided is None:
+            ints, d = integer_numerators((p for table in tables for p in table.values()), mode)
+            if d != 1:
+                ints = iter(ints)
+                tables = [{k: next(ints) for k in table} for table in tables]
+            holds, n = Comparison(tol), len(syms)
+            records = list(verdict(dict(zip(syms, tables[:n])), dict(zip(syms, tables[n:])),
+                                   d, holds))
+            decided = memo[key] = (records, holds.worst)
+        records, residual = decided
+        worst = max(worst, residual)
+        if records:
+            names = (format_site(t), format_site(s), str(z))
+            violations += [{k: names[v] if k in ("t", "s", "site", "z") else v
+                            for k, v in r.items()} for r in records]
+    return ValidationReport(axiom, len(fixtures) * identities, violations, worst, meta)
 
 
-def _exchange_violation(t, s, z: Configuration, symbols: tuple, lhs, rhs) -> dict:
-    return {"kind": "exchange", "t": format_site(t), "s": format_site(s), "z": str(z),
+def _exchange_violation(symbols: tuple, lhs, rhs) -> dict:
+    return {"kind": "exchange", "t": 0, "s": 1, "z": 2,
             "symbols": [str(a) for a in symbols], "lhs": float(lhs), "rhs": float(rhs)}
 
 
@@ -664,34 +689,30 @@ def validate_1spec(q: OnePointSpec, fixtures: Sequence, tol: float = DEFAULT_TOL
 
     The tables of both sites are read as numerators over one denominator
     d, so a table sums to d and each side of an exchange identity is a
-    product of four numerators over d^4.
+    product of four numerators over d^4. The 1-spec is taken as a
+    function of (site, boundary): a call reads each (site, boundary) once
+    and decides each entry-for-entry identical tuple of tables once.
     """
     syms = q.alphabet.symbols
-    violations = []
-    holds = Comparison(tol)
-    for t, s, z in fixtures:
-        n_t, n_s, d = _two_site_tables(q.table, t, s, z, syms, q.mode)
-        for tables, site in ((n_t, t), (n_s, s)):
+
+    def verdict(n_t, n_s, d, holds):
+        for tables, site in ((n_t, 0), (n_s, 1)):
             for table in tables.values():
                 total = math.fsum(table.values()) if q.mode == FLOAT else sum(table.values())
                 if total != d and not close(total, d, tol):
-                    violations.append({"kind": "normalization", "site": format_site(site),
-                                       "z": str(z), "sum": float(total / d)})
+                    yield {"kind": "normalization", "site": site, "z": 2,
+                           "sum": float(total / d)}
                 if any(n <= 0 for n in table.values()):
-                    violations.append({"kind": "positivity", "site": format_site(site),
-                                       "z": str(z)})
+                    yield {"kind": "positivity", "site": site, "z": 2}
         scale = d ** 4
-        for x in syms:
-            for u in syms:
-                for y in syms:
-                    for v in syms:
-                        lhs = n_t[y][x] * n_s[x][v] * n_t[v][u] * n_s[u][y]
-                        rhs = n_t[y][u] * n_s[u][v] * n_t[v][x] * n_s[x][y]
-                        if not holds(lhs, rhs, scale):
-                            violations.append(_exchange_violation(
-                                t, s, z, (x, u, y, v), lhs / scale, rhs / scale))
-    return ValidationReport("one-point-exchange", len(fixtures) * len(syms) ** 4,
-                            violations, holds.worst, meta)
+        for x, u, y, v in product(syms, repeat=4):
+            lhs = n_t[y][x] * n_s[x][v] * n_t[v][u] * n_s[u][y]
+            rhs = n_t[y][u] * n_s[u][v] * n_t[v][x] * n_s[x][y]
+            if not holds(lhs, rhs, scale):
+                yield _exchange_violation((x, u, y, v), lhs / scale, rhs / scale)
+
+    return _two_site_report("one-point-exchange", q.table, fixtures, syms, q.mode, tol,
+                            len(syms) ** 4, meta, verdict)
 
 
 def validate_spec(Q: Specification, fixtures: Sequence, tol: float = DEFAULT_TOL,
@@ -752,28 +773,25 @@ def validate_tef(d: OnePointTEF, fixtures: Sequence, tol: float | None = None,
 
     The ratio tables of both sites are read as numerators over one
     denominator, so each side of an exchange identity, one entry of an r_t
-    table times one of an r_s table, is over its square.
+    table times one of an r_s table, is over its square. The field is
+    taken as a function of (site, boundary): a call reads each (site,
+    boundary) once and decides each entry-for-entry identical tuple of
+    tables once.
     """
     tol = d.tol if tol is None else tol
     syms = d.alphabet.symbols
-    violations = []
-    holds = Comparison(tol)
-    for t, s, z in fixtures:
-        r_t, r_s, common = _two_site_tables(d.table, t, s, z, syms, d.mode)
-        for site, tables in ((t, r_t), (s, r_s)):
+
+    def verdict(r_t, r_s, common, holds):
+        for site, tables in ((0, r_t), (1, r_s)):
             for table in tables.values():
                 for lhs, rhs in cocycle_failures(table, syms, holds, common):
-                    violations.append({"kind": "cocycle", "t": format_site(site),
-                                       "z": str(z), "lhs": lhs, "rhs": rhs})
+                    yield {"kind": "cocycle", "t": site, "z": 2, "lhs": lhs, "rhs": rhs}
         scale = common * common
-        for x in syms:
-            for u in syms:
-                for y in syms:
-                    for v in syms:
-                        lhs = r_t[y][(x, u)] * r_s[u][(y, v)]
-                        rhs = r_s[x][(y, v)] * r_t[v][(x, u)]
-                        if not holds(lhs, rhs, scale):
-                            violations.append(_exchange_violation(
-                                t, s, z, (x, u, y, v), lhs / scale, rhs / scale))
-    return ValidationReport("energy-field-axioms", len(fixtures) * len(syms) ** 4 * 3,
-                            violations, holds.worst, meta)
+        for x, u, y, v in product(syms, repeat=4):
+            lhs = r_t[y][(x, u)] * r_s[u][(y, v)]
+            rhs = r_s[x][(y, v)] * r_t[v][(x, u)]
+            if not holds(lhs, rhs, scale):
+                yield _exchange_violation((x, u, y, v), lhs / scale, rhs / scale)
+
+    return _two_site_report("energy-field-axioms", d.table, fixtures, syms, d.mode, tol,
+                            len(syms) ** 4 * 3, meta, verdict)

@@ -115,7 +115,7 @@ def test_a_pickle_from_another_hash_seed_finds_its_fresh_twin():
         result = subprocess.run([sys.executable, "-c", child], input=payload,
                                 capture_output=True,
                                 env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src,
-                                     "PYTHONHASHSEED": seed})
+                                     "PYTHONHASHSEED": seed, "PYTHONDONTWRITEBYTECODE": "1"})
         assert result.returncode == 0, result.stderr.decode()
 
 

@@ -388,7 +388,7 @@ def test_validate_reads_one_table_per_distinct_key(monkeypatch):
     model = cli.build_model("ising:beta=0.4,d=1,window=5")
     kernel_keys, table_keys, reconstructions, hamiltonians = [], [], [], []
     normalizations = [0]
-    tef_table_reads = [0]
+    tef_table_reads = []
     tef_ratio_calls = [0]
 
     real_reconstruct = specifications.reconstruct_from_one_point
@@ -411,7 +411,7 @@ def test_validate_reads_one_table_per_distinct_key(monkeypatch):
         return real_hamiltonian(phi, t, boundary, *args)
 
     def table(self, t, boundary):
-        tef_table_reads[0] += 1
+        tef_table_reads.append((t, boundary))
         return real_table(self, t, boundary)
 
     def ratio(self, t, boundary, x, u):
@@ -462,10 +462,12 @@ def test_validate_reads_one_table_per_distinct_key(monkeypatch):
     # one Hamiltonian per site and local boundary: two end sites with one
     # neighbour, three inner sites with two
     assert len(hamiltonians) == len(set(hamiltonians)) == 2 * 2 + 3 * 2 ** 2
-    # validate_tef reads one table per site, boundary and symbol of the
-    # other site; each normalization reads one more
-    fixtures, _ = pair_site_fixtures(model.window, SPIN)
-    assert tef_table_reads[0] == len(fixtures) * 2 * SPIN.size + normalizations[0]
+    # validate_tef reads each (site, boundary) once, 5 sites under 2^4
+    # boundaries each, not once per fixture that needs it; each
+    # normalization reads one more
+    distinct = set(tef_table_reads)
+    assert len(distinct) == 5 * 2 ** 4
+    assert len(tef_table_reads) == len(distinct) + normalizations[0] == 160
     assert tef_ratio_calls[0] == 0
 
 
@@ -535,9 +537,9 @@ def reference_spec(q):
     return specifications.Specification(q.window, q.alphabet, kernel, q.mode)
 
 
-def test_cached_specs_still_catch_a_far_dependence():
-    """The caches key on the whole boundary: a one-point kernel at (0) that
-    reads the far site (3) is reported exactly as by the uncached reference."""
+def far_dependence_tef() -> OnePointTEF:
+    """The Ising field at beta 0.4 on 6 sites with its ratios at (0)
+    rescaled by 1.5 ** ((u - x) * z(3)): a kernel that reads a far site."""
     window = line_window(6)
     tef = tef_from_potential(ising_potential(0.4), window, SPIN)
 
@@ -547,7 +549,14 @@ def test_cached_specs_still_catch_a_far_dependence():
             value *= 1.5 ** ((u - x) * boundary[(3,)])
         return value
 
-    far = OnePointTEF(window, SPIN, far_ratio, FLOAT)
+    return OnePointTEF(window, SPIN, far_ratio, FLOAT)
+
+
+def test_cached_specs_still_catch_a_far_dependence():
+    """The caches key on the whole boundary: a one-point kernel at (0) that
+    reads the far site (3) is reported exactly as by the uncached reference."""
+    far = far_dependence_tef()
+    window = far.window
     q, q_ref = onepoint_spec_from_tef(far), reference_1spec(far)
     Q, Q_ref = spec_from_onepoint(q), reference_spec(q_ref)
 
@@ -565,6 +574,92 @@ def test_cached_specs_still_catch_a_far_dependence():
     # a second pass reads the caches and reports the same
     assert validate_spec(Q, vol_fixtures, 1e-12, vol_meta).to_json_dict() == \
         cached.to_json_dict()
+
+
+def keys_reversed_where(table_fn, flip):
+    """table_fn with each table's keys reversed, its values left in place,
+    wherever flip(site, boundary): the same values, in the same order, then
+    mean something else."""
+
+    def table(t, boundary):
+        out = table_fn(t, boundary)
+        return dict(zip(reversed(list(out)), out.values())) if flip(t, boundary) else out
+
+    return table
+
+
+def dyadic_tables(window: Volume):
+    """A rational 1-spec and energy field on binary symbols whose tables at
+    (0) are off by 2^-40 when (1) holds 1: an exact check rejects them,
+    and one within 1e-9 accepts them. Where the boundary's first symbol is
+    1 the same values come as floats, equal to the Fractions elsewhere."""
+    e = Fraction(1, 2 ** 40)
+
+    def typed(t, boundary, exact):
+        out = dict(exact)
+        if t == (0,) and boundary[(1,)] == 1:
+            out[next(iter(out))] += e
+            out[list(out)[-1]] -= e
+        return {k: float(v) for k, v in out.items()} if boundary.symbols[0] == 1 else out
+
+    def one_point(t, boundary):
+        return typed(t, boundary, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+
+    def ratios(t, boundary):
+        return typed(t, boundary, {(x, u): Fraction(1) for x in (0, 1) for u in (0, 1)})
+
+    tef = OnePointTEF(window, BIN, lambda t, b, x, u: ratios(t, b)[(x, u)], RATIONAL, 1e-9,
+                      "dyadic", ratios)
+    return tef, OnePointSpec(window, BIN, one_point, RATIONAL, "dyadic")
+
+
+def memo_case(name: str) -> tuple:
+    """(energy field, 1-spec, tol) of one differential memo case."""
+    from test_negative_controls import TOL, corrupted_tef, ising_tef
+
+    if name == "clean":
+        tef = ising_tef(0.4)
+    elif name == "corrupted":
+        tef = corrupted_tef(ising_tef(0.4))
+    elif name == "far":
+        tef = far_dependence_tef()
+    elif name == "exact":
+        q = onepoint_spec_from_model(seeded_positive_table(line_window(4), BIN, 17))
+        return tef_from_1spec(q), q, TOL
+    elif name == "reversed-keys":
+        clean = ising_tef(0.4)
+        q = onepoint_spec_from_tef(clean)
+
+        def flip(t, boundary):
+            return t == (0,) and boundary[(1,)] == 1
+
+        tef = OnePointTEF(clean.window, SPIN, clean.ratio_fn, FLOAT, TOL, "reversed",
+                          keys_reversed_where(clean.table, flip))
+        return tef, OnePointSpec(q.window, SPIN, keys_reversed_where(q.table, flip),
+                                 FLOAT), TOL
+    else:
+        return (*dyadic_tables(line_window(4)), 1e-9)
+    return tef, onepoint_spec_from_tef(tef), TOL
+
+
+@pytest.mark.parametrize("name", ["clean", "corrupted", "exact", "far", "reversed-keys",
+                                  "typed-entries"])
+def test_a_memoized_report_is_the_merge_of_one_fixture_reports(name):
+    """A validator call decides each tuple of tables once and replays the
+    verdict: its report must be that of each fixture checked alone, merged.
+    The last two cases break keys built from values alone (the same values
+    under reversed keys) or blind to type (0.5 against Fraction(1, 2))."""
+    tef, q, tol = memo_case(name)
+    fixtures, meta = pair_site_fixtures(q.window, q.alphabet)
+    for validate, field in ((validate_tef, tef), (validate_1spec, q)):
+        report = validate(field, fixtures, tol, meta)
+        alone = [validate(field, [fixture], tol) for fixture in fixtures]
+        assert report.violations == [v for r in alone for v in r.violations]
+        assert report.max_residual == max(r.max_residual for r in alone)
+        assert report.fixtures_checked == sum(r.fixtures_checked for r in alone)
+        assert report.ok == (name in ("clean", "exact"))
+        if name == "corrupted":
+            assert len(report.violations) == 340
 
 
 def test_cached_specs_raise_again_and_share_int_sites():
