@@ -514,7 +514,7 @@ def cmd_energy(args) -> int:
     (out / "energy.txt").write_text(energy_table_text(e, model.alphabet))
     h_lines = ["volume\t" + str(target), "gauge\t" + str(gauge)]
     for x, w in h.weights.items():
-        name = ",".join(model.alphabet.name_of(s) for s in x.symbols)
+        name = model.alphabet.label_of(x.symbols)
         value = h.energy(x)
         rendered = "+inf" if value == float("inf") else (
             format_scalar(w, h.mode) if h.mode == RATIONAL else format(value, ".17g"))

@@ -29,11 +29,9 @@ from .lattice import (
     restrict,
 )
 from .fields import (
-    DEFAULT_TOL,
     RATIONAL,
     ConditionalKernel,
     RandomFieldModel,
-    format_scalar,
     normalized,
 )
 
@@ -85,8 +83,8 @@ class LimitEstimate:
     Stage n conditions on the boundary restricted to the n-th filtration
     volume minus the target. ``sup_gaps[n]`` is the table sup-distance to
     the previous stage, stage 0 being measured against the unconditional
-    marginal. ``converged`` reports only the last-two-stage gap; no
-    extrapolation is attempted.
+    marginal; the final gap is ``sup_gaps[-1]``. No extrapolation is
+    attempted.
     """
 
     target: Volume
@@ -94,12 +92,10 @@ class LimitEstimate:
     filtration: Filtration
     values: list  # ConditionalKernel per stage
     sup_gaps: list
-    converged: bool
-    final_gap: object
 
 
 def limit_along_filtration(m: RandomFieldModel, t: Volume, boundary: Configuration,
-                           F: Filtration, gap_tol: float = DEFAULT_TOL) -> LimitEstimate:
+                           F: Filtration) -> LimitEstimate:
     """Evaluate g_t under increasing restrictions of one boundary condition."""
     values, gaps = [], []
     previous = m.marginal(t)
@@ -114,22 +110,7 @@ def limit_along_filtration(m: RandomFieldModel, t: Volume, boundary: Configurati
         values.append(k)
         gaps.append(k.sup_distance(previous))
         previous = k
-    final_gap = gaps[-1]
-    converged = float(final_gap) <= gap_tol
-    return LimitEstimate(t, boundary, F, values, gaps, converged, final_gap)
-
-
-def limit_estimate_csv(est: LimitEstimate, alphabet: Alphabet) -> str:
-    """CSV rendering: stage, volume_size, per-configuration columns, gap."""
-    configs = list(est.values[0].probs)
-    labels = [",".join(alphabet.name_of(s) for s in c.symbols) for c in configs]
-    rows = ["stage,volume_size," + ",".join(f"g[{l}]" for l in labels) + ",sup_gap_to_previous"]
-    for n, k in enumerate(est.values):
-        cells = [str(n + 1), str(len(est.filtration[n]))]
-        cells += [format_scalar(k.probs[c], k.mode) for c in configs]
-        cells.append(format_scalar(est.sup_gaps[n], k.mode))
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+    return LimitEstimate(t, boundary, F, values, gaps)
 
 
 def check_pair_consistency(m: RandomFieldModel, I: Volume, V: Volume,

@@ -117,19 +117,17 @@ class DensityScheduleBoundary(BoundaryGenerator):
 
     Non-integral targets are rounded; targets unreachable from the
     previous stage (counts never decrease and grow at most by the number
-    of newly added sites) are clamped, with strict=True raising instead.
+    of newly added sites) are clamped.
     New sites are filled deterministically, ones first in site order, so
     two generators with the same targets produce identical configurations.
     """
 
-    def __init__(self, densities: Callable, label: str, one=1, zero=0,
-                 strict: bool = False):
+    def __init__(self, densities: Callable, label: str, one=1, zero=0):
         super().__init__()
         self.densities = densities
         self.label = label
         self.one = one
         self.zero = zero
-        self.strict = strict
 
     def _build(self, t, F):
         out = []
@@ -142,10 +140,6 @@ class DensityScheduleBoundary(BoundaryGenerator):
             target = int(exact) if exact.denominator == 1 else round(exact)
             new_sites = [s for s in vol if s not in prev_sites]
             clamped = min(max(target, prev_ones), prev_ones + len(new_sites))
-            if self.strict and (clamped != target or exact.denominator != 1):
-                raise ValueError(
-                    f"generator {self.label!r}: stage {n} target {exact} "
-                    f"not exactly reachable")
             delta = clamped - prev_ones
             for i, s in enumerate(new_sites):
                 assignment[s] = self.one if i < delta else self.zero
@@ -224,13 +218,12 @@ def mixed_family(alphabet: Alphabet, seeds=(1, 2), include_oscillating: bool = F
                           + (" + density patterns" if include_oscillating else ""))
 
 
-def volume_patch_boundary(inner_volume: Volume, inner, outer,
-                          alphabet: Alphabet) -> SiteFunctionBoundary:
-    """Constant inside a fixed volume, a different constant outside."""
-    name = (f"patch[{alphabet.name_of(inner)}@{len(inner_volume)}"
-            f"|{alphabet.name_of(outer)}]")
-    return SiteFunctionBoundary(
-        lambda s: inner if s in inner_volume else outer, name)
+def patch_boundary(pattern: Configuration, fill, inside: str,
+                   alphabet: Alphabet) -> SiteFunctionBoundary:
+    """The pattern on its volume and the constant fill outside it, labelled
+    ``patch[<inside>|<fill's name>]``."""
+    return SiteFunctionBoundary(lambda s: pattern[s] if s in pattern.volume else fill,
+                                f"patch[{inside}|{alphabet.name_of(fill)}]")
 
 
 def locality_probe_family(alphabet: Alphabet, F: Filtration) -> BoundaryFamily:
@@ -240,8 +233,9 @@ def locality_probe_family(alphabet: Alphabet, F: Filtration) -> BoundaryFamily:
     gens = list(constant_boundaries(alphabet))
     a, b = alphabet.symbols[0], alphabet.symbols[1]
     for stage in F.volumes[:-1]:
-        gens.append(volume_patch_boundary(stage, a, b, alphabet))
-        gens.append(volume_patch_boundary(stage, b, a, alphabet))
+        for inner, outer in ((a, b), (b, a)):
+            gens.append(patch_boundary(Configuration(stage, (inner,) * len(stage)), outer,
+                                       f"{alphabet.name_of(inner)}@{len(stage)}", alphabet))
     return BoundaryFamily(tuple(gens), "constants + per-stage patches")
 
 
@@ -308,8 +302,7 @@ def _filtration_label(F: Filtration) -> str:
 
 
 def _kernel_table(k: ConditionalKernel, alphabet: Alphabet) -> dict:
-    return {",".join(alphabet.name_of(s) for s in c.symbols): format_scalar(p, k.mode)
-            for c, p in k.items()}
+    return {alphabet.label_of(c.symbols): format_scalar(p, k.mode) for c, p in k.items()}
 
 
 def uniform_convergence_report(m: RandomFieldModel, t, F: Filtration,
@@ -323,7 +316,7 @@ def uniform_convergence_report(m: RandomFieldModel, t, F: Filtration,
     t_vol = _target(t)
     results = []
     for gen in B:
-        est = limit_along_filtration(m, t_vol, gen.configs(t_vol, F)[-1], F, gap_tol)
+        est = limit_along_filtration(m, t_vol, gen.configs(t_vol, F)[-1], F)
         results.append((gen.label, est.sup_gaps, est.values[-1]))
     zero = Fraction(0) if m.mode == RATIONAL else 0.0
     sup_gaps = []
@@ -514,22 +507,17 @@ def energy_criterion_report(m: RandomFieldModel, t, F: Filtration,
         min_kernel_entry=float(min_prob) if min_prob is not None else None)
 
 
-def energy_quasilocality_modulus(m: RandomFieldModel, t, F: Filtration, boundaries) -> list:
-    """Stage moduli of the one-point energy, stages 1 .. len(F) - 1, as
-    ``energy_criterion_report`` measures them over a family, or a sequence,
-    of boundary generators. Duplicate generator labels raise ValueError."""
-    return energy_criterion_report(m, t, F, BoundaryFamily(tuple(boundaries)))["moduli"]
-
-
 def non_gibbs_witness(m: RandomFieldModel, t, F: Filtration,
                       strategy: str = "oscillating-density",
-                      family: BoundaryFamily | None = None,
                       gap_tol: float = 1e-9) -> dict | None:
     """Search for a boundary whose conditional sequence fails to converge.
 
-    Returns the witnessing generator and its gap trace, or None. A None
-    result is never evidence of Gibbsianness; it only means this family
-    found nothing.
+    Two strategies: "oscillating-density" tries both oscillating-density
+    boundaries, and "exhaustive-small" tries the constants plus every
+    pattern on the first stage under each constant fill. Returns the
+    witnessing generator and its gap trace, or None. A None result is
+    never evidence of Gibbsianness; it only means this family found
+    nothing.
     """
     if strategy == "oscillating-density":
         fam = oscillating_family(m.alphabet)
@@ -538,12 +526,9 @@ def non_gibbs_witness(m: RandomFieldModel, t, F: Filtration,
         gens = list(constant_boundaries(m.alphabet))
         for pattern in enumerate_configurations(first, m.alphabet):
             for fill in m.alphabet.symbols:
-                gens.append(_patched_boundary(pattern, fill, m.alphabet))
+                gens.append(patch_boundary(pattern, fill, m.alphabet.label_of(pattern.symbols),
+                                           m.alphabet))
         fam = BoundaryFamily(tuple(gens), "exhaustive-small")
-    elif strategy == "user-family":
-        if family is None:
-            raise ValueError("user-family strategy needs an explicit family")
-        fam = family
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -555,15 +540,3 @@ def non_gibbs_witness(m: RandomFieldModel, t, F: Filtration,
                            "this family; absence of a witness proves nothing")
         return witness
     return None
-
-
-def _patched_boundary(pattern: Configuration, fill, alphabet: Alphabet):
-    name = "patch[" + ",".join(alphabet.name_of(s) for s in pattern.symbols) \
-        + f"|{alphabet.name_of(fill)}]"
-
-    def fn(site):
-        if site in pattern.volume:
-            return pattern[site]
-        return fill
-
-    return SiteFunctionBoundary(fn, name)

@@ -202,8 +202,7 @@ def energy_table_text(e: TransitionEnergy, alphabet) -> str:
     configs = e.configurations()
     for x in configs:
         for u in configs:
-            key = (",".join(alphabet.name_of(s) for s in x.symbols)
-                   + "|" + ",".join(alphabet.name_of(s) for s in u.symbols))
+            key = alphabet.label_of(x.symbols) + "|" + alphabet.label_of(u.symbols)
             if e.mode == RATIONAL:
                 lines.append(f"{key}\t{format_scalar(e.ratio(x, u), e.mode)}")
             else:

@@ -354,7 +354,7 @@ def write_distribution_file(p: FiniteDistribution, path) -> None:
         "mode\t" + p.mode,
     ]
     for c, v in p.items():
-        key = ",".join(p.alphabet.name_of(s) for s in c.symbols)
+        key = p.alphabet.label_of(c.symbols)
         lines.append(f"{key}\t{format_scalar(v, p.mode)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -169,6 +169,10 @@ class Alphabet:
     def name_of(self, symbol) -> str:
         return self.names[self.symbols.index(symbol)]
 
+    def label_of(self, symbols: Sequence) -> str:
+        """The names of a sequence of symbols, joined by commas."""
+        return ",".join(self.name_of(s) for s in symbols)
+
     def symbol_of(self, name: str):
         try:
             return self.symbols[self.names.index(name)]

@@ -30,7 +30,6 @@ from .lattice import (
     concat,
     enumerate_configurations,
     format_site,
-    parse_site,
     restrict,
     split_positions,
 )
@@ -125,30 +124,6 @@ def zero_potential() -> Potential:
     return Potential(())
 
 
-def format_potential(phi: Potential, alphabet: Alphabet) -> str:
-    """Lines `template_offsets | configuration | value`."""
-    lines = []
-    for (template, cfg), value in phi.terms:
-        offs = ",".join(format_site(s) for s in template)
-        sym = ",".join(alphabet.name_of(v) for v in cfg.symbols)
-        lines.append(f"{offs} | {sym} | {value!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_potential(text: str, alphabet: Alphabet) -> Potential:
-    terms = {}
-    for raw in text.splitlines():
-        raw = raw.strip()
-        if not raw or raw.startswith("#"):
-            continue
-        offs_part, sym_part, value_part = (p.strip() for p in raw.split("|"))
-        sites = [parse_site("(" + p.strip().strip("()") + ")") for p in offs_part.split("),")]
-        vol = Volume.of(sites)
-        symbols = tuple(alphabet.symbol_of(n.strip()) for n in sym_part.split(","))
-        terms[(vol, Configuration(vol, symbols))] = float(value_part)
-    return Potential.of(terms)
-
-
 def _translates(phi: Potential, V: Volume, container: Volume) -> list:
     """Template translates that touch V and fit in the container.
 
@@ -229,8 +204,8 @@ class OnePointTEF:
 
     table(t, boundary) is the dict {(x, u): ratio} over all symbol pairs,
     the ratio being exp of the energy difference between symbols x and u
-    at site t under the boundary configuration; ratio(t, boundary, x, u)
-    is one entry. A field given only a ratio_fn builds each table from it.
+    at site t under the boundary configuration. A field given only a
+    ratio_fn builds each table from it.
     """
 
     window: Volume
@@ -246,9 +221,6 @@ class OnePointTEF:
             return self.table_fn(t, boundary)
         syms = self.alphabet.symbols
         return {(x, u): self.ratio_fn(t, boundary, x, u) for x in syms for u in syms}
-
-    def ratio(self, t, boundary: Configuration, x, u):
-        return self.ratio_fn(t, boundary, x, u)
 
 
 def _tef_of_tables(table: Callable, window: Volume, alphabet: Alphabet, mode: str,
@@ -438,11 +410,9 @@ def finite_volume_gibbs(phi: Potential, V: Volume, boundary: Configuration,
 class GibbsVolumeField(TableField):
     """Random field realized by one finite-volume Gibbs distribution."""
 
-    def __init__(self, phi: Potential, window: Volume, alphabet: Alphabet,
-                 boundary: Configuration | None = None):
+    def __init__(self, phi: Potential, window: Volume, alphabet: Alphabet):
         self.potential = phi
-        self.boundary = boundary or EMPTY_CONFIGURATION
-        super().__init__(finite_volume_gibbs(phi, window, self.boundary, window, alphabet))
+        super().__init__(finite_volume_gibbs(phi, window, EMPTY_CONFIGURATION, window, alphabet))
 
     def describe(self) -> str:
         return f"gibbs[{len(self.window)} sites]"
@@ -637,13 +607,14 @@ def _two_site_report(axiom: str, read: Callable, fixtures: Sequence, syms: tuple
     seen: dict = {}  # (site, boundary volume, symbols) -> (table, code)
     codes: dict = {}  # repr of a table's items -> its code
     slots: dict = {}  # (z.volume, site) -> (z.volume with the site, its position)
+    unions: dict = {}  # one object per distinct union, so lookups compare by identity
     memo: dict = {}  # code tuple -> (records, worst residual)
 
     def side(t, s, z):
         slot = slots.get((z.volume, s))
         if slot is None:
             union, take = _concat_map(z.volume, Volume((as_site(s),)))
-            slot = slots[(z.volume, s)] = (union, take.index(len(z)))
+            slot = slots[(z.volume, s)] = (unions.setdefault(union, union), take.index(len(z)))
         union, i = slot
         head, tail = z.symbols[:i], z.symbols[i:]
         for b in syms:

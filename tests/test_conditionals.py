@@ -12,7 +12,6 @@ from gibbsfields.conditionals import (
     check_pair_consistency,
     finite_conditional,
     limit_along_filtration,
-    limit_estimate_csv,
     markov_radius,
     one_point_from_model,
     reconstruct_from_one_point,
@@ -121,9 +120,8 @@ def test_limit_markov_stabilizes_exactly():
     m = ising_demo(0.4, window=9)
     F = box_filtration(0, [1, 2, 3, 4], m.window)
     boundary = Configuration(m.window - volume(0), tuple([1] * 8))
-    est = limit_along_filtration(m, volume(0), boundary, F, gap_tol=1e-12)
-    assert est.converged
-    assert est.final_gap <= 1e-15
+    est = limit_along_filtration(m, volume(0), boundary, F)
+    assert est.sup_gaps[-1] <= 1e-15
     # values identical from the first stage on (nearest-neighbor dependence)
     for k in est.values[1:]:
         assert k.sup_distance(est.values[0]) <= 1e-15
@@ -135,9 +133,8 @@ def test_limit_example2_stage_values_match_formula():
     gen = oscillating_density_boundary(start="high")
     stage_configs = gen.configs(volume(0), F)
     deep = stage_configs[-1]
-    est = limit_along_filtration(m, volume(0), deep, F, gap_tol=1e-9)
-    assert not est.converged
-    assert est.final_gap >= Fraction(2, 5)
+    est = limit_along_filtration(m, volume(0), deep, F)
+    assert est.sup_gaps[-1] >= Fraction(2, 5)
     for kernel, z in zip(est.values, stage_configs):
         expected = m.conditional_one(len(z), z.count(1))
         assert kernel.value(1) == expected
@@ -171,17 +168,6 @@ def test_limit_stage_zero_is_measured_against_the_marginal():
     k = est.values[0]
     assert est.sup_gaps[0] == k.sup_distance(m.marginal(t)) > 0
     assert est.sup_gaps[1] == est.values[1].sup_distance(k)
-
-
-def test_limit_estimate_csv_shape():
-    m = bernoulli_product(Fraction(1, 2), line_window(7))
-    F = box_filtration(0, [1, 2], m.window)
-    boundary = Configuration(m.window - volume(0), tuple([1] * 6))
-    est = limit_along_filtration(m, volume(0), boundary, F)
-    text = limit_estimate_csv(est, m.alphabet)
-    lines = text.strip().splitlines()
-    assert lines[0] == "stage,volume_size,g[0],g[1],sup_gap_to_previous"
-    assert len(lines) == 3
 
 
 def test_pair_consistency_random_tables_exhaustive():

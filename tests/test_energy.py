@@ -42,9 +42,10 @@ from gibbsfields.specifications import (
     validate_tef,
 )
 from gibbsfields.diagnostics import (
+    BoundaryFamily,
     constant_density_boundary,
     density_switch_boundary,
-    energy_quasilocality_modulus,
+    energy_criterion_report,
     locality_probe_family,
 )
 
@@ -361,12 +362,12 @@ def test_energy_quasilocality_markov_and_product():
     mi = ising_demo(0.4, window=9)
     F = box_filtration(0, [1, 2, 3], mi.window)
     fam = locality_probe_family(mi.alphabet, F)
-    moduli = energy_quasilocality_modulus(mi, (0,), F, list(fam))
+    moduli = energy_criterion_report(mi, (0,), F, fam)["moduli"]
     assert all(m <= 1e-12 for m in moduli)
 
     mp = bernoulli_product(Fraction(1, 3), line_window(9))
     fam_p = locality_probe_family(mp.alphabet, F)
-    moduli_p = energy_quasilocality_modulus(mp, (0,), F, list(fam_p))
+    moduli_p = energy_criterion_report(mp, (0,), F, fam_p)["moduli"]
     assert all(m == 0 for m in moduli_p)
 
 
@@ -375,6 +376,6 @@ def test_energy_quasilocality_example2_bounded_away():
     F = box_filtration(0, [6, 18, 54, 162], m.window)
     gens = [constant_density_boundary(Fraction(1, 4))]
     gens += [density_switch_boundary(Fraction(1, 4), Fraction(3, 4), i) for i in range(3)]
-    moduli = energy_quasilocality_modulus(m, (0,), F, gens)
+    moduli = energy_criterion_report(m, (0,), F, BoundaryFamily(tuple(gens)))["moduli"]
     assert len(moduli) == 3
     assert all(mod >= 1.0 for mod in moduli)

@@ -119,9 +119,9 @@ def reference_validate_tef(d, fixtures, tol, meta):
     violations, holds = [], Comparison(tol)
     for t, s, z in fixtures:
         t_vol, s_vol = Volume.of([t]), Volume.of([s])
-        r_t = {b: {(x, u): d.ratio(t, concat(z, Configuration(s_vol, (b,))), x, u)
+        r_t = {b: {(x, u): d.ratio_fn(t, concat(z, Configuration(s_vol, (b,))), x, u)
                    for x in syms for u in syms} for b in syms}
-        r_s = {a: {(y, v): d.ratio(s, concat(z, Configuration(t_vol, (a,))), y, v)
+        r_s = {a: {(y, v): d.ratio_fn(s, concat(z, Configuration(t_vol, (a,))), y, v)
                    for y in syms for v in syms} for a in syms}
         for site, table in ((t, r_t), (s, r_s)):
             for b in syms:

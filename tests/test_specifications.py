@@ -31,8 +31,8 @@ from gibbsfields.specifications import (
     MeasureSystem,
     OnePointSpec,
     OnePointTEF,
+    Potential,
     finite_volume_gibbs,
-    format_potential,
     hamiltonian_from_potential,
     ising_potential,
     measure_system_from_model,
@@ -40,7 +40,6 @@ from gibbsfields.specifications import (
     onepoint_spec_from_model,
     onepoint_spec_from_tef,
     pair_site_fixtures,
-    parse_potential,
     spec_from_model,
     spec_from_onepoint,
     tef_from_1spec,
@@ -80,26 +79,19 @@ def ising_conditional_oracle(beta, window, V, boundary):
     return {k: w / Z for k, w in weights.items()}
 
 
-def test_potential_parse_format_roundtrip():
+def test_potential_anchors_templates_and_reads_values():
     phi = ising_potential(0.5, h=0.25)
-    text = format_potential(phi, SPIN)
-    again = parse_potential(text, SPIN)
-    assert again == phi
     pair = Volume.of([(0,), (1,)])
     assert phi.value(pair, Configuration(pair, (1, 1))) == -0.5
     assert phi.value(pair, Configuration(pair, (1, -1))) == 0.5
     shifted = Volume.of([(4,), (5,)])
     assert phi.value(shifted, Configuration(shifted, (1, 1))) == -0.5
     assert phi.reach() == 1
-
-
-def test_potential_parse_example_line():
-    phi = parse_potential("(0),(1) | +1,+1 | -0.5\n", SPIN)
-    pair = Volume.of([(0,), (1,)])
-    assert phi.value(pair, Configuration(pair, (1, 1))) == -0.5
-    assert phi.value(pair, Configuration(pair, (-1, -1))) == 0.0
-    commented = "# nearest-neighbour pair\n\n(0),(1) | +1,+1 | -0.5\n"
-    assert parse_potential(commented, SPIN) == phi
+    # a term given on any translate is anchored at the origin; a missing term is 0
+    one = Potential.of({(shifted, Configuration(shifted, (1, 1))): -0.5})
+    assert one.templates() == [pair]
+    assert one.value(pair, Configuration(pair, (1, 1))) == -0.5
+    assert one.value(pair, Configuration(pair, (-1, -1))) == 0.0
 
 
 def test_one_point_hamiltonian_and_tef_hand_expansion():
@@ -116,7 +108,7 @@ def test_one_point_hamiltonian_and_tef_hand_expansion():
                 for s in (window - volume(0))))
             h = hamiltonian_from_potential(phi, (0,), boundary, window, SPIN)
             assert math.isclose(h[-1] - h[1], 2 * beta * (zl + zr), abs_tol=1e-15)
-            got = tef.ratio((0,), boundary, 1, -1)
+            got = tef.ratio_fn((0,), boundary, 1, -1)
             assert math.isclose(got, math.exp(2 * beta * (zl + zr)), rel_tol=1e-14)
 
 
@@ -149,7 +141,7 @@ def test_tef_ratio_depends_only_on_the_interaction_neighbourhood():
                 assert restrict(b, nbhd) == local
                 for x in SPIN.symbols:
                     for u in SPIN.symbols:
-                        assert tef.ratio(t, b, x, u) == tef.ratio(t, boundaries[0], x, u)
+                        assert tef.ratio_fn(t, b, x, u) == tef.ratio_fn(t, boundaries[0], x, u)
 
 
 def test_tef_hamiltonian_runs_once_per_local_context(monkeypatch):
@@ -165,8 +157,8 @@ def test_tef_hamiltonian_runs_once_per_local_context(monkeypatch):
     near = nearest_neighbor_system(GRID)
     for t in GRID:
         for b in enumerate_configurations(GRID - Volume.of([t]), SPIN):
-            tef.ratio(t, b, 1, -1)
-            tef.ratio(t, b, -1, 1)
+            tef.ratio_fn(t, b, 1, -1)
+            tef.ratio_fn(t, b, -1, 1)
         assert 0 < calls[t] <= SPIN.size ** len(near.volume_at(t))
 
 
@@ -176,11 +168,11 @@ def test_tef_missing_neighbour_raises_geometry_error():
     rest = GRID - Volume.of([t, (0, 1)])
     boundary = Configuration(rest, (1,) * len(rest))
     with pytest.raises(GeometryError, match=r"boundary misses interacting sites \(0,1\)$"):
-        tef.ratio(t, boundary, 1, -1)
+        tef.ratio_fn(t, boundary, 1, -1)
     # once a full boundary of the site is cached, the miss still raises
-    tef.ratio(t, Configuration(GRID - Volume.of([t]), (1,) * 8), 1, -1)
+    tef.ratio_fn(t, Configuration(GRID - Volume.of([t]), (1,) * 8), 1, -1)
     with pytest.raises(GeometryError):
-        tef.ratio(t, boundary, 1, -1)
+        tef.ratio_fn(t, boundary, 1, -1)
 
 
 def test_zero_potential_gives_zero_tef_and_uniform_gibbs():
@@ -188,7 +180,7 @@ def test_zero_potential_gives_zero_tef_and_uniform_gibbs():
     phi = zero_potential()
     tef = tef_from_potential(phi, window, SPIN)
     boundary = Configuration(window - volume(0), tuple([1] * 4))
-    assert tef.ratio((0,), boundary, 1, -1) == 1.0
+    assert tef.ratio_fn((0,), boundary, 1, -1) == 1.0
     q = onepoint_spec_from_tef(tef)
     table = q.table((0,), boundary)
     assert table[1] == table[-1] == 0.5
@@ -206,7 +198,7 @@ def test_tef_validation_and_negative_control():
     assert report.max_residual < 1e-12
 
     def broken_ratio(t, boundary, x, u):
-        value = tef.ratio(t, boundary, x, u)
+        value = tef.ratio_fn(t, boundary, x, u)
         if t == (0,) and x == 1 and u == -1:
             return value * 1.01
         return value
@@ -225,7 +217,7 @@ def test_tef_validation_and_negative_control():
                   for x in configs for u in configs}
         return TransitionEnergy.from_ratios(volume(0), boundary, ratios, FLOAT)
 
-    assert check_cocycle(energy(tef.ratio))
+    assert check_cocycle(energy(tef.ratio_fn))
     assert not check_cocycle(energy(broken_ratio))
 
 
@@ -382,14 +374,13 @@ def test_validate_reads_one_table_per_distinct_key(monkeypatch):
     (V, boundary) once, normalizes each one-point (site, boundary) once,
     whichever validator or loop asks first, and evaluates each one-point
     Hamiltonian once per (site, local boundary); the validators read whole
-    energy-field tables, never a single ratio."""
+    energy-field tables."""
     from gibbsfields import cli
 
     model = cli.build_model("ising:beta=0.4,d=1,window=5")
     kernel_keys, table_keys, reconstructions, hamiltonians = [], [], [], []
     normalizations = [0]
     tef_table_reads = []
-    tef_ratio_calls = [0]
 
     real_reconstruct = specifications.reconstruct_from_one_point
     real_normalized = specifications.normalized
@@ -413,10 +404,6 @@ def test_validate_reads_one_table_per_distinct_key(monkeypatch):
     def table(self, t, boundary):
         tef_table_reads.append((t, boundary))
         return real_table(self, t, boundary)
-
-    def ratio(self, t, boundary, x, u):
-        tef_ratio_calls[0] += 1
-        raise AssertionError("the validate path reads whole tables")
 
     def recording_1spec(tef):
         q = real_1spec(tef)
@@ -445,7 +432,6 @@ def test_validate_reads_one_table_per_distinct_key(monkeypatch):
     monkeypatch.setattr(specifications, "normalized", normalized)
     monkeypatch.setattr(specifications, "hamiltonian_from_potential", hamiltonian)
     monkeypatch.setattr(OnePointTEF, "table", table)
-    monkeypatch.setattr(OnePointTEF, "ratio", ratio)
     monkeypatch.setattr(cli, "onepoint_spec_from_tef", recording_1spec)
     monkeypatch.setattr(cli, "spec_from_onepoint", recording_spec)
     reports = cli._potential_reports(model, 1e-12, 0, 10**6)
@@ -468,7 +454,33 @@ def test_validate_reads_one_table_per_distinct_key(monkeypatch):
     distinct = set(tef_table_reads)
     assert len(distinct) == 5 * 2 ** 4
     assert len(tef_table_reads) == len(distinct) + normalizations[0] == 160
-    assert tef_ratio_calls[0] == 0
+
+
+def test_validate_tef_reads_one_boundary_volume_per_site():
+    """Every boundary validate_tef reads at one site lives on one Volume
+    object, whichever partner site's fixture builds it, so its lookups
+    compare volumes by identity. The fixtures are sampled, two boundaries
+    per site pair, so each site is read under several partners."""
+    from gibbsfields import cli
+
+    model = cli.build_model("ising:beta=0.4,d=1,window=5")
+    tef = tef_from_potential(model.potential, model.window, model.alphabet)
+    volumes: dict = {}
+
+    def table(t, boundary):
+        volumes.setdefault(t, []).append(boundary.volume)
+        return tef.table(t, boundary)
+
+    recording = OnePointTEF(model.window, model.alphabet, tef.ratio_fn, FLOAT,
+                            label="recording", table_fn=table)
+    fixtures, meta = pair_site_fixtures(model.window, model.alphabet, max_tuples=320)
+    assert meta.sampled and len(fixtures) == 10 * 2
+    assert validate_tef(recording, fixtures, meta=meta).ok
+    assert sorted(volumes) == list(model.window.sites)
+    for t, read in volumes.items():
+        assert len(read) > 2 * 2  # more than one partner's two boundaries
+        assert read[0] == model.window - Volume.of([t])
+        assert {id(v) for v in read} == {id(read[0])}
 
 
 def _pair_fixture_keys(window, alphabet):
@@ -505,7 +517,7 @@ def test_tef_tables_hold_the_ratios_bit_for_bit(kind):
         table = d.table(site, boundary)
         assert list(table) == pairs
         for (x, u), r in table.items():
-            one = d.ratio(site, boundary, x, u)
+            one = d.ratio_fn(site, boundary, x, u)
             assert type(r) is type(one)
             assert r == one if isinstance(r, Fraction) else r.hex() == one.hex()
             if kind == "potential":
@@ -518,7 +530,7 @@ def reference_1spec(d):
 
     def table(t, boundary):
         return specifications.normalized(
-            {a: d.ratio(t, boundary, a, ref) for a in d.alphabet.symbols}, d.mode)
+            {a: d.ratio_fn(t, boundary, a, ref) for a in d.alphabet.symbols}, d.mode)
 
     return specifications.OnePointSpec(d.window, d.alphabet, table, d.mode)
 
@@ -544,7 +556,7 @@ def far_dependence_tef() -> OnePointTEF:
     tef = tef_from_potential(ising_potential(0.4), window, SPIN)
 
     def far_ratio(t, boundary, x, u):
-        value = tef.ratio(t, boundary, x, u)
+        value = tef.ratio_fn(t, boundary, x, u)
         if t == (0,):
             value *= 1.5 ** ((u - x) * boundary[(3,)])
         return value
