@@ -11,13 +11,14 @@ diagnose 0 = uniform-evidence, 2 = divergence-witness, 3 = inconclusive;
 reproduce --check 1 on golden mismatch; any command 4 when a library
 error (a ValueError such as DomainError, CapacityError, OSError or
 OverflowError) stops it, and 2 on a usage error such as a flag the
-command does not read.
+command does not read. A closed stdout changes no exit code (``say``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -319,7 +320,7 @@ def cmd_validate(args) -> int:
         payload = {"config": config, "ok": False,
                    "reports": [ValidationReport("model-load", 0, [str(err)], 0.0).to_json_dict()]}
         write_json(out_dir, "validate.json", payload)
-        print(f"validate: FAIL (model load: {err})")
+        say(f"validate: FAIL (model load: {err})")
         return 1
 
     if len(model.window) < 2:
@@ -331,7 +332,7 @@ def cmd_validate(args) -> int:
         reports = _consistency_reports(model, tol, seed)
         if isinstance(model, MarkovChainPairModel):
             reports.append(_example1_kernel_report(model))
-        if not model.marginal(_small_volume(model)).is_positive():
+        if not model.marginal(Volume.of(model.window.sites[:3])).is_positive():
             reports.append(ValidationReport("positivity", 1, ["zero marginal entry"],
                                             0.0).to_json_dict())
 
@@ -340,13 +341,9 @@ def cmd_validate(args) -> int:
     path = write_json(out_dir, "validate.json", payload)
     for r in reports:
         status = "pass" if not r["violations"] else f"FAIL ({len(r['violations'])} violations)"
-        print(f"validate[{r['axiom']}]: {status}")
-    print(f"report: {path}")
+        say(f"validate[{r['axiom']}]: {status}")
+    say(f"report: {path}")
     return 0 if ok else 1
-
-
-def _small_volume(model) -> Volume:
-    return Volume.of(model.window.sites[: min(3, len(model.window))])
 
 
 def _example1_kernel_report(model) -> dict:
@@ -388,15 +385,11 @@ def cmd_diagnose(args) -> int:
     payload = {"config": config, **report.to_json_dict()}
     path = write_json(config["out"], "diagnose.json", payload)
     (Path(config["out"]) / "diagnose.csv").write_text(report.to_csv())
-    print(f"diagnose[{model.describe()} @ {format_site(site)}]: {report.verdict}")
+    say(f"diagnose[{model.describe()} @ {format_site(site)}]: {report.verdict}")
     if report.witness:
-        print(f"witness: {report.witness['generator']} gaps {report.witness['gap_trace']}")
-    print(f"report: {path}")
-    if report.verdict == UNIFORM_EVIDENCE:
-        return 0
-    if report.verdict == DIVERGENCE_WITNESS:
-        return 2
-    return 3
+        say(f"witness: {report.witness['generator']} gaps {report.witness['gap_trace']}")
+    say(f"report: {path}")
+    return {UNIFORM_EVIDENCE: 0, DIVERGENCE_WITNESS: 2}.get(report.verdict, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +474,17 @@ def cmd_reproduce(args) -> int:
         report = reproduce_example2(getattr(args, "tau", None) or 1)
     payload = {"config": config, **report}
     path = write_json(config["out"], f"reproduce_{args.example}.json", payload)
-    print(f"reproduce[{args.example}]: written {path}")
+    say(f"reproduce[{args.example}]: written {path}")
     if args.check:
         if args.example == "example2" and report["tau"] != 1:
-            print("check: only the default tau=1 report has a golden")
+            say("check: only the default tau=1 report has a golden")
             return 1
         golden = json.loads(_golden_path(args.example).read_text())
         if golden == report:
-            print("check: OK (matches golden)")
+            say("check: OK (matches golden)")
             return 0
         diff = [k for k in golden if golden.get(k) != report.get(k)]
-        print(f"check: MISMATCH in fields {diff}")
+        say(f"check: MISMATCH in fields {diff}")
         return 1
     return 0
 
@@ -532,7 +525,7 @@ def cmd_energy(args) -> int:
         },
     }
     path = write_json(config["out"], "energy.json", payload)
-    print(f"energy: written {path}")
+    say(f"energy: written {path}")
     return 0
 
 
@@ -558,13 +551,21 @@ def cmd_reconstruct(args) -> int:
         "agree": agree,
     }
     path = write_json(config["out"], "reconstruct.json", payload)
-    print(f"reconstruct: {'OK' if agree else 'MISMATCH'} ({path})")
+    say(f"reconstruct: {'OK' if agree else 'MISMATCH'} ({path})")
     return 0 if agree else 1
 
 
 # ---------------------------------------------------------------------------
 
 FLAG_TYPES = {"tol": float, "gap_tol": float, "seed": int, "max_tuples": int}
+
+
+def say(line: str) -> None:
+    """Print a summary line; once the reader has gone, stdout is os.devnull."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:

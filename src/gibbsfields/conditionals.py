@@ -55,10 +55,28 @@ def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> Cond
     pz = m.prob(z)
     if pz <= 0:
         raise NullConditionError(f"condition has probability {pz}: {z}")
-    probs = {}
-    for x in enumerate_configurations(V, m.alphabet):
-        probs[x] = m.prob(concat(x, z)) / pz
-    return ConditionalKernel(V, z, probs, m.mode)
+    configs = enumerate_configurations(V, m.alphabet)
+    if type(m).prob is RandomFieldModel.prob and (V or z.volume):
+        union, strides, offsets = _code_plan(V, z.volume, m.alphabet)
+        base = sum(m.alphabet.symbols.index(a) * w for a, w in zip(z.symbols, strides))
+        entries = m.marginal(union).entries
+        joint = (entries[base + o] for o in offsets)
+    else:
+        joint = (m.prob(concat(x, z)) for x in configs)
+    return ConditionalKernel(V, z, {x: p / pz for x, p in zip(configs, joint)}, m.mode)
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def _code_plan(V: Volume, condition: Volume, alphabet: Alphabet) -> tuple:
+    """(union, strides, offsets): the marginal on the union holds x z, x the j-th
+    configuration on V, at code offsets[j] + sum(index(a) * w for a, w in zip(z, strides))."""
+    union, take = _concat_map(V, condition)
+    k, n = alphabet.size, len(union)
+    strides = [k ** (n - 1 - take.index(j)) for j in range(n)]  # V's sites, then the condition's
+    offsets = [0]
+    for w in strides[:len(V)]:
+        offsets = [o + d * w for o in offsets for d in range(k)]
+    return union, tuple(strides[len(V):]), tuple(offsets)
 
 
 class KernelCache:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping
 
 from .lattice import (
     EMPTY_CONFIGURATION,
@@ -99,8 +99,11 @@ def scalar_sum(values: Iterable, mode: str):
 
 
 def normalized(weights: Mapping, mode: str) -> dict:
-    """The weights divided by their sum."""
-    total = scalar_sum(weights.values(), mode)
+    """The weights over their sum: if exact, each one Fraction of int numerators."""
+    ints, _ = integer_numerators(weights.values(), mode)
+    total = sum(ints) if mode == RATIONAL else math.fsum(ints)
+    if isinstance(total, int):
+        return {k: Fraction(n, total) for k, n in zip(weights, ints)}
     return {k: w / total for k, w in weights.items()}
 
 
@@ -117,15 +120,16 @@ def to_scalar(value, mode: str):
 
 
 @dataclass
-class ConditionalKernel:
-    """Probability table on a volume under a condition on a disjoint one: the
-    one table type, of which a marginal P_V (FiniteDistribution, the empty
-    condition) and Hamiltonian weights (energy.HamiltonianTable) are views."""
+class ConditionalKernel(Mapping):
+    """Probability table on a volume under a condition on a disjoint one, a read-only
+    mapping: the one table type, of which a marginal P_V (FiniteDistribution, the
+    empty condition) and Hamiltonian weights (energy.HamiltonianTable) are views."""
 
     volume: Volume
     condition: Configuration
     probs: dict  # Configuration on volume -> scalar
     mode: str = RATIONAL
+    _numerators: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.volume.isdisjoint(self.condition.volume):
@@ -142,6 +146,12 @@ class ConditionalKernel:
 
     def items(self):
         return self.probs.items()
+
+    def numerators(self, order: tuple) -> tuple:
+        """``integer_numerators`` at order, kept for a kernel never mutated."""
+        if self._numerators is None or self._numerators[0] is not order:
+            self._numerators = order, integer_numerators([self.probs[c] for c in order], self.mode)
+        return self._numerators[1]
 
     def value(self, symbol):
         """Entry for a one-site volume addressed by its symbol."""
@@ -172,7 +182,7 @@ class FiniteDistribution(ConditionalKernel):
     Its keys are in canonical order, that of ``enumerate_configurations``,
     and this is a contract: the j-th key of ``probs`` is the configuration
     whose symbols' alphabet indices, read site by site as the digits of a
-    base-k number, spell j. ``marginalize`` reads entries by that code.
+    base-k number, spell j; ``entries`` lists the values by that code.
     """
 
     def __init__(self, volume: Volume, alphabet: Alphabet, probs: Mapping,
@@ -199,6 +209,7 @@ class FiniteDistribution(ConditionalKernel):
                 raise ValidationError(f"probabilities sum to {total}, not 1")
         elif abs(total - 1.0) > DEFAULT_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, off by more than {DEFAULT_TOL}")
+        self.entries = tuple(table.values())  # entry j is that of code j
 
 
 def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
@@ -218,7 +229,7 @@ def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
     for s in (*V, *(p.volume - V)):
         w = k ** (n - 1 - p.volume.index(s))
         codes = [c + d for c in codes for d in range(0, k * w, w)]
-    entries = list(p.probs.values())
+    entries = p.entries
     values = [entries[j] for j in codes]
     width = k ** (n - len(V))
     configs = enumerate_configurations(V, p.alphabet)

@@ -237,17 +237,18 @@ def configuration(assignment: Mapping) -> Configuration:
 
 
 MAP_CACHE_SIZE = 8192  # volume pairs whose concat/restrict maps are kept
+_interned = lru_cache(maxsize=MAP_CACHE_SIZE)(Volume)  # one union object per site tuple
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def _concat_map(A: Volume, B: Volume) -> tuple:
-    """The union of disjoint volumes and, per union site in order, its
-    position in ``A.sites + B.sites``."""
+    """The union of disjoint volumes (``_interned``) and, per union site in
+    order, its position in ``A.sites + B.sites``."""
     if not A.isdisjoint(B):
         raise DomainError(f"domains overlap on {A & B}")
     sites = A.sites + B.sites
     take = tuple(sorted(range(len(sites)), key=sites.__getitem__))
-    return Volume(tuple(sites[i] for i in take)), take
+    return _interned(tuple(sites[i] for i in take)), take
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .lattice import (
     EMPTY_CONFIGURATION,
@@ -38,6 +38,7 @@ from .fields import (
     FLOAT,
     RATIONAL,
     Comparison,
+    ConditionalKernel,
     FiniteDistribution,
     RandomFieldModel,
     TableField,
@@ -309,7 +310,7 @@ class Specification:
     mode: str = RATIONAL
     label: str = "spec"
 
-    def kernel(self, V: Volume, boundary: Configuration) -> dict:
+    def kernel(self, V: Volume, boundary: Configuration) -> Mapping:
         return self.kernel_fn(V, boundary)
 
 
@@ -327,13 +328,9 @@ def onepoint_spec_from_model(m: RandomFieldModel,
 
 def spec_from_model(m: RandomFieldModel, kernels: KernelCache | None = None) -> Specification:
     """Finite conditionals of a model, read through a kernel cache. The
-    returned tables are the cache's own and must not be mutated."""
-    kernels = kernels or KernelCache(m)
-
-    def kernel(V, boundary):
-        return kernels(V, boundary).probs
-
-    return Specification(m.window, m.alphabet, kernel, m.mode, f"spec({m.describe()})")
+    returned kernels are the cache's own and must not be mutated."""
+    return Specification(m.window, m.alphabet, kernels or KernelCache(m), m.mode,
+                         f"spec({m.describe()})")
 
 
 def onepoint_spec_from_tef(d: OnePointTEF) -> OnePointSpec:
@@ -369,10 +366,10 @@ def spec_from_onepoint(q: OnePointSpec) -> Specification:
     """Extend a one-point family to all finite volumes by reconstruction.
 
     Each multi-site kernel is reconstructed once per exact (V, boundary)
-    key and kept for the life of the spec; a single-site kernel is a view
-    of the 1-spec's table, keyed by the shared enumerated configurations.
-    Returned tables are cache-owned and must not be mutated; a call that
-    raises caches nothing.
+    key and kept, a ConditionalKernel with its numerators, for the life of
+    the spec; a single-site kernel is a view of the 1-spec's table, keyed
+    by the shared enumerated configurations. Returned tables are
+    cache-owned and must not be mutated; a call that raises caches nothing.
     """
     cache: dict = {}
 
@@ -384,7 +381,7 @@ def spec_from_onepoint(q: OnePointSpec) -> Specification:
         k = cache.get(key)
         if k is None:
             k = cache[key] = reconstruct_from_one_point(
-                q.table_fn, V, boundary, q.alphabet, mode=q.mode).probs
+                q.table_fn, V, boundary, q.alphabet, mode=q.mode)
         return k
 
     return Specification(q.window, q.alphabet, kernel, q.mode, f"spec({q.label})")
@@ -607,14 +604,13 @@ def _two_site_report(axiom: str, read: Callable, fixtures: Sequence, syms: tuple
     seen: dict = {}  # (site, boundary volume, symbols) -> (table, code)
     codes: dict = {}  # repr of a table's items -> its code
     slots: dict = {}  # (z.volume, site) -> (z.volume with the site, its position)
-    unions: dict = {}  # one object per distinct union, so lookups compare by identity
     memo: dict = {}  # code tuple -> (records, worst residual)
 
     def side(t, s, z):
         slot = slots.get((z.volume, s))
         if slot is None:
             union, take = _concat_map(z.volume, Volume((as_site(s),)))
-            slot = slots[(z.volume, s)] = (unions.setdefault(union, union), take.index(len(z)))
+            slot = slots[(z.volume, s)] = (union, take.index(len(z)))
         union, i = slot
         head, tail = z.symbols[:i], z.symbols[i:]
         for b in syms:
@@ -694,20 +690,18 @@ def validate_spec(Q: Specification, fixtures: Sequence, tol: float = DEFAULT_TOL
     joined configurations xy are positions from the split's cached map
     (``lattice.split_positions``). Each kernel is read as numerators over
     its own denominator, so each side of an identity, one entry of the
-    kernel on V times one of the kernel on I, is over d_V * d_I.
+    kernel on V times one of the kernel on I, is over d_V * d_I. A kept
+    ConditionalKernel keeps its numerators; a plain mapping converts per read.
     """
-    alphabet = Q.alphabet
     violations = []
     holds = Comparison(tol)
     checked = 0
     for V, I, z in fixtures:
-        configs, xs, ys, rows = split_positions(V, I, alphabet)
-        kernel_V = Q.kernel(V, z)
-        n_V, d_V = integer_numerators([kernel_V[c] for c in configs], Q.mode)
+        configs, xs, ys, rows = split_positions(V, I, Q.alphabet)
+        n_V, d_V = _numerators(Q.kernel(V, z), configs, Q.mode)
         pairs = list(combinations(range(len(xs)), 2))
         for y, row in zip(ys, rows):
-            kernel = Q.kernel(I, concat(z, y))
-            n_I, d_I = integer_numerators([kernel[x] for x in xs], Q.mode)
+            n_I, d_I = _numerators(Q.kernel(I, concat(z, y)), xs, Q.mode)
             scale = d_V * d_I
             checked += len(pairs)
             for i, j in pairs:
@@ -721,6 +715,11 @@ def validate_spec(Q: Specification, fixtures: Sequence, tol: float = DEFAULT_TOL
                     })
     return ValidationReport("specification-consistency", checked, violations,
                             holds.worst, meta)
+
+
+def _numerators(kernel, order: tuple, mode: str) -> tuple:
+    return (kernel.numerators(order) if isinstance(kernel, ConditionalKernel)
+            else integer_numerators([kernel[c] for c in order], mode))
 
 
 def cocycle_failures(ratios: dict, keys: Sequence, holds: Comparison, d: int):

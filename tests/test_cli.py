@@ -44,6 +44,22 @@ def run_cli(*argv, env):
     return subprocess.run(cmd, capture_output=True, text=True, env=child_env)
 
 
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(tmp_path):
+    """`gfl diagnose ... | head -1` with the reader gone at once: the
+    command still exits with its verdict's code and writes its report,
+    and stderr stays empty (no BrokenPipeError, no exit 4 or 120)."""
+    cmd = [sys.executable, "-m", "gibbsfields.cli", "diagnose",
+           "--model", "ising:beta=0.4,window=9", "--out", str(tmp_path)]
+    env = {"PYTHONPATH": PACKAGE_ROOT, "PYTHONDONTWRITEBYTECODE": "1"}
+    child = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 0
+    assert stderr == b""
+    assert json.loads((tmp_path / "diagnose.json").read_text())["verdict"] == "uniform-evidence"
+
+
 def write_table(tmp_path, seed=5, corrupt=False):
     m = seeded_positive_table(line_window(3), binary_alphabet(), seed)
     path = tmp_path / ("corrupt.tbl" if corrupt else "table.tbl")

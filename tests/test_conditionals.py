@@ -16,10 +16,17 @@ from gibbsfields.conditionals import (
     one_point_from_model,
     reconstruct_from_one_point,
 )
-from gibbsfields.fields import FLOAT, RATIONAL, scalar_sum, seeded_positive_table
+from gibbsfields.fields import (
+    FLOAT,
+    RATIONAL,
+    scalar_sum,
+    seeded_positive_table,
+    table_field,
+)
 from gibbsfields.lattice import (
     EMPTY_CONFIGURATION,
     Configuration,
+    DomainError,
     GeometryError,
     Volume,
     binary_alphabet,
@@ -74,6 +81,65 @@ def test_finite_conditional_matches_brute_force():
         kernel = finite_conditional(m, V, z)
         oracle = brute_conditional(m, V, z)
         assert all(kernel[c] == oracle[c] for c in oracle)
+
+
+def reference_conditional(m, V, z) -> dict:
+    """The per-entry reference: P(x z) / P(z) for each x, in enumeration order."""
+    pz = m.prob(z)
+    return {x: m.prob(concat(x, z)) / pz for x in enumerate_configurations(V, m.alphabet)}
+
+
+def float_table(window, seed):
+    rational = seeded_positive_table(window, BIN, seed).table
+    return table_field(window, BIN, {c: float(p) for c, p in rational.items()}, FLOAT)
+
+
+DIFFERENTIAL_MODELS = {
+    "table-rational": lambda: seeded_positive_table(line_window(6), BIN, seed=41),
+    "table-float": lambda: float_table(line_window(6), 42),
+    "ising": lambda: ising_demo(0.4, h=0.2, window=6),
+    "example1": lambda: example1_pair(6, Fraction(1, 3), Fraction(1, 2))[1],
+    "bernoulli": lambda: bernoulli_product(Fraction(1, 3), 6),
+    "bernoulli-float": lambda: bernoulli_product(0.3, 6),
+    "example2": lambda: example2_model(2, 6),
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_MODELS))
+def test_finite_conditional_matches_the_per_entry_reference(name):
+    """Every kernel equals P(x z) / P(z) read entry by entry, with equal
+    reprs, so float kernels are bit-identical: on targets of one and two
+    sites, one of them between condition sites, with z on the empty
+    volume, on part of the complement and on all of it."""
+    m = DIFFERENTIAL_MODELS[name]()
+    sites = m.window.sites
+    for V in (Volume.of(sites[2:3]), Volume.of([sites[1], sites[4]])):
+        rest = m.window - V
+        for lam in (Volume.empty(), Volume.of(rest.sites[::2]), rest):
+            for z in enumerate_configurations(lam, m.alphabet):
+                kernel = finite_conditional(m, V, z)
+                reference = reference_conditional(m, V, z)
+                assert kernel.probs == reference
+                assert list(map(repr, kernel.probs.items())) == list(map(repr, reference.items()))
+
+
+def test_finite_conditional_errors_keep_their_messages():
+    vol = volume(0, 1, 2)
+    probs = {c: Fraction(0) for c in enumerate_configurations(vol, BIN)}
+    probs[Configuration(vol, (0, 0, 0))] = Fraction(1, 2)
+    probs[Configuration(vol, (1, 1, 1))] = Fraction(1, 2)
+    m = table_field(vol, BIN, probs)
+    z = Configuration(volume(1, 2), (0, 1))
+    with pytest.raises(NullConditionError) as null:
+        finite_conditional(m, volume(0), z)
+    assert str(null.value) == "condition has probability 0: (1)=0;(2)=1"
+    cases = [(volume(0, 3), EMPTY_CONFIGURATION, "(3) outside the model window"),
+             (volume(0, 1), z, "condition volume intersects the target"),
+             (volume(0), Configuration(volume(5), (1,)), "condition outside the model window")]
+    for V, cond, message in cases:
+        with pytest.raises(DomainError) as err:
+            finite_conditional(m, V, cond)
+        assert str(err.value) == message
 
 
 def test_product_field_independence():

@@ -16,8 +16,9 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsfields.conditionals import ConditionalKernel, KernelCache
-from gibbsfields.energy import TransitionEnergy, check_cocycle
+from gibbsfields import fields, specifications
+from gibbsfields.conditionals import ConditionalKernel, KernelCache, check_pair_consistency
+from gibbsfields.energy import TransitionEnergy, check_cocycle, check_decomposition
 from gibbsfields.fields import (
     DEFAULT_TOL,
     FLOAT,
@@ -25,6 +26,7 @@ from gibbsfields.fields import (
     Comparison,
     close,
     integer_numerators,
+    normalized,
     scalar_sum,
     seeded_positive_table,
     table_field,
@@ -250,3 +252,56 @@ def test_integer_numerators_read_exact_values_and_floats_over_1():
     floats = [0.25, 0.75]
     assert integer_numerators(floats, FLOAT) == (floats, 1)
     assert integer_numerators(floats, FLOAT)[0] is floats
+
+
+def subsets(vol: Volume, sizes) -> list:
+    return [Volume.of(sites) for n in sizes for sites in combinations(vol.sites, n)]
+
+
+def all_conditions(window: Volume, target: Volume) -> list:
+    """Every configuration on every sub-volume of the target's complement."""
+    rest = window - target
+    return [z for lam in subsets(rest, range(len(rest) + 1))
+            for z in enumerate_configurations(lam, BIN)]
+
+
+def test_cached_kernels_are_converted_to_numerators_once(monkeypatch):
+    """Pair consistency and decomposition on every condition of a 4-site
+    table, read through one KernelCache, convert each kernel they read to
+    integer numerators at most once, however many fixtures read it."""
+    m = seeded_positive_table(line_window(4), BIN, seed=19)
+    kernels = KernelCache(m)
+    conversions = []
+    convert = fields.integer_numerators
+
+    def counting(values, mode):
+        conversions.append(mode)
+        return convert(values, mode)
+
+    monkeypatch.setattr(fields, "integer_numerators", counting)
+    monkeypatch.setattr(specifications, "integer_numerators", counting)
+    window = m.window
+    for V in subsets(window, range(2, 5)):
+        for z in all_conditions(window, V):
+            for I in subsets(V, range(1, len(V))):
+                assert check_pair_consistency(m, I, V, z, kernels)
+    for V in subsets(window, (1, 2)):
+        for I in subsets(window - V, (1, 2)):
+            for z in all_conditions(window, V | I):
+                assert check_decomposition(m, V, I, z, kernels)
+    assert 0 < len(conversions) <= len(kernels._cache)
+
+
+def test_normalized_exact_weights_are_canonical_fractions():
+    """Exact weights give the Fractions that dividing each by their
+    Fraction sum gives, in key order; a float among rational-mode weights
+    keeps that division."""
+    weights = {"a": Fraction(1, 6), "b": 2, "c": Fraction(3, 4)}
+    total = sum(weights.values(), Fraction(0))
+    got = normalized(weights, RATIONAL)
+    assert list(got.items()) == [(k, w / total) for k, w in weights.items()]
+    assert all(type(p) is Fraction and repr(p) == repr(weights[k] / total)
+               for k, p in got.items())
+    mixed = {"a": Fraction(1, 2), "b": 0.5}
+    assert normalized(mixed, RATIONAL) == {"a": 0.5, "b": 0.5}
+    assert normalized({}, RATIONAL) == {}

@@ -127,6 +127,14 @@ def test_concat_basic_and_empty():
     assert concat(a, EMPTY_CONFIGURATION) == a
 
 
+def test_concat_gives_one_union_object_per_site_tuple():
+    a, b, c = configuration({1: 1}), configuration({2: -1}), configuration({3: 1})
+    left = concat(a, concat(b, c))
+    right = concat(concat(a, b), c)
+    assert left.volume is right.volume
+    assert concat(c, concat(a, b)).volume is left.volume
+
+
 def test_concat_overlap_rejected():
     a = configuration({1: 1})
     with pytest.raises(DomainError):
