@@ -187,10 +187,9 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
     t_{j+1}..t_n; weights are then normalized over all x. The result does
     not depend on the reference or the site order.
 
-    Factor j depends on x only through its values on t_1..t_j, so each
-    one-point table is fetched once per prefix of length j-1 and each
-    partial product is formed once per prefix of length j, lazily in the
-    enumeration order of x.
+    Factor j depends on x only through t_1..t_j: weights are built level by
+    level down the prefix tree of x, one table fetch per prefix. A vanishing
+    factor or a fetch's ValueError is raised for the first x, in enumeration order, it ends.
     """
     order = tuple(V.sites) if site_order is None else tuple(
         s if isinstance(s, tuple) else (s,) for s in site_order)
@@ -200,57 +199,57 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
         reference = Configuration(V, (alphabet.symbols[0],) * len(V))
     if reference.volume != V:
         raise DomainError("reference must live on the target volume")
-    rank = [V.sites.index(t) for t in order]  # position in V of each factor's site
-    plans = _factor_plans(V, order, z.volume)
-    ref = reference.symbols
-    tables: dict = {}  # prefix of x along order -> (one-point table, mixed on V)
-    products: dict = {(): Fraction(1) if mode == RATIONAL else 1.0}
-
-    def factor_table(prefix: tuple):
-        mixed = list(ref)
-        for i, symbol in zip(rank, prefix):
-            mixed[i] = symbol
-        union, take = plans[len(prefix)]
-        symbols = z.symbols + tuple(mixed)
-        boundary = Configuration(union, tuple(symbols[i] for i in take))
-        return one_point(order[len(prefix)], boundary), mixed
-
-    def weight(x: Configuration):
-        key = tuple(x.symbols[i] for i in rank)
-        w = products[()]
-        for j in range(len(order)):
-            head = key[:j + 1]
-            nxt = products.get(head)
-            if nxt is None:
-                prefix = key[:j]
-                entry = tables.get(prefix)
-                if entry is None:
-                    entry = tables[prefix] = factor_table(prefix)
-                table, mixed = entry
-                num, den = table[key[j]], table[ref[rank[j]]]
+    plans, leaves = _factor_plans(V, order, z.volume, alphabet.size)
+    configs = enumerate_configurations(V, alphabet)
+    # per prefix: (z + u + its x, weight, int denominator or None), (None, error, None) if failed
+    level = [(z.symbols + reference.symbols,) + ((1, 1) if mode == RATIONAL else (1.0, None))]
+    for j, (union, take, r) in enumerate(plans):
+        nxt = []
+        for held, w, d in level:
+            try:
+                if held is None:
+                    raise w
+                boundary = Configuration(union, tuple(map(held.__getitem__, take)))
+                table = one_point(order[j], boundary)
+            except ValueError as err:  # every extension of a failed prefix fails with it
+                nxt += [(None, err, None)] * alphabet.size
+                continue
+            den = table[reference.symbols[r]]
+            for a in alphabet.symbols:
+                num = table[a]
                 if num <= 0 or den <= 0:
-                    interleaved = restrict(Configuration(V, tuple(mixed)), V - Volume((order[j],)))
-                    raise PositivityError(
-                        f"one-point kernel vanishes at factor {j} under {interleaved}")
-                nxt = products[head] = w * (num / den)
-            w = nxt
-        return w
-
-    weights = {x: weight(x) for x in enumerate_configurations(V, alphabet)}
+                    nxt.append((None, PositivityError(f"one-point kernel vanishes at factor {j} "
+                                f"under {restrict(boundary, V - Volume((order[j],)))}"), None))
+                elif d is None:
+                    nxt.append((held + (a,), w * (num / den), None))
+                else:
+                    try:
+                        nxt.append((held + (a,), w * num.numerator * den.denominator,
+                                    d * num.denominator * den.numerator))
+                    except AttributeError:  # a float in an exact family: a float product
+                        nxt.append((held + (a,), Fraction(w, d) * (num / den), None))
+        level = nxt
+    level = [level[i] for i in leaves]
+    for held, w, _ in level:
+        if held is None:
+            raise w
+    weights = {x: w if d is None else Fraction(w, d) for x, (_, w, d) in zip(configs, level)}
     return ConditionalKernel(V, z, normalized(weights, mode), mode)
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
-def _factor_plans(V: Volume, order: tuple, condition: Volume) -> tuple:
-    """Per factor of reconstruct_from_one_point, at site t: (union, take),
-    its boundary living on union, the condition's volume joined with V
-    minus t, and holding ``(z.symbols + mixed)[i] for i in take``."""
+def _factor_plans(V: Volume, order: tuple, condition: Volume, size: int) -> tuple:
+    """Per factor j of reconstruct_from_one_point: (union, take, V.index(order[j])), the
+    boundary being ``(z + u + x on order[:j])`` at take; then the leaf of each x on V."""
     plans = []
-    for t in order:
-        union, take = _concat_map(condition, V - Volume((t,)))
-        j = len(condition) + V.index(t)  # t's position in condition.sites + V.sites
-        plans.append((union, tuple(i + (i >= j) for i in take)))
-    return tuple(plans)
+    for j, t in enumerate(order):
+        union, _ = _concat_map(condition, V - Volume((t,)))
+        at = {s: i for i, s in enumerate(condition.sites + V.sites + order[:j])}  # x over u
+        plans.append((union, tuple(at[s] for s in union.sites), V.index(t)))
+    leaves = [0]
+    for t in V.sites:
+        leaves = [i + c * size ** order[::-1].index(t) for i in leaves for c in range(size)]
+    return tuple(plans), tuple(leaves)
 
 
 def markov_radius(m: RandomFieldModel, t, max_r: int,

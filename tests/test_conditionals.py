@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -452,6 +452,121 @@ def test_reconstruction_raises_the_first_positivity_error(order):
     with pytest.raises(PositivityError) as got:
         reconstruct_from_one_point(one_point, V, empty, BIN, site_order=order)
     assert str(got.value) == str(expected.value)
+
+
+def exact_and_float_families(one_point, float_site):
+    """A rational-mode 1-spec and two variants of it that hand out floats:
+    at every site, and at float_site only, so that exact and float weights
+    meet in one reconstruction."""
+    def floats(site, condition):
+        return {a: float(p) for a, p in one_point(site, condition).items()}
+
+    def mixed(site, condition):
+        return (floats if site == float_site else one_point)(site, condition)
+
+    return one_point, floats, mixed
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reconstruction_matches_the_naive_reference_on_seeded_tables(n, mode):
+    """Every order of a 3-site target, two references, z on the empty
+    volume, on part of the complement and on all of it: equal Fractions of
+    equal type on exact tables, equal reprs on floats, in enumeration
+    order. In rational mode a 1-spec that hands out floats gives the float
+    weights of the per-candidate reference, bit for bit."""
+    window = line_window(n)
+    V = Volume.of(window.sites[:3])
+    if mode == RATIONAL:
+        m = seeded_positive_table(window, BIN, seed=50 + n)
+        families = exact_and_float_families(one_point_from_model(m), V.sites[1])
+    else:
+        families = [one_point_from_model(float_table(window, 50 + n))]
+    rest = window - V
+    volumes = dict.fromkeys([Volume.empty(), Volume.of(rest.sites[:1]), rest])
+    for z in (z for lam in volumes for z in enumerate_configurations(lam, BIN)):
+        for one_point, order, reference in product(
+                families, permutations(V.sites), (None, Configuration(V, (1, 0, 1)))):
+            rebuilt = reconstruct_from_one_point(one_point, V, z, BIN, reference, order, mode)
+            naive = naive_reconstruction(one_point, V, z, BIN, reference, order, mode)
+            assert rebuilt.probs == naive
+            assert list(map(repr, rebuilt.probs.items())) == list(map(repr, naive.items()))
+
+
+# Two sources of failure per kind, as (factor, (k, symbol) held at order[k] or None, what the
+# table does there): it vanishes at a symbol or at the reference symbol, or the fetch raises.
+# In each kind one source fails later candidates at a shallower factor than the other.
+FAILURES = {
+    "first": [(0, None, 1), (2, (1, 1), 1)],
+    "inner": [(1, (0, 1), 1), (2, (1, 0), 1)],
+    "reference": [(2, (0, 1), "reference"), (1, (0, 0), 1)],
+    "fetch": [(1, (0, 1), "raise"), (2, (1, 1), 1)],
+}
+
+
+def failing_one_point(kind, order, reference):
+    """A rational 1-spec on volume(0, 1, 2) with the failures of FAILURES[kind]."""
+    def one_point(site, condition):
+        i = order.index(site)
+        for factor, held, what in FAILURES[kind]:
+            if factor == i and (held is None or condition[order[held[0]]] == held[1]):
+                if what == "raise":
+                    raise NullConditionError(f"no kernel under {condition}")
+                symbol = reference[site] if what == "reference" else what
+                return {symbol: Fraction(0), 1 - symbol: Fraction(1)}
+        return {0: Fraction(1, 2), 1: Fraction(1, 2)}
+
+    return one_point
+
+
+@pytest.mark.parametrize("kind", list(FAILURES))
+def test_reconstruction_raises_what_the_naive_reference_raises(kind):
+    """For every order and two references, the error, its type and its
+    message, is that of the first candidate in enumeration order to meet
+    a vanishing factor or a failing fetch, as in the per-candidate
+    reference."""
+    V = volume(0, 1, 2)
+    raised = set()
+    for order, symbols in product(permutations(V.sites), [(0, 0, 0), (1, 0, 1)]):
+        reference = Configuration(V, symbols)
+        one_point = failing_one_point(kind, order, reference)
+        with pytest.raises((PositivityError, NullConditionError)) as expected:
+            naive_reconstruction(one_point, V, EMPTY_CONFIGURATION, BIN, reference, order)
+        with pytest.raises((PositivityError, NullConditionError)) as got:
+            reconstruct_from_one_point(one_point, V, EMPTY_CONFIGURATION, BIN, reference, order)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+        raised.add(str(expected.value))
+    assert len(raised) > 1
+
+
+def test_reconstruction_from_a_degenerate_table_raises_what_the_naive_reference_raises():
+    """A table field with zero entries, read through its own one-point
+    kernels: some fetches raise NullConditionError, some factors vanish.
+    For every order, reference and condition the exception type and
+    message, or the kernel, equal the per-candidate reference's."""
+    window = volume(0, 1, 2, 3)
+    probs = dict(seeded_positive_table(window, BIN, seed=8).table.probs)
+    for c in probs:
+        if c.symbols[1:] == (1, 1, 1) or c.symbols[:2] == (0, 1) and c.symbols[3] == 0:
+            probs[c] = Fraction(0)
+    total = sum(probs.values())
+    one_point = one_point_from_model(table_field(window, BIN, {c: p / total
+                                                               for c, p in probs.items()}))
+    V = volume(0, 1, 2)
+    seen = set()
+    for z, order, reference in product(enumerate_configurations(volume(3), BIN),
+                                       permutations(V.sites), enumerate_configurations(V, BIN)):
+        try:
+            expected = naive_reconstruction(one_point, V, z, BIN, reference, order)
+        except (NullConditionError, PositivityError) as err:
+            expected = err
+        try:
+            got = reconstruct_from_one_point(one_point, V, z, BIN, reference, order).probs
+        except (NullConditionError, PositivityError) as err:
+            got = err
+        assert type(got) is type(expected) and str(got) == str(expected)
+        seen.add(type(expected))
+    assert seen == {NullConditionError, PositivityError}
 
 
 def test_reconstruction_positivity_error():

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from gibbsfields import specifications
-from gibbsfields.conditionals import finite_conditional
+from gibbsfields.conditionals import KernelCache, finite_conditional
 from gibbsfields.energy import TransitionEnergy, check_cocycle
 from gibbsfields.fields import FLOAT, RATIONAL, seeded_positive_table
 from gibbsfields.lattice import (
@@ -228,6 +228,24 @@ def test_1spec_from_table_field_exact():
     report = validate_1spec(q, fixtures[:50], tol=0.0, meta=meta)
     assert report.ok
     assert report.max_residual == 0.0
+
+
+def test_one_point_reads_hand_the_kernel_cache_one_volume_per_site():
+    """Reads at t = 0 and at t = (0,) reach the KernelCache with one
+    Volume object, so its lookups compare target volumes by identity."""
+    m = seeded_positive_table(line_window(3), BIN, seed=5)
+    targets = []
+
+    class RecordingCache(KernelCache):
+        def __call__(self, V, z):
+            targets.append(V)
+            return super().__call__(V, z)
+
+    q = onepoint_spec_from_model(m, RecordingCache(m))
+    z = Configuration(volume(-1, 1), (0, 1))
+    direct = finite_conditional(m, volume(0), z)
+    assert q.table(0, z) == q.table((0,), z) == {c.symbols[0]: p for c, p in direct.items()}
+    assert targets[0] == volume(0) and targets[0] is targets[1]
 
 
 def test_1spec_ising_and_perturbed():
