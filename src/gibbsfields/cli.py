@@ -308,8 +308,7 @@ def _potential_reports(model, tol: float, seed: int, max_tuples: int) -> list:
     return reports
 
 
-def cmd_validate(args) -> int:
-    config = resolve(args, load_config(args.config))
+def cmd_validate(args, config: dict) -> int:
     out_dir = config["out"]
     seed = int(config["seed"])
     max_tuples = int(config["max_tuples"])
@@ -373,8 +372,7 @@ def _example1_kernels(plus, minus):
 # ---------------------------------------------------------------------------
 # diagnose
 
-def cmd_diagnose(args) -> int:
-    config = resolve(args, load_config(args.config))
+def cmd_diagnose(args, config: dict) -> int:
     model = build_model(config["model"])
     F = build_filtration(config.get("filtration"), model)
     site = parse_site(config["site"]) if config.get("site") else _default_site(model)
@@ -466,8 +464,7 @@ def _golden_path(name: str):
     return resources.files("gibbsfields").joinpath(f"goldens/{name}.json")
 
 
-def cmd_reproduce(args) -> int:
-    config = resolve(args, load_config(args.config))
+def cmd_reproduce(args, config: dict) -> int:
     if args.example == "example1":
         report = reproduce_example1()
     else:
@@ -492,8 +489,7 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 # energy / reconstruct
 
-def cmd_energy(args) -> int:
-    config = resolve(args, load_config(args.config))
+def cmd_energy(args, config: dict) -> int:
     model = build_model(config["model"])
     target = Volume.of(parse_site(s) for s in args.target.split(";"))
     boundary = parse_configuration(args.boundary or "", model.alphabet)
@@ -529,8 +525,7 @@ def cmd_energy(args) -> int:
     return 0
 
 
-def cmd_reconstruct(args) -> int:
-    config = resolve(args, load_config(args.config))
+def cmd_reconstruct(args, config: dict) -> int:
     table = read_distribution_file(args.table)
     model = table_field(table.volume, table.alphabet, table)
     target = Volume.of(parse_site(s) for s in args.target.split(";"))
@@ -605,7 +600,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, resolve(args, load_config(args.config)))
     except (ValueError, CapacityError, OSError, OverflowError) as err:
         print(f"gfl {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
         return 4

@@ -23,6 +23,7 @@ from .lattice import (
     MAP_CACHE_SIZE,
     Volume,
     _concat_map,
+    _digit_codes,
     box_volume,
     concat,
     enumerate_configurations,
@@ -70,13 +71,10 @@ def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> Cond
 def _code_plan(V: Volume, condition: Volume, alphabet: Alphabet) -> tuple:
     """(union, strides, offsets): the marginal on the union holds x z, x the j-th
     configuration on V, at code offsets[j] + sum(index(a) * w for a, w in zip(z, strides))."""
-    union, take = _concat_map(V, condition)
-    k, n = alphabet.size, len(union)
-    strides = [k ** (n - 1 - take.index(j)) for j in range(n)]  # V's sites, then the condition's
-    offsets = [0]
-    for w in strides[:len(V)]:
-        offsets = [o + d * w for o in offsets for d in range(k)]
-    return union, tuple(strides[len(V):]), tuple(offsets)
+    union, _ = _concat_map(V, condition)
+    k = alphabet.size
+    strides = tuple(_digit_codes(union, (s,), k)[1] for s in condition)
+    return union, strides, tuple(_digit_codes(union, V, k))
 
 
 class KernelCache:
@@ -246,10 +244,7 @@ def _factor_plans(V: Volume, order: tuple, condition: Volume, size: int) -> tupl
         union, _ = _concat_map(condition, V - Volume((t,)))
         at = {s: i for i, s in enumerate(condition.sites + V.sites + order[:j])}  # x over u
         plans.append((union, tuple(at[s] for s in union.sites), V.index(t)))
-    leaves = [0]
-    for t in V.sites:
-        leaves = [i + c * size ** order[::-1].index(t) for i in leaves for c in range(size)]
-    return tuple(plans), tuple(leaves)
+    return tuple(plans), tuple(_digit_codes(order, V, size))
 
 
 def markov_radius(m: RandomFieldModel, t, max_r: int,

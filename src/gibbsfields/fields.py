@@ -22,6 +22,7 @@ from .lattice import (
     Configuration,
     DomainError,
     Volume,
+    _digit_codes,
     enumerate_configurations,
     format_site,
     parse_site,
@@ -215,24 +216,18 @@ class FiniteDistribution(ConditionalKernel):
 def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
     """Sum out the sites of p.volume outside V.
 
-    Entry j of p sits at mixed-radix code j, a site at position i having
-    stride k^(n-1-i). The codes are laid out with V's sites as the outer
-    digits, so each configuration on V owns one contiguous slice of
-    k^(n-|V|) entries.
+    Entry j of p sits at code j. With V's sites as the outer digits
+    (``_digit_codes``), each configuration on V owns one contiguous slice
+    of the entries.
     """
     if not V.issubset(p.volume):
         raise DomainError(f"{V - p.volume} not inside the distribution's volume")
-    if V == p.volume:
+    if V is p.volume:
         return p
-    k, n = p.alphabet.size, len(p.volume)
-    codes = [0]
-    for s in (*V, *(p.volume - V)):
-        w = k ** (n - 1 - p.volume.index(s))
-        codes = [c + d for c in codes for d in range(0, k * w, w)]
     entries = p.entries
-    values = [entries[j] for j in codes]
-    width = k ** (n - len(V))
+    values = [entries[j] for j in _digit_codes(p.volume, (*V, *(p.volume - V)), p.alphabet.size)]
     configs = enumerate_configurations(V, p.alphabet)
+    width = len(values) // len(configs)
     probs = {c: scalar_sum(values[i * width:(i + 1) * width], p.mode)
              for i, c in enumerate(configs)}
     return FiniteDistribution(V, p.alphabet, probs, p.mode)

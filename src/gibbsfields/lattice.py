@@ -9,8 +9,9 @@ that window.
 from __future__ import annotations
 
 import os
+import weakref
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -50,29 +51,34 @@ def as_site(value) -> Site:
 
 
 # Volumes and configurations fill the kernel and map caches, so both carry
-# slots instead of a per-instance dict. Every cache lookup hashes them: a
-# volume hashes its sites once, at construction, and a configuration
-# combines its symbols' hash with that stored one.
-@dataclass(frozen=True, slots=True)
+# slots instead of a per-instance dict. A site tuple has one live Volume,
+# held weakly in _VOLUMES, so volumes compare by identity and every cache
+# lookup on them ends there; a volume hashes its sites once, and a
+# configuration combines its symbols' hash with that stored one.
+_VOLUMES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Volume:
-    """Finite set of lattice sites in canonical (lexicographic) order."""
+    """Finite set of lattice sites in canonical (lexicographic) order, one
+    live object per site tuple: ``Volume(sites)`` returns it."""
 
+    __slots__ = ("sites", "_hash", "__weakref__")  # weakref_slot needs Python 3.11
     sites: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, sites: tuple):
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "_hash", hash(sites))
+    def __new__(cls, sites: tuple) -> "Volume":
+        volume = _VOLUMES.get(sites)
+        if volume is None:
+            volume = _VOLUMES[sites] = object.__new__(cls)
+            object.__setattr__(volume, "sites", sites)
+            object.__setattr__(volume, "_hash", hash(sites))
+        return volume
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other) -> bool:
-        return self is other or (other.__class__ is Volume and self._hash == other._hash
-                                 and self.sites == other.sites)
-
     def __reduce__(self):
-        # the hash is rebuilt on load, never carried across interpreters
+        # loads as the live volume; the hash is rebuilt, never carried across interpreters
         return Volume, (self.sites,)
 
     @staticmethod
@@ -206,11 +212,6 @@ class Configuration:
     def __hash__(self) -> int:
         return hash((self.symbols, self.volume._hash))
 
-    def __eq__(self, other) -> bool:
-        return self is other or (other.__class__ is Configuration
-                                 and self.symbols == other.symbols
-                                 and (self.volume is other.volume or self.volume == other.volume))
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -237,18 +238,17 @@ def configuration(assignment: Mapping) -> Configuration:
 
 
 MAP_CACHE_SIZE = 8192  # volume pairs whose concat/restrict maps are kept
-_interned = lru_cache(maxsize=MAP_CACHE_SIZE)(Volume)  # one union object per site tuple
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def _concat_map(A: Volume, B: Volume) -> tuple:
-    """The union of disjoint volumes (``_interned``) and, per union site in
-    order, its position in ``A.sites + B.sites``."""
+    """The union of disjoint volumes and, per union site in order, its
+    position in ``A.sites + B.sites``."""
     if not A.isdisjoint(B):
         raise DomainError(f"domains overlap on {A & B}")
     sites = A.sites + B.sites
     take = tuple(sorted(range(len(sites)), key=sites.__getitem__))
-    return _interned(tuple(sites[i] for i in take)), take
+    return Volume(tuple(sites[i] for i in take)), take
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -283,15 +283,28 @@ def split_positions(V: Volume, I: Volume, alphabet: Alphabet) -> tuple:
     """
     if not I.issubset(V):
         raise DomainError(f"{I - V} not in the split volume")
-    configs = enumerate_configurations(V, alphabet)
-    where = {c.symbols: n for n, c in enumerate(configs)}
-    xs = enumerate_configurations(I, alphabet)
-    ys = enumerate_configurations(V - I, alphabet)
-    rows = tuple(tuple(where[concat(x, y).symbols] for x in xs) for y in ys)
-    return configs, xs, ys, rows
+    rest = V - I
+    xs, ys = enumerate_configurations(I, alphabet), enumerate_configurations(rest, alphabet)
+    codes = _digit_codes(V, (*rest, *I), alphabet.size)  # y the outer digits, x the inner
+    rows = tuple(tuple(codes[n:n + len(xs)]) for n in range(0, len(codes), len(xs)))
+    return enumerate_configurations(V, alphabet), xs, ys, rows
 
 
-@lru_cache(maxsize=8192)
+def _digit_codes(layout: Iterable, sites: Iterable, k: int) -> list:
+    """For each configuration on sites, enumerated site by site, its code
+    (position in ``enumerate_configurations`` order) over layout, every other
+    site at the first symbol. With sites as the outer digits and the rest as
+    the inner ones, each configuration on sites owns one contiguous slice."""
+    position = {s: i for i, s in enumerate(layout)}
+    n = len(position)
+    codes = [0]
+    for s in sites:
+        w = k ** (n - 1 - position[s])
+        codes = [c + d for c in codes for d in range(0, k * w, w)]
+    return codes
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
 def _enumerate(volume: Volume, alphabet: Alphabet) -> tuple:
     return tuple(
         Configuration(volume, symbols)

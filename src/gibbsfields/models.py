@@ -106,7 +106,7 @@ class MarkovChainPairModel(RandomFieldModel):
         self._check_volume(V)
         got = self._marginals.get(V)
         if got is None:
-            n = max(s[0] for s in V.sites)
+            n = max((s[0] for s in V.sites), default=1)
             got = marginalize(self._prefix_table(n), V)
             self._marginals[V] = got
         return got

@@ -26,7 +26,6 @@ from .lattice import (
     GeometryError,
     Volume,
     _concat_map,
-    _interned,
     as_site,
     concat,
     enumerate_configurations,
@@ -321,7 +320,7 @@ def onepoint_spec_from_model(m: RandomFieldModel,
     kernels = kernels or KernelCache(m)
 
     def table(t, boundary):
-        k = kernels(_interned((as_site(t),)), boundary)
+        k = kernels(Volume((as_site(t),)), boundary)
         return {c.symbols[0]: p for c, p in k.items()}
 
     return OnePointSpec(m.window, m.alphabet, table, m.mode, f"1spec({m.describe()})")

@@ -1,13 +1,16 @@
+import copy
 import pickle
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
+from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbsfields import lattice
 from gibbsfields.lattice import (
     Alphabet,
     CapacityError,
@@ -74,7 +77,7 @@ def test_volumes_and_configurations_are_slotted_frozen_values():
 def test_equal_values_hash_equal_and_differ_from_other_types():
     v, twin_v = Volume.of([(0, 1), (2, 3)]), Volume(((0, 1), (2, 3)))
     c, twin_c = Configuration(v, ("a", "b")), Configuration(twin_v, ("a", "b"))
-    assert v is not twin_v and v == twin_v and hash(v) == hash(twin_v)
+    assert Volume(tuple(v.sites)) is v and twin_v is v and hash(v) == hash(twin_v)
     assert c is not twin_c and c == twin_c and hash(c) == hash(twin_c)
     assert c != Configuration(v, ("b", "a"))
     assert c != Configuration(volume((0, 1), (2, 4)), ("a", "b"))
@@ -90,6 +93,24 @@ def test_pickle_keeps_equality_and_hash():
         again = pickle.loads(pickle.dumps(value))
         assert again == value and hash(again) == hash(value)
         assert {value: "kept"}[again] == "kept"
+
+
+def test_a_pickled_or_copied_volume_loads_as_the_live_one():
+    v = Volume.of([(0, 1), (2, 3)])
+    for volume_ in (v, Volume.empty()):
+        assert pickle.loads(pickle.dumps(volume_)) is volume_
+        assert copy.deepcopy(volume_) is volume_ and copy.copy(volume_) is volume_
+    c = pickle.loads(pickle.dumps(Configuration(v, (1, -1))))
+    assert c.volume is v and copy.deepcopy(c).volume is v
+
+
+def test_throwaway_volumes_leave_the_intern_table_as_it_was():
+    held = Volume.of([0, 1])
+    before = len(lattice._VOLUMES)
+    for i in range(10**5):
+        Volume(((i, -7),))
+    assert len(lattice._VOLUMES) == before
+    assert Volume(((0,), (1,))) is held
 
 
 def test_a_pickle_from_another_hash_seed_finds_its_fresh_twin():
@@ -133,6 +154,7 @@ def test_concat_gives_one_union_object_per_site_tuple():
     right = concat(concat(a, b), c)
     assert left.volume is right.volume
     assert concat(c, concat(a, b)).volume is left.volume
+    assert left.volume is Volume.of([1, 2, 3])
 
 
 def test_concat_overlap_rejected():
@@ -188,12 +210,41 @@ def test_index_maps_match_the_per_entry_reference(case):
     joined = concat(a, b)
     assert joined == naive_concat(a, b)
     assert restrict(joined, T) == Configuration(T, tuple(joined[s] for s in T))
-    # equal but distinct volumes read the same maps
+    # a volume rebuilt from its sites is the live one, and reads the same maps
     a2 = Configuration(Volume(tuple(a.volume.sites)), a.symbols)
     T2 = Volume(tuple(T.sites))
-    assert a2.volume is not a.volume and T2 is not T
+    assert a2.volume is a.volume and T2 is T
     assert concat(a2, b) == joined
     assert restrict(joined, T2) == restrict(joined, T)
+
+
+@st.composite
+def code_layouts(draw):
+    """A layout of at most 6 distinct 1-D or 2-D sites, a subset of it in
+    any order, and an alphabet of 2 or 3 symbols."""
+    dim = draw(st.sampled_from([1, 2]))
+    coords = st.tuples(*[st.integers(-2, 2)] * dim)
+    layout = Volume.of(draw(st.lists(coords, unique=True, min_size=1, max_size=6)))
+    sites = draw(st.permutations(layout.sites))[:draw(st.integers(0, len(layout)))]
+    return layout, tuple(sites), draw(st.sampled_from([binary_alphabet(),
+                                                        Alphabet.of(("a", "b", "c"))]))
+
+
+@settings(derandomize=True)
+@given(code_layouts())
+def test_digit_codes_are_enumeration_positions(case):
+    """Each code is the position, in the enumeration of the layout, of the
+    configuration holding the subset's symbols there and the first symbol
+    elsewhere."""
+    layout, sites, alphabet = case
+    order = enumerate_configurations(layout, alphabet)
+    codes = lattice._digit_codes(layout, sites, alphabet.size)
+    assert len(codes) == alphabet.size ** len(sites)
+    first = alphabet.symbols[0]
+    for code, symbols in zip(codes, product(alphabet.symbols, repeat=len(sites))):
+        held = dict(zip(sites, symbols))
+        c = Configuration(layout, tuple(held.get(s, first) for s in layout))
+        assert code == order.index(c)
 
 
 def test_index_map_errors_are_not_cached():

@@ -5,10 +5,12 @@ from itertools import combinations
 import pytest
 
 from gibbsfields.conditionals import finite_conditional, markov_radius
-from gibbsfields.fields import check_marginal_consistency
+from gibbsfields.fields import RATIONAL, check_marginal_consistency, seeded_positive_table
 from gibbsfields.lattice import (
+    EMPTY_CONFIGURATION,
     Configuration,
     Volume,
+    binary_alphabet,
     enumerate_configurations,
     line_window,
     volume,
@@ -21,6 +23,29 @@ from gibbsfields.models import (
     example2_model,
     ising_demo,
 )
+
+
+MODEL_KINDS = {
+    "table": lambda: seeded_positive_table(line_window(4), binary_alphabet(), 3),
+    "product": lambda: bernoulli_product(Fraction(1, 3), 5),
+    "example1+": lambda: example1_pair(5, Fraction(1, 2), Fraction(1, 2))[0],
+    "example1-": lambda: example1_pair(5, Fraction(1, 2), Fraction(1, 2))[1],
+    "example2": lambda: example2_model(1, 7),
+    "example2-float": lambda: example2_model(0.5, 7),
+    "ising-d1": lambda: ising_demo(0.4, 0.3, 1, 5),
+    "ising-d2": lambda: ising_demo(0.4, 0.0, 2, 9),
+}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_the_empty_marginal_is_one_entry_of_one(kind):
+    m = MODEL_KINDS[kind]()
+    p = m.marginal(Volume.empty())
+    assert list(p) == [EMPTY_CONFIGURATION]
+    if m.mode == RATIONAL:
+        assert p[EMPTY_CONFIGURATION] == 1
+    else:
+        assert p[EMPTY_CONFIGURATION] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_example1_parameter_validation():
