@@ -3,8 +3,8 @@
 A distribution carries a numeric mode: "rational" tables hold
 ``fractions.Fraction`` entries and all identities are checked with exact
 equality; "float" tables hold binary floats and each check compares
-them within the tolerance it is given (default 1e-12). Float sums go
-through ``math.fsum`` so results do not depend on evaluation order.
+them within the tolerance it is given (default 1e-12). Float sums are
+those of ``math.fsum``, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial, reduce
 from numbers import Rational
+from operator import add
 
 from .lattice import (
     EMPTY_CONFIGURATION,
@@ -22,7 +24,6 @@ from .lattice import (
     Configuration,
     DomainError,
     Volume,
-    _digit_codes,
     enumerate_configurations,
     format_site,
     parse_site,
@@ -184,6 +185,8 @@ class FiniteDistribution(ConditionalKernel):
     and this is a contract: the j-th key of ``probs`` is the configuration
     whose symbols' alphabet indices, read site by site as the digits of a
     base-k number, spell j; ``entries`` lists the values by that code.
+    Entries are finite. ``marginalize`` keeps an exact view of them with
+    the table, so a table must not be mutated.
     """
 
     def __init__(self, volume: Volume, alphabet: Alphabet, probs: Mapping,
@@ -202,6 +205,8 @@ class FiniteDistribution(ConditionalKernel):
         for c, p in self.probs.items():
             if self.mode == RATIONAL and not isinstance(p, Fraction):
                 raise ValidationError(f"non-rational entry {p!r} in rational mode")
+            if self.mode == FLOAT and not math.isfinite(p):
+                raise ValidationError(f"non-finite probability {p} at {c}")
             if p < 0 and not (self.mode == FLOAT and p >= -DEFAULT_TOL):
                 raise ValidationError(f"negative probability {p} at {c}")
         total = scalar_sum(self.probs.values(), self.mode)
@@ -211,25 +216,52 @@ class FiniteDistribution(ConditionalKernel):
         elif abs(total - 1.0) > DEFAULT_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, off by more than {DEFAULT_TOL}")
         self.entries = tuple(table.values())  # entry j is that of code j
+        self._exact = None
+
+    def _exact_view(self) -> tuple:
+        """(ints, scale): the entries as ints over the lcm of their denominators,
+        or in float mode the largest of ``float.as_integer_ratio``; built once."""
+        if self._exact is None and self.mode == RATIONAL:
+            self._exact = integer_numerators(self.entries, RATIONAL)
+        elif self._exact is None:
+            ratios = [float(v).as_integer_ratio() for v in self.entries]
+            scale = max(d for _, d in ratios)
+            self._exact = [n * (scale // d) for n, d in ratios], scale
+        return self._exact
+
+
+def _sum_out(values: list, i: int, k: int) -> list:
+    """Sum out digit i of the base-k codes that index values: by contiguous
+    runs if fewer digits precede i than follow it, else by strided slices."""
+    w = len(values) // k ** (i + 1)  # the run of one symbol at digit i
+    block = k * w
+    if k ** i <= w:
+        out = []
+        for b in range(0, len(values), block):
+            out += reduce(partial(map, add), [values[j:j + w] for j in range(b, b + block, w)])
+        return out
+    out = [0] * (len(values) // k)
+    for r in range(w):
+        out[r::w] = reduce(partial(map, add), [values[j::block] for j in range(r, block, w)])
+    return out
 
 
 def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
-    """Sum out the sites of p.volume outside V.
-
-    Entry j of p sits at code j. With V's sites as the outer digits
-    (``_digit_codes``), each configuration on V owns one contiguous slice
-    of the entries.
-    """
+    """Sum out the sites of p.volume outside V, exactly: p's entries as ints
+    over one scale, kept with p (``_exact_view``), summed out site by site
+    from the last, leave the sums in V's code order, and each sum is rounded
+    once, so a float marginal has the bits of ``math.fsum`` over its entries."""
     if not V.issubset(p.volume):
         raise DomainError(f"{V - p.volume} not inside the distribution's volume")
     if V is p.volume:
         return p
-    entries = p.entries
-    values = [entries[j] for j in _digit_codes(p.volume, (*V, *(p.volume - V)), p.alphabet.size)]
-    configs = enumerate_configurations(V, p.alphabet)
-    width = len(values) // len(configs)
-    probs = {c: scalar_sum(values[i * width:(i + 1) * width], p.mode)
-             for i, c in enumerate(configs)}
+    values, scale = p._exact_view()
+    for i in reversed(range(len(p.volume))):
+        if p.volume.sites[i] not in V:
+            values = _sum_out(values, i, p.alphabet.size)
+    rounded = ((Fraction(v, scale) for v in values) if p.mode == RATIONAL
+               else (v / scale for v in values))
+    probs = dict(zip(enumerate_configurations(V, p.alphabet), rounded))
     return FiniteDistribution(V, p.alphabet, probs, p.mode)
 
 

@@ -63,7 +63,7 @@ class Volume:
     """Finite set of lattice sites in canonical (lexicographic) order, one
     live object per site tuple: ``Volume(sites)`` returns it."""
 
-    __slots__ = ("sites", "_hash", "__weakref__")  # weakref_slot needs Python 3.11
+    __slots__ = ("sites", "_hash", "_set", "__weakref__")  # weakref_slot needs Python 3.11
     sites: tuple
 
     def __new__(cls, sites: tuple) -> "Volume":
@@ -72,6 +72,7 @@ class Volume:
             volume = _VOLUMES[sites] = object.__new__(cls)
             object.__setattr__(volume, "sites", sites)
             object.__setattr__(volume, "_hash", hash(sites))
+            object.__setattr__(volume, "_set", None)
         return volume
 
     def __hash__(self) -> int:
@@ -113,22 +114,28 @@ class Volume:
             raise KeyError(site)
         return i
 
+    def _site_set(self) -> frozenset:
+        """The sites as a frozenset, built the first time this volume is a container."""
+        if self._set is None:
+            object.__setattr__(self, "_set", frozenset(self.sites))
+        return self._set
+
     def union(self, other: "Volume") -> "Volume":
         return Volume(tuple(sorted(set(self.sites) | set(other.sites))))
 
     def difference(self, other: "Volume") -> "Volume":
-        removed = set(other.sites)
+        removed = other._site_set()
         return Volume(tuple(s for s in self.sites if s not in removed))
 
     def intersection(self, other: "Volume") -> "Volume":
-        kept = set(other.sites)
+        kept = other._site_set()
         return Volume(tuple(s for s in self.sites if s in kept))
 
     def issubset(self, other: "Volume") -> bool:
-        return set(self.sites) <= set(other.sites)
+        return other._site_set().issuperset(self.sites)
 
     def isdisjoint(self, other: "Volume") -> bool:
-        return set(self.sites).isdisjoint(other.sites)
+        return other._site_set().isdisjoint(self.sites)
 
     __or__ = union
     __sub__ = difference

@@ -164,6 +164,22 @@ def test_validate_reports_a_zero_marginal_entry(tmp_path):
     assert report["reports"][-1]["violations"] == ["zero marginal entry"]
 
 
+def test_validate_refuses_a_table_with_a_nan_entry(tmp_path, capsys):
+    window, alphabet = line_window(3), binary_alphabet()
+    configs = enumerate_configurations(window, alphabet)
+    path = tmp_path / "nan.tbl"
+    write_distribution_file(FiniteDistribution(window, alphabet, dict.fromkeys(configs, 0.125),
+                                               FLOAT), path)
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].partition("\t")[0] + "\tnan"  # the third configuration
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--model", f"table:{path}", "--out", str(tmp_path)]) == 1
+    assert (f"validate: FAIL (model load: non-finite probability nan at {configs[2]})"
+            in capsys.readouterr().out)
+    report = json.loads((tmp_path / "validate.json").read_text())
+    assert report["ok"] is False and [r["axiom"] for r in report["reports"]] == ["model-load"]
+
+
 def test_example1_kernel_check_reports_a_closed_form_mismatch(tmp_path, monkeypatch):
     """With the closed form halved, every interior kernel disagrees with it."""
     kernels = cli._example1_kernels

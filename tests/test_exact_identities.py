@@ -268,14 +268,15 @@ def all_conditions(window: Volume, target: Volume) -> list:
 def test_cached_kernels_are_converted_to_numerators_once(monkeypatch):
     """Pair consistency and decomposition on every condition of a 4-site
     table, read through one KernelCache, convert each kernel they read to
-    integer numerators at most once, however many fixtures read it."""
+    integer numerators at most once, however many fixtures read it, and
+    the table itself exactly once, for all of its marginals."""
     m = seeded_positive_table(line_window(4), BIN, seed=19)
     kernels = KernelCache(m)
-    conversions = []
+    conversions, tables = [], []
     convert = fields.integer_numerators
 
     def counting(values, mode):
-        conversions.append(mode)
+        (tables if values is m.table.entries else conversions).append(mode)
         return convert(values, mode)
 
     monkeypatch.setattr(fields, "integer_numerators", counting)
@@ -290,6 +291,7 @@ def test_cached_kernels_are_converted_to_numerators_once(monkeypatch):
             for z in all_conditions(window, V | I):
                 assert check_decomposition(m, V, I, z, kernels)
     assert 0 < len(conversions) <= len(kernels._cache)
+    assert tables == [fields.RATIONAL]
 
 
 def test_normalized_exact_weights_are_canonical_fractions():

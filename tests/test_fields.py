@@ -1,9 +1,10 @@
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gibbsfields.fields import (
@@ -197,6 +198,68 @@ def test_marginalize_matches_the_per_entry_reference():
             assert list(got.probs) == list(enumerate_configurations(V, p.alphabet))
             assert [(c, text(v)) for c, v in got.items()] == \
                 [(c, text(v)) for c, v in want.items()]
+
+
+# Entries across many binades: subnormals, 1e-300, zeros of both signs and
+# negatives within the tolerance a table admits. Each table has all of its
+# sub-volumes marginalized; with at least two sites, the first site is summed
+# out by runs and the last by strided slices, so both ways are reached.
+SPECKS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, 3e-200, 1e-17, 1e-15, -1e-14)
+
+
+@st.composite
+def float_tables(draw, alphabet, max_sites):
+    window = line_window(draw(st.integers(2, max_sites)))
+    configs = enumerate_configurations(window, alphabet)
+    entries = draw(st.lists(st.one_of(st.sampled_from(SPECKS), st.floats(1e-6, 1.0)),
+                            min_size=len(configs), max_size=len(configs)))
+    entries[draw(st.integers(0, len(configs) - 1))] = draw(st.floats(1e-6, 1.0))
+    big = math.fsum(e for e in entries if e >= 1e-6)
+    entries = [e / big if e >= 1e-6 else e for e in entries]
+    return FiniteDistribution(window, alphabet, dict(zip(configs, entries)), FLOAT)
+
+
+@st.composite
+def rational_tables(draw):
+    """Entries 1/d, pairwise different d, and the remainder of 1 somewhere."""
+    window = line_window(draw(st.integers(2, 4)))
+    configs = enumerate_configurations(window, BIN)
+    n = len(configs)
+    dens = draw(st.lists(st.integers(n, 50 * n), min_size=n - 1, max_size=n - 1, unique=True))
+    entries = [Fraction(1, d) for d in dens]
+    rest = 1 - sum(entries)
+    assume(rest.denominator not in dens)
+    entries.insert(draw(st.integers(0, n - 1)), rest)
+    return FiniteDistribution(window, BIN, dict(zip(configs, entries)))
+
+
+def assert_marginals_match_the_reference(p, text):
+    for V in sub_volumes(p.volume):
+        got, want = marginalize(p, V), naive_marginalize(p, V)
+        assert [text(v) for v in got.values()] == [text(v) for v in want.values()]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(float_tables(BIN, 6), float_tables(Alphabet.of((0, 1, 2)), 4)))
+def test_float_marginals_are_the_bits_of_the_per_entry_fsum(p):
+    assert_marginals_match_the_reference(p, float.hex)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rational_tables())
+def test_rational_marginals_are_the_per_entry_fractions(p):
+    assert_marginals_match_the_reference(p, repr)
+
+
+def test_a_non_finite_entry_is_rejected_by_name():
+    vol = volume(0, 1)
+    configs = enumerate_configurations(vol, BIN)
+    for bad in (math.nan, math.inf, -math.inf):
+        probs = dict.fromkeys(configs, 0.25)
+        probs[configs[2]] = bad
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"non-finite probability {bad} at {configs[2]}")):
+            FiniteDistribution(vol, BIN, probs, FLOAT)
 
 
 def test_float_scalar_sum_is_fsum_of_floats():

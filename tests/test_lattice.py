@@ -56,6 +56,21 @@ def test_volume_set_operations():
     assert b.issubset(a | b) and not a.issubset(b)
 
 
+def test_subset_tests_agree_with_sets_and_keep_a_set_only_for_the_container():
+    vols = [Volume.of(s) for s in ([], [0], [0, 1], [1, 2], [0, 1, 2], [3])]
+    for a in vols:
+        for b in vols:
+            A, B = set(a.sites), set(b.sites)
+            assert a.issubset(b) == (A <= B) and a.isdisjoint(b) == A.isdisjoint(B)
+            assert (a - b).sites == tuple(sorted(A - B)) and (a & b).sites == tuple(sorted(A & B))
+    part, whole = Volume.of([(40, 1)]), Volume.of([(40, 1), (40, 2)])
+    assert part._set is None and whole._set is None
+    assert part.issubset(whole) and (part - whole).sites == ()
+    assert whole._set == frozenset(whole.sites) and part._set is None
+    fresh = Volume.of([(41, 1)])
+    assert fresh.isdisjoint(whole) and fresh._set is None
+
+
 def test_volumes_and_configurations_are_slotted_frozen_values():
     """Caches hold many of both, so they carry no per-instance dict."""
     v = Volume.of([1, 0])
