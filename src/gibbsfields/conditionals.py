@@ -9,6 +9,7 @@ and the Markov radius of a site.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -33,7 +34,8 @@ from .fields import (
     RATIONAL,
     ConditionalKernel,
     RandomFieldModel,
-    normalized,
+    _normalized_kernel,
+    integer_numerators,
 )
 
 
@@ -46,32 +48,38 @@ class PositivityError(ValueError):
 
 
 def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> ConditionalKernel:
-    """Kernel g_V^z(x) = P(x z) / P(z) for a condition z on a disjoint volume."""
+    """Kernel g_V^z(x) = P(x z) / P(z) for a condition z on a disjoint volume.
+
+    In rational mode the kernel is born as ints: the joint entries' numerators
+    n(xz) over one scale s and P(z) = n_z / d_z give n(xz) d_z over s n_z."""
     if not V.issubset(m.window):
         raise DomainError(f"{V - m.window} outside the model window")
-    if not V.isdisjoint(z.volume):
+    if not z.volume.isdisjoint(V):
         raise DomainError("condition volume intersects the target")
     if not z.volume.issubset(m.window):
         raise DomainError("condition outside the model window")
     pz = m.prob(z)
-    if pz <= 0:
+    if (pz.numerator if m.mode == RATIONAL else pz) <= 0:
         raise NullConditionError(f"condition has probability {pz}: {z}")
     configs = enumerate_configurations(V, m.alphabet)
     if type(m).prob is RandomFieldModel.prob and (V or z.volume):
         union, strides, offsets = _code_plan(V, z.volume, m.alphabet)
         base = sum(m.alphabet.symbols.index(a) * w for a, w in zip(z.symbols, strides))
-        entries = m.marginal(union).entries
-        joint = (entries[base + o] for o in offsets)
+        _, entries, scale = m.marginal(union)._exact
+        joint = [entries[base + o] for o in offsets]
     else:
-        joint = (m.prob(concat(x, z)) for x in configs)
-    return ConditionalKernel(V, z, {x: p / pz for x, p in zip(configs, joint)}, m.mode)
+        joint, scale = integer_numerators([m.prob(concat(x, z)) for x in configs], m.mode)
+    if m.mode == RATIONAL:
+        return ConditionalKernel._of_numerators(
+            V, z, configs, tuple(n * pz.denominator for n in joint), scale * pz.numerator)
+    return ConditionalKernel._of_numerators(V, z, configs, tuple(p / pz for p in joint), 1, m.mode)
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def _code_plan(V: Volume, condition: Volume, alphabet: Alphabet) -> tuple:
     """(union, strides, offsets): the marginal on the union holds x z, x the j-th
     configuration on V, at code offsets[j] + sum(index(a) * w for a, w in zip(z, strides))."""
-    union, _ = _concat_map(V, condition)
+    union, _ = _concat_map(condition, V)
     k = alphabet.size
     strides = tuple(_digit_codes(union, (s,), k)[1] for s in condition)
     return union, strides, tuple(_digit_codes(union, V, k))
@@ -215,24 +223,35 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
             den = table[reference.symbols[r]]
             for a in alphabet.symbols:
                 num = table[a]
-                if num <= 0 or den <= 0:
+                p, q, exact = num, den, False
+                if d is not None:
+                    try:  # exact weights: the factor as ints p / q, whose signs are its own
+                        p, q = num.numerator * den.denominator, num.denominator * den.numerator
+                        exact = True
+                    except AttributeError:  # a float in an exact family: a float product
+                        pass
+                if p <= 0 or q <= 0:
                     nxt.append((None, PositivityError(f"one-point kernel vanishes at factor {j} "
                                 f"under {restrict(boundary, V - Volume((order[j],)))}"), None))
+                elif exact:
+                    nxt.append((held + (a,), w * p, d * q))
                 elif d is None:
                     nxt.append((held + (a,), w * (num / den), None))
                 else:
-                    try:
-                        nxt.append((held + (a,), w * num.numerator * den.denominator,
-                                    d * num.denominator * den.numerator))
-                    except AttributeError:  # a float in an exact family: a float product
-                        nxt.append((held + (a,), Fraction(w, d) * (num / den), None))
+                    nxt.append((held + (a,), Fraction(w, d) * (num / den), None))
         level = nxt
     level = [level[i] for i in leaves]
     for held, w, _ in level:
         if held is None:
             raise w
-    weights = {x: w if d is None else Fraction(w, d) for x, (_, w, d) in zip(configs, level)}
-    return ConditionalKernel(V, z, normalized(weights, mode), mode)
+    denominators = [d for _, _, d in level]
+    if None in denominators:  # float weights: the normalization's float division
+        weights, _ = integer_numerators([w if d is None else Fraction(w, d)
+                                         for _, w, d in level], mode)
+    else:
+        common = math.lcm(*denominators)
+        weights = [w * (common // d) for _, w, d in level]
+    return _normalized_kernel(V, z, configs, weights, mode)
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)

@@ -18,10 +18,11 @@ from .fields import (
     RATIONAL,
     Comparison,
     RandomFieldModel,
+    _normalized_kernel,
     close,
     format_scalar,
     integer_numerators,
-    normalized,
+    _quotient,
 )
 from .conditionals import (
     ConditionalKernel,
@@ -46,15 +47,15 @@ class InconsistentEnergyError(ValueError):
 class TransitionEnergy:
     """Pairwise log-ratios Delta(x, u) = ln g(x) - ln g(u) on one volume.
 
-    Backed either by the originating kernel's table, shared (ratios are
-    recomputed on demand, cocycle holds by construction), or by an explicit
+    Backed either by the originating kernel, shared (ratios are read off its
+    numerators on demand, cocycle holds by construction), or by an explicit
     ratio table (used for negative controls and deserialization).
     """
 
     volume: Volume
     condition: Configuration
     mode: str = RATIONAL
-    _probs: dict | None = None
+    _kernel: ConditionalKernel | None = None
     _ratios: dict | None = None
 
     @staticmethod
@@ -63,18 +64,20 @@ class TransitionEnergy:
 
     @property
     def kernel_backed(self) -> bool:
-        return self._probs is not None
+        return self._kernel is not None
 
     def configurations(self):
-        if self._probs is not None:
-            return list(self._probs)
+        if self._kernel is not None:
+            return list(self._kernel._exact[0])
         return sorted({x for x, _ in self._ratios}, key=lambda c: c.symbols)
 
     def ratio(self, x: Configuration, u: Configuration):
-        """exp(Delta(x,u)) as an exact ratio (rational mode) or float."""
-        if self._probs is not None:
-            return self._probs[x] / self._probs[u]
-        return self._ratios[(x, u)]
+        """exp(Delta(x,u)) as an exact ratio (rational mode) or float: for a
+        kernel, n(x) / n(u) over its numerators."""
+        if self._kernel is None:
+            return self._ratios[(x, u)]
+        (n_x, n_u), _ = self._kernel.numerators((x, u))
+        return _quotient(n_x, n_u, self.mode)
 
     def value(self, x: Configuration, u: Configuration) -> float:
         return math.log(self.ratio(x, u))
@@ -84,7 +87,7 @@ def transition_energy(k: ConditionalKernel) -> TransitionEnergy:
     """Energy table of a strictly positive kernel."""
     if not k.is_positive():
         raise PositivityError("kernel has a vanishing entry; energies undefined")
-    return TransitionEnergy(k.volume, k.condition, k.mode, k.probs, None)
+    return TransitionEnergy(k.volume, k.condition, k.mode, k, None)
 
 
 def check_antisymmetry(e: TransitionEnergy) -> bool:
@@ -137,7 +140,9 @@ def check_one_point_exchange(m: RandomFieldModel, t, s, z: Configuration,
 def gibbs_form_from_energy(e: TransitionEnergy, reference: Configuration) -> ConditionalKernel:
     """Kernel with probabilities proportional to exp(Delta(., reference)).
 
-    For a kernel-backed energy this inverts transition_energy exactly.
+    For a kernel-backed energy this inverts transition_energy exactly: in
+    rational mode ratio(x, reference) = n(x) / n(reference), so over the one
+    denominator n(reference) the weights are the kernel's numerators.
     Explicit ratio tables are cocycle-checked first.
     """
     if not e.kernel_backed and not (check_antisymmetry(e) and check_cocycle(e)):
@@ -145,8 +150,11 @@ def gibbs_form_from_energy(e: TransitionEnergy, reference: Configuration) -> Con
     configs = e.configurations()
     if reference not in configs:
         raise DomainError("reference must be a configuration on the energy's volume")
-    probs = normalized({x: e.ratio(x, reference) for x in configs}, e.mode)
-    return ConditionalKernel(e.volume, e.condition, probs, e.mode)
+    if e.kernel_backed and e.mode == RATIONAL:
+        weights = list(e._kernel._exact[1])
+    else:
+        weights, _ = integer_numerators([e.ratio(x, reference) for x in configs], e.mode)
+    return _normalized_kernel(e.volume, e.condition, tuple(configs), weights, e.mode)
 
 
 class HamiltonianTable(ConditionalKernel):
@@ -154,14 +162,22 @@ class HamiltonianTable(ConditionalKernel):
 
     An unnormalized table whose entries, ``weights``, are w = exp(-H). They
     may be zero, rendering H = +inf for degenerate displays, but such
-    tables are rejected by the Gibbs-form operation.
+    tables are rejected by the Gibbs-form operation, which reads the
+    weights as numerators over one denominator.
     """
 
     def __init__(self, volume: Volume, condition: Configuration, gauge: Configuration,
                  weights: dict, mode: str = RATIONAL):
         super().__init__(volume, condition, weights, mode)
         self.gauge = gauge
-        self.weights = self.probs
+
+    @property
+    def weights(self) -> dict:
+        """The entries w, a dict a caller may edit: handing it out drops the
+        kept numerators, so they are read again from it."""
+        weights = self.probs
+        vars(self).pop("_exact", None)
+        return weights
 
     def energy(self, x: Configuration) -> float:
         """H(x) = -ln w(x); ``value(symbol)`` is still the table entry w."""
@@ -171,14 +187,21 @@ class HamiltonianTable(ConditionalKernel):
     def gibbs_kernel(self) -> ConditionalKernel:
         if not self.is_positive():
             raise PositivityError("infinite Hamiltonian values admit no Gibbs form")
-        return ConditionalKernel(self.volume, self.condition,
-                                 normalized(self.probs, self.mode), self.mode)
+        keys, nums, _ = self._exact
+        return _normalized_kernel(self.volume, self.condition, keys, nums, self.mode)
 
 
 def hamiltonian_from_energy(e: TransitionEnergy, gauge: Configuration) -> HamiltonianTable:
-    """Hamiltonian with the zero of energy pinned at the gauge configuration."""
-    weights = {x: e.ratio(x, gauge) for x in e.configurations()}
-    return HamiltonianTable(e.volume, e.condition, gauge, weights, e.mode)
+    """Hamiltonian with the zero of energy pinned at the gauge configuration:
+    for a rational kernel, born as its numerators over n(gauge)."""
+    if not (e.kernel_backed and e.mode == RATIONAL):
+        weights = {x: e.ratio(x, gauge) for x in e.configurations()}
+        return HamiltonianTable(e.volume, e.condition, gauge, weights, e.mode)
+    keys, nums, _ = e._kernel._exact
+    (n_gauge,), _ = e._kernel.numerators((gauge,))
+    h = HamiltonianTable._of_numerators(e.volume, e.condition, keys, nums, n_gauge)
+    h.gauge = gauge
+    return h
 
 
 def check_hamiltonian_consistency(m: RandomFieldModel, V: Volume, I: Volume,

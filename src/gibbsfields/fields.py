@@ -1,10 +1,11 @@
 """Random fields as providers of exact finite-dimensional distributions.
 
-A distribution carries a numeric mode: "rational" tables hold
-``fractions.Fraction`` entries and all identities are checked with exact
-equality; "float" tables hold binary floats and each check compares
-them within the tolerance it is given (default 1e-12). Float sums are
-those of ``math.fsum``, so results do not depend on evaluation order.
+A distribution carries a numeric mode: "rational" tables hold int
+numerators over one int denominator, read as ``fractions.Fraction``
+entries, and all identities are checked with exact equality; "float"
+tables hold binary floats and each check compares them within the
+tolerance it is given (default 1e-12). Float sums are those of
+``math.fsum``, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from numbers import Rational
@@ -94,6 +95,11 @@ def integer_numerators(values: Iterable, mode: str) -> tuple:
     return [v.numerator * (common // d) for v, d in zip(values, denominators)], common
 
 
+def _quotient(n, m, mode: str):
+    """n / m, in rational mode a Fraction of two ints: no Fraction is divided."""
+    return Fraction(n, m) if mode == RATIONAL and type(n) is int is type(m) else n / m
+
+
 def scalar_sum(values: Iterable, mode: str):
     if mode == RATIONAL:
         return sum(values, Fraction(0))
@@ -121,39 +127,73 @@ def to_scalar(value, mode: str):
     return float(value)
 
 
-@dataclass
+@dataclass(init=False)
 class ConditionalKernel(Mapping):
     """Probability table on a volume under a condition on a disjoint one, a read-only
     mapping: the one table type, of which a marginal P_V (FiniteDistribution, the
-    empty condition) and Hamiltonian weights (energy.HamiltonianTable) are views."""
+    empty condition) and Hamiltonian weights (energy.HamiltonianTable) are views.
+
+    A kernel is born from ``probs`` or, as the library builds it, as ``_exact``:
+    its keys, and its entries as numerators over one denominator, ints over a
+    positive int when exact (``integer_numerators``). Each form is built from the
+    other when first read and kept, so laws and positivity read the numerators
+    and Fractions are made only for entries read; a kernel must not be mutated.
+    """
 
     volume: Volume
     condition: Configuration
     probs: dict  # Configuration on volume -> scalar
     mode: str = RATIONAL
-    _numerators: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.volume.isdisjoint(self.condition.volume):
+    def __init__(self, volume: Volume, condition: Configuration, probs: Mapping,
+                 mode: str = RATIONAL):
+        if not condition.volume.isdisjoint(volume):
             raise DomainError("condition volume intersects the target")
+        self.volume, self.condition, self.probs, self.mode = volume, condition, probs, mode
+
+    @classmethod
+    def _of_numerators(cls, volume: Volume, condition: Configuration, keys: tuple,
+                       nums: tuple, d, mode: str = RATIONAL) -> "ConditionalKernel":
+        """The kernel whose entry at keys[i] is nums[i] / d."""
+        if not condition.volume.isdisjoint(volume):
+            raise DomainError("condition volume intersects the target")
+        k = cls.__new__(cls)
+        k.volume, k.condition, k.mode, k._exact = volume, condition, mode, (keys, nums, d)
+        return k
+
+    def __getattr__(self, name: str):
+        """Build the form the kernel was not born with the first time it is read."""
+        if name == "probs":
+            keys, nums, d = self._exact
+            value = ({c: Fraction(n, d) if type(n) is int else n / d for c, n in zip(keys, nums)}
+                     if self.mode == RATIONAL else dict(zip(keys, nums)))
+        elif name == "_exact":
+            nums, d = integer_numerators(self.probs.values(), self.mode)
+            value = tuple(self.probs), tuple(nums), d
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, value)
+        return value
 
     def __getitem__(self, c: Configuration):
         return self.probs[c]
 
     def __iter__(self):
-        return iter(self.probs)
+        return iter(self._exact[0] if "probs" not in vars(self) else self.probs)
 
     def __len__(self):
-        return len(self.probs)
+        return len(self._exact[0] if "probs" not in vars(self) else self.probs)
 
     def items(self):
         return self.probs.items()
 
     def numerators(self, order: tuple) -> tuple:
-        """``integer_numerators`` at order, kept for a kernel never mutated."""
-        if self._numerators is None or self._numerators[0] is not order:
-            self._numerators = order, integer_numerators([self.probs[c] for c in order], self.mode)
-        return self._numerators[1]
+        """The entries at order as numerators over one denominator."""
+        keys, nums, d = self._exact
+        if order is not keys and order != keys:
+            at = dict(zip(keys, nums))
+            nums = [at[c] for c in order]
+        return nums, d
 
     def value(self, symbol):
         """Entry for a one-site volume addressed by its symbol."""
@@ -162,7 +202,7 @@ class ConditionalKernel(Mapping):
 
     def is_positive(self) -> bool:
         """True iff every entry is strictly positive, in both modes."""
-        return all(v > 0 for v in self.probs.values())
+        return all(n > 0 for n in self._exact[1])
 
     def sup_distance(self, other: "ConditionalKernel"):
         """Max absolute difference over the shared configuration set."""
@@ -177,6 +217,17 @@ class ConditionalKernel(Mapping):
         return all(close(self.probs[c], other.probs[c], tol) for c in self.probs)
 
 
+def _normalized_kernel(volume: Volume, condition: Configuration, keys: tuple, nums: list,
+                       mode: str) -> ConditionalKernel:
+    """The kernel of weights nums, numerators over one denominator, over their sum."""
+    total = sum(nums) if mode == RATIONAL else math.fsum(nums)
+    if isinstance(total, int) and total <= 0:  # Fraction(n, 0) raises, as dividing would
+        return ConditionalKernel(volume, condition, normalized(dict(zip(keys, nums)), mode), mode)
+    if not isinstance(total, int):
+        nums, total = [n / total for n in nums], 1
+    return ConditionalKernel._of_numerators(volume, condition, keys, tuple(nums), total, mode)
+
+
 class FiniteDistribution(ConditionalKernel):
     """Exact probability table over all configurations on a finite volume:
     the kernel under the empty condition.
@@ -184,7 +235,7 @@ class FiniteDistribution(ConditionalKernel):
     Its keys are in canonical order, that of ``enumerate_configurations``,
     and this is a contract: the j-th key of ``probs`` is the configuration
     whose symbols' alphabet indices, read site by site as the digits of a
-    base-k number, spell j; ``entries`` lists the values by that code.
+    base-k number, spell j, so the j-th numerator is that of code j.
     Entries are finite. ``marginalize`` keeps an exact view of them with
     the table, so a table must not be mutated.
     """
@@ -202,32 +253,34 @@ class FiniteDistribution(ConditionalKernel):
         self.alphabet = alphabet
         if len(probs) != len(table):
             raise ValidationError("probability table keys are not exactly the enumeration")
-        for c, p in self.probs.items():
+        nums, d = integer_numerators(table.values(), mode)
+        self._exact = order, tuple(nums), d
+        for (c, p), n in zip(table.items(), self._exact[1]):
             if self.mode == RATIONAL and not isinstance(p, Fraction):
                 raise ValidationError(f"non-rational entry {p!r} in rational mode")
             if self.mode == FLOAT and not math.isfinite(p):
                 raise ValidationError(f"non-finite probability {p} at {c}")
-            if p < 0 and not (self.mode == FLOAT and p >= -DEFAULT_TOL):
+            if n < 0 and not (self.mode == FLOAT and p >= -DEFAULT_TOL):
                 raise ValidationError(f"negative probability {p} at {c}")
-        total = scalar_sum(self.probs.values(), self.mode)
+        total = sum(self._exact[1]) if self.mode == RATIONAL else math.fsum(table.values())
         if self.mode == RATIONAL:
-            if total != 1:
-                raise ValidationError(f"probabilities sum to {total}, not 1")
+            if total != d:
+                raise ValidationError(f"probabilities sum to {Fraction(total, d)}, not 1")
         elif abs(total - 1.0) > DEFAULT_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, off by more than {DEFAULT_TOL}")
-        self.entries = tuple(table.values())  # entry j is that of code j
-        self._exact = None
+        self._float_view = None
 
     def _exact_view(self) -> tuple:
-        """(ints, scale): the entries as ints over the lcm of their denominators,
-        or in float mode the largest of ``float.as_integer_ratio``; built once."""
-        if self._exact is None and self.mode == RATIONAL:
-            self._exact = integer_numerators(self.entries, RATIONAL)
-        elif self._exact is None:
-            ratios = [float(v).as_integer_ratio() for v in self.entries]
+        """(ints, scale): the entries as ints over one scale, the numerators in
+        rational mode, else over the largest of ``float.as_integer_ratio``'s
+        denominators, built once."""
+        if self.mode == RATIONAL:
+            return self._exact[1:]
+        if self._float_view is None:
+            ratios = [float(v).as_integer_ratio() for v in self._exact[1]]
             scale = max(d for _, d in ratios)
-            self._exact = [n * (scale // d) for n, d in ratios], scale
-        return self._exact
+            self._float_view = [n * (scale // d) for n, d in ratios], scale
+        return self._float_view
 
 
 def _sum_out(values: list, i: int, k: int) -> list:
@@ -248,9 +301,10 @@ def _sum_out(values: list, i: int, k: int) -> list:
 
 def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
     """Sum out the sites of p.volume outside V, exactly: p's entries as ints
-    over one scale, kept with p (``_exact_view``), summed out site by site
-    from the last, leave the sums in V's code order, and each sum is rounded
-    once, so a float marginal has the bits of ``math.fsum`` over its entries."""
+    over one scale (``_exact_view``), summed out site by site from the last,
+    leave the sums in V's code order. A rational marginal is born with them
+    as its numerators over that scale; a float one rounds each sum once, so
+    it has the bits of ``math.fsum`` over its entries."""
     if not V.issubset(p.volume):
         raise DomainError(f"{V - p.volume} not inside the distribution's volume")
     if V is p.volume:
@@ -259,10 +313,12 @@ def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
     for i in reversed(range(len(p.volume))):
         if p.volume.sites[i] not in V:
             values = _sum_out(values, i, p.alphabet.size)
-    rounded = ((Fraction(v, scale) for v in values) if p.mode == RATIONAL
-               else (v / scale for v in values))
-    probs = dict(zip(enumerate_configurations(V, p.alphabet), rounded))
-    return FiniteDistribution(V, p.alphabet, probs, p.mode)
+    keys = enumerate_configurations(V, p.alphabet)
+    if p.mode == FLOAT:
+        return FiniteDistribution(V, p.alphabet, dict(zip(keys, (v / scale for v in values))), FLOAT)
+    q = FiniteDistribution._of_numerators(V, EMPTY_CONFIGURATION, keys, tuple(values), scale)
+    q.alphabet = p.alphabet
+    return q
 
 
 class RandomFieldModel:

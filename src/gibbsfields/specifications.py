@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .lattice import (
     EMPTY_CONFIGURATION,
@@ -42,6 +42,7 @@ from .fields import (
     FiniteDistribution,
     RandomFieldModel,
     TableField,
+    _quotient,
     close,
     integer_numerators,
     normalized,
@@ -266,13 +267,15 @@ def tef_from_potential(phi: Potential, window: Volume, alphabet: Alphabet) -> On
 
 def tef_from_1spec(q: "OnePointSpec") -> OnePointTEF:
     """Energy field of a one-point family: ratio(x, u) = q(x) / q(u), each
-    table built from one read of the one-point table."""
+    table built from one read of the one-point table, as n(x) / n(u) over
+    its numerators."""
     syms = q.alphabet.symbols
 
     def table(t, boundary):
         p = q.table(t, boundary)
+        n = dict(zip(p, integer_numerators(p.values(), q.mode)[0]))
         try:
-            return {(x, u): p[x] / p[u] for x in syms for u in syms}
+            return {(x, u): _quotient(n[x], n[u], q.mode) for x in syms for u in syms}
         except ZeroDivisionError:
             raise PositivityError(f"one-point kernel vanishes under {boundary}") from None
 
@@ -310,8 +313,10 @@ class Specification:
     mode: str = RATIONAL
     label: str = "spec"
 
-    def kernel(self, V: Volume, boundary: Configuration) -> Mapping:
-        return self.kernel_fn(V, boundary)
+    def kernel(self, V: Volume, boundary: Configuration) -> ConditionalKernel:
+        """The kernel on V; a plain mapping from kernel_fn is read as one."""
+        k = self.kernel_fn(V, boundary)
+        return k if isinstance(k, ConditionalKernel) else ConditionalKernel(V, boundary, k, self.mode)
 
 
 def onepoint_spec_from_model(m: RandomFieldModel,
@@ -366,17 +371,20 @@ def spec_from_onepoint(q: OnePointSpec) -> Specification:
     """Extend a one-point family to all finite volumes by reconstruction.
 
     Each multi-site kernel is reconstructed once per exact (V, boundary)
-    key and kept, a ConditionalKernel with its numerators, for the life of
-    the spec; a single-site kernel is a view of the 1-spec's table, keyed
-    by the shared enumerated configurations. Returned tables are
-    cache-owned and must not be mutated; a call that raises caches nothing.
+    key and kept, a ConditionalKernel born as numerators, for the life of
+    the spec; a single-site kernel is born from the numerators of the
+    1-spec's table, keyed by the shared enumerated configurations. Returned
+    tables are cache-owned and must not be mutated; a call that raises
+    caches nothing.
     """
     cache: dict = {}
 
     def kernel(V, boundary):
         if len(V) == 1:
             table = q.table(V.sites[0], boundary)
-            return {c: table[c.symbols[0]] for c in enumerate_configurations(V, q.alphabet)}
+            configs = enumerate_configurations(V, q.alphabet)
+            nums, d = integer_numerators([table[c.symbols[0]] for c in configs], q.mode)
+            return ConditionalKernel._of_numerators(V, boundary, configs, tuple(nums), d, q.mode)
         key = (V, boundary)
         k = cache.get(key)
         if k is None:
@@ -690,18 +698,18 @@ def validate_spec(Q: Specification, fixtures: Sequence, tol: float = DEFAULT_TOL
     joined configurations xy are positions from the split's cached map
     (``lattice.split_positions``). Each kernel is read as numerators over
     its own denominator, so each side of an identity, one entry of the
-    kernel on V times one of the kernel on I, is over d_V * d_I. A kept
-    ConditionalKernel keeps its numerators; a plain mapping converts per read.
+    kernel on V times one of the kernel on I, is over d_V * d_I. A kernel
+    keeps its numerators; a plain mapping is converted on each read.
     """
     violations = []
     holds = Comparison(tol)
     checked = 0
     for V, I, z in fixtures:
         configs, xs, ys, rows = split_positions(V, I, Q.alphabet)
-        n_V, d_V = _numerators(Q.kernel(V, z), configs, Q.mode)
+        n_V, d_V = Q.kernel(V, z).numerators(configs)
         pairs = list(combinations(range(len(xs)), 2))
         for y, row in zip(ys, rows):
-            n_I, d_I = _numerators(Q.kernel(I, concat(z, y)), xs, Q.mode)
+            n_I, d_I = Q.kernel(I, concat(z, y)).numerators(xs)
             scale = d_V * d_I
             checked += len(pairs)
             for i, j in pairs:
@@ -715,11 +723,6 @@ def validate_spec(Q: Specification, fixtures: Sequence, tol: float = DEFAULT_TOL
                     })
     return ValidationReport("specification-consistency", checked, violations,
                             holds.worst, meta)
-
-
-def _numerators(kernel, order: tuple, mode: str) -> tuple:
-    return (kernel.numerators(order) if isinstance(kernel, ConditionalKernel)
-            else integer_numerators([kernel[c] for c in order], mode))
 
 
 def cocycle_failures(ratios: dict, keys: Sequence, holds: Comparison, d: int):

@@ -7,6 +7,7 @@ import pytest
 from gibbsfields.conditionals import (
     ConditionalKernel,
     KernelCache,
+    NullConditionError,
     PositivityError,
     finite_conditional,
 )
@@ -22,8 +23,9 @@ from gibbsfields.energy import (
     hamiltonian_from_energy,
     transition_energy,
 )
-from gibbsfields.fields import seeded_positive_table
+from gibbsfields.fields import seeded_positive_table, table_field
 from gibbsfields.lattice import (
+    Alphabet,
     Configuration,
     Volume,
     binary_alphabet,
@@ -33,7 +35,7 @@ from gibbsfields.lattice import (
     line_window,
     volume,
 )
-from gibbsfields.models import bernoulli_product, example2_model, ising_demo
+from gibbsfields.models import bernoulli_product, example1_pair, example2_model, ising_demo
 from gibbsfields.specifications import (
     onepoint_spec_from_model,
     spec_from_model,
@@ -379,3 +381,74 @@ def test_energy_quasilocality_example2_bounded_away():
     moduli = energy_criterion_report(m, (0,), F, BoundaryFamily(tuple(gens)))["moduli"]
     assert len(moduli) == 3
     assert all(mod >= 1.0 for mod in moduli)
+
+
+def energy_chain_models() -> dict:
+    """Seeded rational tables on 3 to 5 sites, binary and ternary, and
+    example1, whose model overrides ``marginal``."""
+    ternary = Alphabet.of((0, 1, 2))
+    models = {f"table{n}-{alphabet.size}": seeded_positive_table(line_window(n), alphabet, 60 + n)
+              for n, alphabet in product((3, 4, 5), (BIN, ternary))}
+    models["example1"] = example1_pair(5, Fraction(1, 3), Fraction(2, 5))[1]
+    return models
+
+
+ENERGY_CHAIN_MODELS = energy_chain_models()
+
+
+def same_fractions(got, expected) -> bool:
+    """Equal keys in the same order, and every value a Fraction with the same repr."""
+    return (list(got) == list(expected) and all(type(v) is Fraction for v in got.values())
+            and list(map(repr, got.values())) == list(map(repr, expected.values())))
+
+
+def over_sum(weights: dict) -> dict:
+    total = sum(weights.values(), Fraction(0))
+    return {x: w / total for x, w in weights.items()}
+
+
+@pytest.mark.parametrize("name", list(ENERGY_CHAIN_MODELS))
+def test_rational_energy_chain_matches_the_per_entry_fractions(name):
+    """Energies, Gibbs forms, Hamiltonian weights, their Gibbs kernels and
+    the 1-spec's energy tables equal the same quantities built entry by
+    entry with Fraction division, under conditions on the empty volume, on
+    part of the complement and on all of it."""
+    m = ENERGY_CHAIN_MODELS[name]
+    sites = m.window.sites
+    kernels = KernelCache(m)
+    tef = tef_from_1spec(onepoint_spec_from_model(m, kernels))
+    for V in (Volume.of(sites[1:2]), Volume.of([sites[0], sites[-1]])):
+        configs = enumerate_configurations(V, m.alphabet)
+        rest = m.window - V
+        for lam in (Volume.empty(), Volume.of(rest.sites[::2]), rest):
+            for z in enumerate_configurations(lam, m.alphabet)[:4]:
+                k = kernels(V, z)
+                p = {x: k[x] for x in configs}
+                e = transition_energy(k)
+                assert same_fractions({(x, u): e.ratio(x, u) for x in p for u in p},
+                                      {(x, u): p[x] / p[u] for x in p for u in p})
+                for ref in (configs[0], configs[-1]):
+                    ratios = {x: p[x] / p[ref] for x in p}
+                    assert same_fractions(gibbs_form_from_energy(e, ref).probs, over_sum(ratios))
+                    h = hamiltonian_from_energy(e, ref)
+                    assert same_fractions(h.gibbs_kernel().probs, over_sum(ratios))
+                    assert same_fractions(h.weights, ratios)
+                if len(V) == 1 and lam is rest:
+                    q = {x.symbols[0]: p[x] for x in p}
+                    assert same_fractions(tef.table(V.sites[0], z),
+                                          {(a, b): q[a] / q[b] for a in q for b in q})
+
+
+def test_rational_energy_chain_keeps_the_null_condition_message():
+    window = line_window(3)
+    probs = dict(seeded_positive_table(window, BIN, 5).table.probs)
+    for c in probs:
+        if c.symbols[0] == c.symbols[2] == 1:
+            probs[c] = Fraction(0)
+    total = sum(probs.values())
+    m = table_field(window, BIN, {c: v / total for c, v in probs.items()})
+    z = Configuration(Volume.of(window.sites[::2]), (1, 1))
+    with pytest.raises(NullConditionError) as err:
+        transition_energy(KernelCache(m)(Volume.of(window.sites[1:2]), z))
+    assert str(err.value) == f"condition has probability {m.prob(z)}: {z}"
+    assert str(err.value) == "condition has probability 0: (-1)=1;(1)=1"

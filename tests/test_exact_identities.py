@@ -16,9 +16,23 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsfields import fields, specifications
-from gibbsfields.conditionals import ConditionalKernel, KernelCache, check_pair_consistency
-from gibbsfields.energy import TransitionEnergy, check_cocycle, check_decomposition
+from gibbsfields import conditionals, fields, specifications
+from gibbsfields.conditionals import (
+    ConditionalKernel,
+    KernelCache,
+    check_one_point_consistency,
+    check_pair_consistency,
+    reconstruct_from_one_point,
+)
+from gibbsfields.energy import (
+    TransitionEnergy,
+    check_cocycle,
+    check_decomposition,
+    check_one_point_exchange,
+    gibbs_form_from_energy,
+    hamiltonian_from_energy,
+    transition_energy,
+)
 from gibbsfields.fields import (
     DEFAULT_TOL,
     FLOAT,
@@ -267,20 +281,32 @@ def all_conditions(window: Volume, target: Volume) -> list:
 
 def test_cached_kernels_are_converted_to_numerators_once(monkeypatch):
     """Pair consistency and decomposition on every condition of a 4-site
-    table, read through one KernelCache, convert each kernel they read to
-    integer numerators at most once, however many fixtures read it, and
-    the table itself exactly once, for all of its marginals."""
+    table, read through one KernelCache: each kernel is born once, with its
+    numerators, at most one conversion to integers going into its birth, and
+    the validators convert none of them again nor read a Fraction of them."""
     m = seeded_positive_table(line_window(4), BIN, seed=19)
     kernels = KernelCache(m)
-    conversions, tables = [], []
-    convert = fields.integer_numerators
+    per_birth, outside, births = [], [], []
+    convert, born = fields.integer_numerators, conditionals.finite_conditional
+
+    def birth(model, V, z):
+        per_birth.append(0)
+        births.append(len(per_birth) - 1)
+        try:
+            return born(model, V, z)
+        finally:
+            births.pop()
 
     def counting(values, mode):
-        (tables if values is m.table.entries else conversions).append(mode)
+        if births:
+            per_birth[births[-1]] += 1
+        else:
+            outside.append(mode)
         return convert(values, mode)
 
-    monkeypatch.setattr(fields, "integer_numerators", counting)
-    monkeypatch.setattr(specifications, "integer_numerators", counting)
+    monkeypatch.setattr(conditionals, "finite_conditional", birth)
+    for module in (fields, conditionals, specifications):
+        monkeypatch.setattr(module, "integer_numerators", counting)
     window = m.window
     for V in subsets(window, range(2, 5)):
         for z in all_conditions(window, V):
@@ -290,8 +316,47 @@ def test_cached_kernels_are_converted_to_numerators_once(monkeypatch):
         for I in subsets(window - V, (1, 2)):
             for z in all_conditions(window, V | I):
                 assert check_decomposition(m, V, I, z, kernels)
-    assert 0 < len(conversions) <= len(kernels._cache)
-    assert tables == [fields.RATIONAL]
+    assert len(per_birth) == len(kernels._cache) > 0
+    assert max(per_birth) <= 1 and outside == []
+    assert all("_exact" in vars(k) and "probs" not in vars(k) for k in kernels._cache.values())
+
+
+def test_the_exact_path_makes_no_fraction_division_or_order_comparison(monkeypatch):
+    """Every identity of a 4-site rational table, read through one
+    KernelCache: pair and one-point consistency, the exchange law,
+    reconstruction, the energy round trips and decomposition. Each is
+    decided on int numerators, so no Fraction is divided or ordered."""
+    m = seeded_positive_table(line_window(4), BIN, seed=29)
+    calls = []
+    for name in ("__truediv__", "__rtruediv__", "__lt__", "__le__", "__gt__", "__ge__"):
+        def counted(*args, _name=name, _method=getattr(Fraction, name)):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    kernels = KernelCache(m)
+    one_point = onepoint_spec_from_model(m, kernels).table_fn
+    window = m.window
+    for V in subsets(window, range(1, 5)):
+        configs = enumerate_configurations(V, BIN)
+        for z in all_conditions(window, V):
+            for I in subsets(V, range(1, len(V))):
+                assert check_pair_consistency(m, I, V, z, kernels)
+            k = kernels(V, z)
+            rebuilt = reconstruct_from_one_point(one_point, V, z, BIN)
+            e = transition_energy(k)
+            back = gibbs_form_from_energy(e, configs[0])
+            gibbs = hamiltonian_from_energy(e, configs[-1]).gibbs_kernel()
+            assert all(rebuilt[c] == back[c] == gibbs[c] == k[c] for c in configs)
+    for t, s in combinations(window.sites, 2):
+        for z in all_conditions(window, Volume.of([t, s])):
+            assert check_one_point_consistency(m, t, s, z, kernels)
+            assert check_one_point_exchange(m, t, s, z, kernels)
+    for V in subsets(window, (1, 2)):
+        for I in subsets(window - V, (1, 2)):
+            for z in all_conditions(window, V | I):
+                assert check_decomposition(m, V, I, z, kernels)
+    assert calls == []
 
 
 def test_normalized_exact_weights_are_canonical_fractions():

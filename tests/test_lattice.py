@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbsfields import lattice
+from gibbsfields.fields import ConditionalKernel
 from gibbsfields.lattice import (
     Alphabet,
     CapacityError,
@@ -69,6 +70,12 @@ def test_subset_tests_agree_with_sets_and_keep_a_set_only_for_the_container():
     assert whole._set == frozenset(whole.sites) and part._set is None
     fresh = Volume.of([(41, 1)])
     assert fresh.isdisjoint(whole) and fresh._set is None
+    # a kernel tests its condition's volume against its target: only the target keeps a set
+    target, condition = Volume.of([(42, 1)]), Configuration(Volume.of([(42, 0), (42, 2)]), (0, 1))
+    ConditionalKernel(target, condition, {Configuration(target, (0,)): 1})
+    assert condition.volume._set is None and target._set == frozenset(target.sites)
+    with pytest.raises(DomainError):
+        ConditionalKernel(condition.volume, condition, {})
 
 
 def test_volumes_and_configurations_are_slotted_frozen_values():
