@@ -72,7 +72,7 @@ def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> Cond
     if m.mode == RATIONAL:
         return ConditionalKernel._of_numerators(
             V, z, configs, tuple(n * pz.denominator for n in joint), scale * pz.numerator)
-    return ConditionalKernel._of_numerators(V, z, configs, tuple(p / pz for p in joint), 1, m.mode)
+    return ConditionalKernel(V, z, {x: p / pz for x, p in zip(configs, joint)}, m.mode)
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .lattice import Configuration, DomainError, Volume
@@ -76,8 +77,13 @@ class TransitionEnergy:
         kernel, n(x) / n(u) over its numerators."""
         if self._kernel is None:
             return self._ratios[(x, u)]
-        (n_x, n_u), _ = self._kernel.numerators((x, u))
-        return _quotient(n_x, n_u, self.mode)
+        n = self._numerator
+        return _quotient(n[x], n[u], self.mode)
+
+    @cached_property
+    def _numerator(self) -> dict:
+        keys, nums, _ = self._kernel._exact
+        return dict(zip(keys, nums))
 
     def value(self, x: Configuration, u: Configuration) -> float:
         return math.log(self.ratio(x, u))
@@ -198,8 +204,7 @@ def hamiltonian_from_energy(e: TransitionEnergy, gauge: Configuration) -> Hamilt
         weights = {x: e.ratio(x, gauge) for x in e.configurations()}
         return HamiltonianTable(e.volume, e.condition, gauge, weights, e.mode)
     keys, nums, _ = e._kernel._exact
-    (n_gauge,), _ = e._kernel.numerators((gauge,))
-    h = HamiltonianTable._of_numerators(e.volume, e.condition, keys, nums, n_gauge)
+    h = HamiltonianTable._of_numerators(e.volume, e.condition, keys, nums, e._numerator[gauge])
     h.gauge = gauge
     return h
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -223,6 +225,20 @@ def test_marginal_and_kernel_are_one_table_type():
     for a, b in ((p, conditioned), (conditioned, p)):
         assert a.sup_distance(b) == max(abs(p[c] - conditioned[c]) for c in p) > 0
         assert not a.table_equal(b)
+
+
+def test_a_kernel_born_as_numerators_reads_copies_and_pickles_like_a_dict_built_one():
+    """finite_conditional's kernel holds ints until an entry is read; a copy
+    or a pickled copy made before that reads the same entries, and it equals
+    and prints as the kernel built from its entries."""
+    m = seeded_positive_table(line_window(3), BIN, seed=4)
+    k = finite_conditional(m, volume(0), Configuration(volume(1), (1,)))
+    assert "probs" not in vars(k) and not hasattr(k, "gauge")
+    copies = [copy.copy(k), pickle.loads(pickle.dumps(k))]
+    twin = ConditionalKernel(k.volume, k.condition, dict(k.items()))
+    for other in copies:
+        assert "probs" not in vars(other) and other == k == twin and repr(other) == repr(twin)
+    assert list(k) == list(twin) and len(k) == len(twin) == 2
 
 
 def test_limit_stage_zero_is_measured_against_the_marginal():

@@ -452,3 +452,21 @@ def test_rational_energy_chain_keeps_the_null_condition_message():
         transition_energy(KernelCache(m)(Volume.of(window.sites[1:2]), z))
     assert str(err.value) == f"condition has probability {m.prob(z)}: {z}"
     assert str(err.value) == "condition has probability 0: (-1)=1;(1)=1"
+
+
+def test_gibbs_form_of_a_signed_ratio_table_normalizes_as_fractions():
+    """A ratio table with negative ratios passes antisymmetry and the cocycle
+    law; over a negative sum its weights change sign, and over a zero sum
+    the Gibbs form raises ZeroDivisionError, as Fraction division does."""
+    vol = volume(0)
+    a, b = enumerate_configurations(vol, BIN)
+    empty = Configuration(Volume.empty(), ())
+    for r_ab, expected in ((Fraction(-2), {a: Fraction(2), b: Fraction(-1)}), (Fraction(-1), None)):
+        e = TransitionEnergy.from_ratios(vol, empty, {(a, a): Fraction(1), (b, b): Fraction(1),
+                                                      (a, b): r_ab, (b, a): 1 / r_ab})
+        assert check_antisymmetry(e) and check_cocycle(e)
+        if expected is None:
+            with pytest.raises(ZeroDivisionError):
+                gibbs_form_from_energy(e, b)
+        else:
+            assert same_fractions(gibbs_form_from_energy(e, b).probs, expected)

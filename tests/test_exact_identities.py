@@ -359,6 +359,25 @@ def test_the_exact_path_makes_no_fraction_division_or_order_comparison(monkeypat
     assert calls == []
 
 
+def test_a_specification_of_plain_mappings_in_any_key_order_reports_the_same():
+    """validate_spec reads a mapping that kernel_fn returns as a kernel, at
+    the order of the enumeration whatever the mapping's own key order."""
+    m = seeded_positive_table(line_window(4), BIN, seed=7)
+    kernels = KernelCache(m)
+    by_order = {}
+    for name, order in (("canonical", list), ("reversed", lambda keys: list(keys)[::-1])):
+        def kernel_fn(V, z, order=order):
+            k = kernels(V, z)
+            return {c: k[c] for c in order(k)}
+
+        spec = specifications.Specification(m.window, BIN, kernel_fn, RATIONAL)
+        fixtures, meta = volume_split_fixtures(m.window, BIN, 3)
+        by_order[name] = validate_spec(spec, fixtures, meta=meta).to_json_dict()
+    assert by_order["canonical"] == by_order["reversed"]
+    assert by_order["canonical"] == validate_spec(spec_from_model(m, kernels), fixtures,
+                                                  meta=meta).to_json_dict()
+
+
 def test_normalized_exact_weights_are_canonical_fractions():
     """Exact weights give the Fractions that dividing each by their
     Fraction sum gives, in key order; a float among rational-mode weights
