@@ -15,7 +15,7 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from numbers import Rational
 from operator import add
 
@@ -161,19 +161,17 @@ class ConditionalKernel(Mapping):
         k.volume, k.condition, k.mode, k._exact = volume, condition, mode, (keys, nums, d)
         return k
 
-    def __getattr__(self, name: str):
-        """Build the form the kernel was not born with the first time it is read."""
-        if name == "probs":
-            keys, nums, d = self._exact
-            value = ({c: Fraction(n, d) if type(n) is int else n / d for c, n in zip(keys, nums)}
-                     if self.mode == RATIONAL else dict(zip(keys, nums)))
-        elif name == "_exact":
-            nums, d = integer_numerators(self.probs.values(), self.mode)
-            value = tuple(self.probs), tuple(nums), d
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        setattr(self, name, value)
-        return value
+    @cached_property
+    def probs(self) -> dict:
+        keys, nums, d = self._exact
+        if self.mode == RATIONAL:
+            return {c: Fraction(n, d) if type(n) is int else n / d for c, n in zip(keys, nums)}
+        return dict(zip(keys, nums))
+
+    @cached_property
+    def _exact(self) -> tuple:
+        nums, d = integer_numerators(self.probs.values(), self.mode)
+        return tuple(self.probs), tuple(nums), d
 
     def __getitem__(self, c: Configuration):
         return self.probs[c]
@@ -255,15 +253,15 @@ class FiniteDistribution(ConditionalKernel):
             raise ValidationError("probability table keys are not exactly the enumeration")
         nums, d = integer_numerators(table.values(), mode)
         self._exact = order, tuple(nums), d
-        for (c, p), n in zip(table.items(), self._exact[1]):
-            if self.mode == RATIONAL and not isinstance(p, Fraction):
+        for c, p in table.items():
+            if mode == RATIONAL and not isinstance(p, Fraction):
                 raise ValidationError(f"non-rational entry {p!r} in rational mode")
-            if self.mode == FLOAT and not math.isfinite(p):
+            if mode == FLOAT and not math.isfinite(p):
                 raise ValidationError(f"non-finite probability {p} at {c}")
-            if n < 0 and not (self.mode == FLOAT and p >= -DEFAULT_TOL):
+            if p < 0 and not (mode == FLOAT and p >= -DEFAULT_TOL):
                 raise ValidationError(f"negative probability {p} at {c}")
-        total = sum(self._exact[1]) if self.mode == RATIONAL else math.fsum(table.values())
-        if self.mode == RATIONAL:
+        total = sum(self._exact[1]) if mode == RATIONAL else math.fsum(table.values())
+        if mode == RATIONAL:
             if total != d:
                 raise ValidationError(f"probabilities sum to {Fraction(total, d)}, not 1")
         elif abs(total - 1.0) > DEFAULT_TOL:
