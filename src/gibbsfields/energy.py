@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .lattice import Configuration, DomainError, Volume
@@ -19,11 +18,12 @@ from .fields import (
     RATIONAL,
     Comparison,
     RandomFieldModel,
+    _OnFirstRead,
     _normalized_kernel,
+    _quotient,
     close,
     format_scalar,
     integer_numerators,
-    _quotient,
 )
 from .conditionals import (
     ConditionalKernel,
@@ -80,7 +80,7 @@ class TransitionEnergy:
         n = self._numerator
         return _quotient(n[x], n[u], self.mode)
 
-    @cached_property
+    @_OnFirstRead
     def _numerator(self) -> dict:
         keys, nums, _ = self._kernel._exact
         return dict(zip(keys, nums))

@@ -15,7 +15,7 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from numbers import Rational
 from operator import add
 
@@ -127,6 +127,23 @@ def to_scalar(value, mode: str):
     return float(value)
 
 
+class _OnFirstRead:
+    """The method's value, built on the first read and set as an instance attribute,
+    which then shadows this descriptor. Unlike ``functools.cached_property`` it
+    leaves the instance's attributes inline (CPython 3.11 builds a ``__dict__`` for
+    cached_property), so a kernel costs the garbage collector no extra dict."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        setattr(obj, self.name, value)
+        return value
+
+
 @dataclass(init=False)
 class ConditionalKernel(Mapping):
     """Probability table on a volume under a condition on a disjoint one, a read-only
@@ -161,14 +178,14 @@ class ConditionalKernel(Mapping):
         k.volume, k.condition, k.mode, k._exact = volume, condition, mode, (keys, nums, d)
         return k
 
-    @cached_property
+    @_OnFirstRead
     def probs(self) -> dict:
         keys, nums, d = self._exact
         if self.mode == RATIONAL:
             return {c: Fraction(n, d) if type(n) is int else n / d for c, n in zip(keys, nums)}
         return dict(zip(keys, nums))
 
-    @cached_property
+    @_OnFirstRead
     def _exact(self) -> tuple:
         nums, d = integer_numerators(self.probs.values(), self.mode)
         return tuple(self.probs), tuple(nums), d
@@ -177,10 +194,10 @@ class ConditionalKernel(Mapping):
         return self.probs[c]
 
     def __iter__(self):
-        return iter(self._exact[0] if "probs" not in vars(self) else self.probs)
+        return iter(self._exact[0])
 
     def __len__(self):
-        return len(self._exact[0] if "probs" not in vars(self) else self.probs)
+        return len(self._exact[0])
 
     def items(self):
         return self.probs.items()
