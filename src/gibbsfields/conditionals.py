@@ -34,7 +34,7 @@ from .fields import (
     RATIONAL,
     ConditionalKernel,
     RandomFieldModel,
-    _normalized_kernel,
+    _over_sum,
     integer_numerators,
 )
 
@@ -48,10 +48,8 @@ class PositivityError(ValueError):
 
 
 def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> ConditionalKernel:
-    """Kernel g_V^z(x) = P(x z) / P(z) for a condition z on a disjoint volume.
-
-    In rational mode the kernel is born as ints: the joint entries' numerators
-    n(xz) over one scale s and P(z) = n_z / d_z give n(xz) d_z over s n_z."""
+    """Kernel g_V^z(x) = P(x z) / P(z) for a condition z on a disjoint volume; in
+    rational mode P(x z) = n(xz) / s and P(z) = n_z / d_z give n(xz) d_z over s n_z."""
     if not V.issubset(m.window):
         raise DomainError(f"{V - m.window} outside the model window")
     if not z.volume.isdisjoint(V):
@@ -65,7 +63,7 @@ def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> Cond
     if type(m).prob is RandomFieldModel.prob and (V or z.volume):
         union, strides, offsets = _code_plan(V, z.volume, m.alphabet)
         base = sum(m.alphabet.symbols.index(a) * w for a, w in zip(z.symbols, strides))
-        _, entries, scale = m.marginal(union)._exact
+        entries, scale = m.marginal(union).numerators()
         joint = [entries[base + o] for o in offsets]
     else:
         joint, scale = integer_numerators([m.prob(concat(x, z)) for x in configs], m.mode)
@@ -220,38 +218,30 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
             except ValueError as err:  # every extension of a failed prefix fails with it
                 nxt += [(None, err, None)] * alphabet.size
                 continue
-            den = table[reference.symbols[r]]
+            n = table if d is None else dict(zip(table, integer_numerators(table.values(), mode)[0]))
+            den = n[reference.symbols[r]]  # exact: over one denominator, the factor is n[a] / den
             for a in alphabet.symbols:
-                num = table[a]
-                p, q, exact = num, den, False
-                if d is not None:
-                    try:  # exact weights: the factor as ints p / q, whose signs are its own
-                        p, q = num.numerator * den.denominator, num.denominator * den.numerator
-                        exact = True
-                    except AttributeError:  # a float in an exact family: a float product
-                        pass
-                if p <= 0 or q <= 0:
+                num = n[a]
+                if num <= 0 or den <= 0:
                     nxt.append((None, PositivityError(f"one-point kernel vanishes at factor {j} "
                                 f"under {restrict(boundary, V - Volume((order[j],)))}"), None))
-                elif exact:
-                    nxt.append((held + (a,), w * p, d * q))
-                elif d is None:
-                    nxt.append((held + (a,), w * (num / den), None))
-                else:
-                    nxt.append((held + (a,), Fraction(w, d) * (num / den), None))
+                elif d is not None and type(num) is int is type(den):
+                    nxt.append((held + (a,), w * num, d * den))
+                else:  # float weights, or a float in an exact family: a float product
+                    nxt.append((held + (a,), (w if d is None else Fraction(w, d)) * (num / den),
+                                None))
         level = nxt
     level = [level[i] for i in leaves]
     for held, w, _ in level:
         if held is None:
             raise w
-    denominators = [d for _, _, d in level]
-    if None in denominators:  # float weights: the normalization's float division
+    if all(d for _, _, d in level):  # exact weights w / d, over the lcm of the d
+        common = math.lcm(*(d for _, _, d in level))
+        weights = [w * (common // d) for _, w, d in level]
+    else:
         weights, _ = integer_numerators([w if d is None else Fraction(w, d)
                                          for _, w, d in level], mode)
-    else:
-        common = math.lcm(*denominators)
-        weights = [w * (common // d) for _, w, d in level]
-    return _normalized_kernel(V, z, configs, weights, mode)
+    return ConditionalKernel._of_numerators(V, z, configs, *_over_sum(weights, mode), mode)
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)

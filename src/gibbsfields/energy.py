@@ -18,8 +18,7 @@ from .fields import (
     RATIONAL,
     Comparison,
     RandomFieldModel,
-    _OnFirstRead,
-    _normalized_kernel,
+    _over_sum,
     _quotient,
     close,
     format_scalar,
@@ -48,15 +47,15 @@ class InconsistentEnergyError(ValueError):
 class TransitionEnergy:
     """Pairwise log-ratios Delta(x, u) = ln g(x) - ln g(u) on one volume.
 
-    Backed either by the originating kernel, shared (ratios are read off its
-    numerators on demand, cocycle holds by construction), or by an explicit
-    ratio table (used for negative controls and deserialization).
+    Backed either by the originating kernel's numerators (ratios are read off
+    them on demand, cocycle holds by construction), or by an explicit ratio
+    table (used for negative controls and deserialization).
     """
 
     volume: Volume
     condition: Configuration
     mode: str = RATIONAL
-    _kernel: ConditionalKernel | None = None
+    _numerators: dict | None = None  # configuration -> the kernel's numerator
     _ratios: dict | None = None
 
     @staticmethod
@@ -65,25 +64,19 @@ class TransitionEnergy:
 
     @property
     def kernel_backed(self) -> bool:
-        return self._kernel is not None
+        return self._numerators is not None
 
     def configurations(self):
-        if self._kernel is not None:
-            return list(self._kernel._exact[0])
+        if self._numerators is not None:
+            return list(self._numerators)
         return sorted({x for x, _ in self._ratios}, key=lambda c: c.symbols)
 
     def ratio(self, x: Configuration, u: Configuration):
         """exp(Delta(x,u)) as an exact ratio (rational mode) or float: for a
         kernel, n(x) / n(u) over its numerators."""
-        if self._kernel is None:
+        if self._numerators is None:
             return self._ratios[(x, u)]
-        n = self._numerator
-        return _quotient(n[x], n[u], self.mode)
-
-    @_OnFirstRead
-    def _numerator(self) -> dict:
-        keys, nums, _ = self._kernel._exact
-        return dict(zip(keys, nums))
+        return _quotient(self._numerators[x], self._numerators[u], self.mode)
 
     def value(self, x: Configuration, u: Configuration) -> float:
         return math.log(self.ratio(x, u))
@@ -93,7 +86,7 @@ def transition_energy(k: ConditionalKernel) -> TransitionEnergy:
     """Energy table of a strictly positive kernel."""
     if not k.is_positive():
         raise PositivityError("kernel has a vanishing entry; energies undefined")
-    return TransitionEnergy(k.volume, k.condition, k.mode, k, None)
+    return TransitionEnergy(k.volume, k.condition, k.mode, dict(zip(k, k.numerators()[0])))
 
 
 def check_antisymmetry(e: TransitionEnergy) -> bool:
@@ -146,10 +139,9 @@ def check_one_point_exchange(m: RandomFieldModel, t, s, z: Configuration,
 def gibbs_form_from_energy(e: TransitionEnergy, reference: Configuration) -> ConditionalKernel:
     """Kernel with probabilities proportional to exp(Delta(., reference)).
 
-    For a kernel-backed energy this inverts transition_energy exactly: in
-    rational mode ratio(x, reference) = n(x) / n(reference), so over the one
-    denominator n(reference) the weights are the kernel's numerators.
-    Explicit ratio tables are cocycle-checked first.
+    For a kernel-backed energy this inverts transition_energy exactly, in
+    rational mode from the kernel's numerators n(x) = n(reference) ratio(x,
+    reference). Explicit ratio tables are cocycle-checked first.
     """
     if not e.kernel_backed and not (check_antisymmetry(e) and check_cocycle(e)):
         raise InconsistentEnergyError("ratio table violates the cocycle law")
@@ -157,10 +149,11 @@ def gibbs_form_from_energy(e: TransitionEnergy, reference: Configuration) -> Con
     if reference not in configs:
         raise DomainError("reference must be a configuration on the energy's volume")
     if e.kernel_backed and e.mode == RATIONAL:
-        weights = list(e._kernel._exact[1])
+        weights = list(e._numerators.values())
     else:
         weights, _ = integer_numerators([e.ratio(x, reference) for x in configs], e.mode)
-    return _normalized_kernel(e.volume, e.condition, tuple(configs), weights, e.mode)
+    return ConditionalKernel._of_numerators(e.volume, e.condition, tuple(configs),
+                                            *_over_sum(weights, e.mode), e.mode)
 
 
 class HamiltonianTable(ConditionalKernel):
@@ -168,8 +161,8 @@ class HamiltonianTable(ConditionalKernel):
 
     An unnormalized table whose entries, ``weights``, are w = exp(-H). They
     may be zero, rendering H = +inf for degenerate displays, but such
-    tables are rejected by the Gibbs-form operation, which reads the
-    weights as numerators over one denominator.
+    tables are rejected by the Gibbs-form operation. ``weights`` is a dict a
+    caller may edit: once it is built, numerators are read from it.
     """
 
     def __init__(self, volume: Volume, condition: Configuration, gauge: Configuration,
@@ -179,11 +172,12 @@ class HamiltonianTable(ConditionalKernel):
 
     @property
     def weights(self) -> dict:
-        """The entries w, a dict a caller may edit: handing it out drops the
-        kept numerators, so they are read again from it."""
-        weights = self.probs
-        vars(self).pop("_exact", None)
-        return weights
+        return self.probs
+
+    def numerators(self, order: tuple | None = None) -> tuple:
+        if "probs" not in vars(self):  # born as numerators, no entry handed out yet
+            return super().numerators(order)
+        return integer_numerators([self.probs[c] for c in order or self.probs], self.mode)
 
     def energy(self, x: Configuration) -> float:
         """H(x) = -ln w(x); ``value(symbol)`` is still the table entry w."""
@@ -191,10 +185,11 @@ class HamiltonianTable(ConditionalKernel):
         return math.inf if w == 0 else -math.log(w)
 
     def gibbs_kernel(self) -> ConditionalKernel:
-        if not self.is_positive():
+        nums, _ = self.numerators()
+        if not all(n > 0 for n in nums):
             raise PositivityError("infinite Hamiltonian values admit no Gibbs form")
-        keys, nums, _ = self._exact
-        return _normalized_kernel(self.volume, self.condition, keys, nums, self.mode)
+        return ConditionalKernel._of_numerators(self.volume, self.condition, tuple(self),
+                                                *_over_sum(nums, self.mode), self.mode)
 
 
 def hamiltonian_from_energy(e: TransitionEnergy, gauge: Configuration) -> HamiltonianTable:
@@ -203,8 +198,8 @@ def hamiltonian_from_energy(e: TransitionEnergy, gauge: Configuration) -> Hamilt
     if not (e.kernel_backed and e.mode == RATIONAL):
         weights = {x: e.ratio(x, gauge) for x in e.configurations()}
         return HamiltonianTable(e.volume, e.condition, gauge, weights, e.mode)
-    keys, nums, _ = e._kernel._exact
-    h = HamiltonianTable._of_numerators(e.volume, e.condition, keys, nums, e._numerator[gauge])
+    n = e._numerators
+    h = HamiltonianTable._of_numerators(e.volume, e.condition, tuple(n), tuple(n.values()), n[gauge])
     h.gauge = gauge
     return h
 

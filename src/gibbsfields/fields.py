@@ -106,13 +106,20 @@ def scalar_sum(values: Iterable, mode: str):
     return math.fsum(values)
 
 
+def _over_sum(nums, mode: str) -> tuple:
+    """Numerators over their sum: exact ones over it as a positive int, others divided by it."""
+    total = sum(nums) if mode == RATIONAL else math.fsum(nums)
+    if not isinstance(total, int):
+        return tuple([n / total for n in nums]), 1
+    if total == 0 < len(nums):  # as Fraction(n, 0) would
+        raise ZeroDivisionError(f"Fraction({nums[0]}, 0)")
+    return (tuple(nums), total) if total > 0 else (tuple([-n for n in nums]), -total)
+
+
 def normalized(weights: Mapping, mode: str) -> dict:
     """The weights over their sum: if exact, each one Fraction of int numerators."""
-    ints, _ = integer_numerators(weights.values(), mode)
-    total = sum(ints) if mode == RATIONAL else math.fsum(ints)
-    if isinstance(total, int):
-        return {k: Fraction(n, total) for k, n in zip(weights, ints)}
-    return {k: w / total for k, w in weights.items()}
+    nums, total = _over_sum(integer_numerators(weights.values(), mode)[0], mode)
+    return {k: _quotient(n, total, mode) for k, n in zip(weights, nums)}
 
 
 def to_scalar(value, mode: str):
@@ -128,33 +135,32 @@ def to_scalar(value, mode: str):
 
 
 class _OnFirstRead:
-    """The method's value, built on the first read and set as an instance attribute,
-    which then shadows this descriptor. Unlike ``functools.cached_property`` it
-    leaves the instance's attributes inline (CPython 3.11 builds a ``__dict__`` for
-    cached_property), so a kernel costs the garbage collector no extra dict."""
+    """A method whose value is built on first read and set as the instance attribute
+    of its name, which then shadows it. ``functools.cached_property`` would give each
+    instance a ``__dict__``, one more object for the garbage collector to track."""
 
     def __init__(self, build):
-        self.build, self.name = build, build.__name__
+        self.build = build
 
     def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
+        if obj is None:  # no class-level value, so a dataclass field has no default
+            raise AttributeError(self.build.__name__)
         value = self.build(obj)
-        setattr(obj, self.name, value)
+        setattr(obj, self.build.__name__, value)
         return value
 
 
-@dataclass(init=False)
+@dataclass
 class ConditionalKernel(Mapping):
     """Probability table on a volume under a condition on a disjoint one, a read-only
     mapping: the one table type, of which a marginal P_V (FiniteDistribution, the
     empty condition) and Hamiltonian weights (energy.HamiltonianTable) are views.
 
-    A kernel is born from ``probs`` or, as the library builds it, as ``_exact``:
-    its keys, and its entries as numerators over one denominator, ints over a
-    positive int when exact (``integer_numerators``). Each form is built from the
-    other when first read and kept, so laws and positivity read the numerators
-    and Fractions are made only for entries read; a kernel must not be mutated.
+    A kernel is born from ``probs`` or, as the library builds it, from its keys and
+    its entries as numerators over one denominator (``_of_numerators``), ints over a
+    positive int when exact. Each form is built from the other on first read and
+    kept, so laws and positivity read ints, Fractions are made only for entries read,
+    and a kernel must not be mutated.
     """
 
     volume: Volume
@@ -162,28 +168,23 @@ class ConditionalKernel(Mapping):
     probs: dict  # Configuration on volume -> scalar
     mode: str = RATIONAL
 
-    def __init__(self, volume: Volume, condition: Configuration, probs: Mapping,
-                 mode: str = RATIONAL):
-        if not condition.volume.isdisjoint(volume):
+    def __post_init__(self):
+        if not self.condition.volume.isdisjoint(self.volume):
             raise DomainError("condition volume intersects the target")
-        self.volume, self.condition, self.probs, self.mode = volume, condition, probs, mode
 
     @classmethod
     def _of_numerators(cls, volume: Volume, condition: Configuration, keys: tuple,
                        nums: tuple, d, mode: str = RATIONAL) -> "ConditionalKernel":
         """The kernel whose entry at keys[i] is nums[i] / d."""
-        if not condition.volume.isdisjoint(volume):
-            raise DomainError("condition volume intersects the target")
         k = cls.__new__(cls)
         k.volume, k.condition, k.mode, k._exact = volume, condition, mode, (keys, nums, d)
+        k.__post_init__()
         return k
 
     @_OnFirstRead
     def probs(self) -> dict:
         keys, nums, d = self._exact
-        if self.mode == RATIONAL:
-            return {c: Fraction(n, d) if type(n) is int else n / d for c, n in zip(keys, nums)}
-        return dict(zip(keys, nums))
+        return {c: _quotient(n, d, self.mode) for c, n in zip(keys, nums)}
 
     @_OnFirstRead
     def _exact(self) -> tuple:
@@ -202,10 +203,10 @@ class ConditionalKernel(Mapping):
     def items(self):
         return self.probs.items()
 
-    def numerators(self, order: tuple) -> tuple:
-        """The entries at order as numerators over one denominator."""
+    def numerators(self, order: tuple | None = None) -> tuple:
+        """(numerators, denominator) of the entries, in key order or at order."""
         keys, nums, d = self._exact
-        if order is not keys and order != keys:
+        if order is not None and order is not keys and order != keys:
             at = dict(zip(keys, nums))
             nums = [at[c] for c in order]
         return nums, d
@@ -217,7 +218,7 @@ class ConditionalKernel(Mapping):
 
     def is_positive(self) -> bool:
         """True iff every entry is strictly positive, in both modes."""
-        return all(n > 0 for n in self._exact[1])
+        return all(n > 0 for n in self.numerators()[0])
 
     def sup_distance(self, other: "ConditionalKernel"):
         """Max absolute difference over the shared configuration set."""
@@ -230,17 +231,6 @@ class ConditionalKernel(Mapping):
     def table_equal(self, other: "ConditionalKernel", tol: float = DEFAULT_TOL) -> bool:
         """Entry-wise comparison (exact / within tol)."""
         return all(close(self.probs[c], other.probs[c], tol) for c in self.probs)
-
-
-def _normalized_kernel(volume: Volume, condition: Configuration, keys: tuple, nums: list,
-                       mode: str) -> ConditionalKernel:
-    """The kernel of weights nums, numerators over one denominator, over their sum."""
-    total = sum(nums) if mode == RATIONAL else math.fsum(nums)
-    if isinstance(total, int) and total <= 0:  # Fraction(n, 0) raises, as dividing would
-        return ConditionalKernel(volume, condition, normalized(dict(zip(keys, nums)), mode), mode)
-    if not isinstance(total, int):
-        nums, total = [n / total for n in nums], 1
-    return ConditionalKernel._of_numerators(volume, condition, keys, tuple(nums), total, mode)
 
 
 class FiniteDistribution(ConditionalKernel):
@@ -277,7 +267,7 @@ class FiniteDistribution(ConditionalKernel):
                 raise ValidationError(f"non-finite probability {p} at {c}")
             if p < 0 and not (mode == FLOAT and p >= -DEFAULT_TOL):
                 raise ValidationError(f"negative probability {p} at {c}")
-        total = sum(self._exact[1]) if mode == RATIONAL else math.fsum(table.values())
+        total = sum(nums) if mode == RATIONAL else math.fsum(table.values())
         if mode == RATIONAL:
             if total != d:
                 raise ValidationError(f"probabilities sum to {Fraction(total, d)}, not 1")
@@ -290,7 +280,7 @@ class FiniteDistribution(ConditionalKernel):
         rational mode, else over the largest of ``float.as_integer_ratio``'s
         denominators, built once."""
         if self.mode == RATIONAL:
-            return self._exact[1:]
+            return self.numerators()
         if self._float_view is None:
             ratios = [float(v).as_integer_ratio() for v in self._exact[1]]
             scale = max(d for _, d in ratios)

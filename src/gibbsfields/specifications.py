@@ -266,9 +266,8 @@ def tef_from_potential(phi: Potential, window: Volume, alphabet: Alphabet) -> On
 
 
 def tef_from_1spec(q: "OnePointSpec") -> OnePointTEF:
-    """Energy field of a one-point family: ratio(x, u) = q(x) / q(u), each
-    table built from one read of the one-point table, as n(x) / n(u) over
-    its numerators."""
+    """Energy field of a one-point family: ratio(x, u) = q(x) / q(u) = n(x) / n(u)
+    over the numerators of one read of the one-point table."""
     syms = q.alphabet.symbols
 
     def table(t, boundary):
@@ -371,11 +370,10 @@ def spec_from_onepoint(q: OnePointSpec) -> Specification:
     """Extend a one-point family to all finite volumes by reconstruction.
 
     Each multi-site kernel is reconstructed once per exact (V, boundary)
-    key and kept, a ConditionalKernel born as numerators, for the life of
-    the spec; a single-site kernel is born from the numerators of the
-    1-spec's table, keyed by the shared enumerated configurations. Returned
-    tables are cache-owned and must not be mutated; a call that raises
-    caches nothing.
+    key and kept, a ConditionalKernel with its numerators, for the life of
+    the spec; a single-site kernel is born from the 1-spec table's numerators,
+    keyed by the shared enumerated configurations. Returned tables are
+    cache-owned and must not be mutated; a call that raises caches nothing.
     """
     cache: dict = {}
 

@@ -320,6 +320,27 @@ def test_hamiltonian_rejects_infinite_values():
         table.gibbs_kernel()
 
 
+def test_hamiltonian_weights_edited_after_a_gibbs_kernel_are_read_again():
+    """A caller that holds the weights, builds a Gibbs kernel and then edits
+    them gets the edited table from the next call: a kernel built before the
+    edit does not keep answering for it."""
+    vol = volume(0, 1)
+    k = finite_conditional(seeded_positive_table(vol, BIN, 3), vol,
+                           Configuration(Volume.empty(), ()))
+    configs = enumerate_configurations(vol, BIN)
+    h = hamiltonian_from_energy(transition_energy(k), configs[0])
+    w = h.weights
+    assert all(h.gibbs_kernel()[x] == k[x] for x in configs)
+    w[configs[2]] *= 3
+    edited = h.gibbs_kernel()
+    total = sum(w.values(), Fraction(0))
+    assert all(edited[x] == w[x] / total for x in configs) and edited[configs[2]] != k[configs[2]]
+    w[configs[1]] = Fraction(0)
+    assert not h.is_positive()
+    with pytest.raises(PositivityError):
+        h.gibbs_kernel()
+
+
 def test_decomposition_and_exchange_exhaustive_small():
     win = line_window(5)
     m = seeded_positive_table(win, BIN, seed=19)
@@ -466,7 +487,7 @@ def test_gibbs_form_of_a_signed_ratio_table_normalizes_as_fractions():
                                                       (a, b): r_ab, (b, a): 1 / r_ab})
         assert check_antisymmetry(e) and check_cocycle(e)
         if expected is None:
-            with pytest.raises(ZeroDivisionError):
+            with pytest.raises(ZeroDivisionError, match=r"^Fraction\(-1, 0\)$"):
                 gibbs_form_from_energy(e, b)
         else:
             assert same_fractions(gibbs_form_from_energy(e, b).probs, expected)
