@@ -2,6 +2,7 @@
 it writes from pairs of runs."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,19 +18,21 @@ def load_tool():
     return module
 
 
-def test_dry_run_alternates_the_first_side_and_swaps_directories_every_second_pair():
+def test_dry_run_plans_every_benchmark_workload_alternating_sides_and_directories():
+    """Each workload of BENCHMARK.json gets the same pairs: the first side
+    alternates every pair and the directories swap every second pair."""
     done = subprocess.run([sys.executable, str(TOOL), "--parent", "HEAD~1", "--change", "HEAD",
-                           "--seeds", "901-904", "--workloads", "exact-identities",
-                           "--out", "unwritten.json", "--dry-run"],
+                           "--seeds", "901-904", "--out", "unwritten.json", "--dry-run"],
                           capture_output=True, text=True, check=True, cwd=ROOT)
     rows = [line.split("\t") for line in done.stdout.splitlines()]
-    assert [(r[2], r[3], r[4], r[5]) for r in rows] == [
-        ("seed 901", "parent", "HEAD~1", "d1"), ("seed 901", "change", "HEAD", "d2"),
-        ("seed 902", "change", "HEAD", "d2"), ("seed 902", "parent", "HEAD~1", "d1"),
-        ("seed 903", "parent", "HEAD~1", "d2"), ("seed 903", "change", "HEAD", "d1"),
-        ("seed 904", "change", "HEAD", "d1"), ("seed 904", "parent", "HEAD~1", "d2")]
-    assert {r[0] for r in rows} == {"exact-identities"} and done.stderr == ""
-    assert not (ROOT / "unwritten.json").exists()
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    pairs = [("seed 901", "parent", "HEAD~1", "d1"), ("seed 901", "change", "HEAD", "d2"),
+             ("seed 902", "change", "HEAD", "d2"), ("seed 902", "parent", "HEAD~1", "d1"),
+             ("seed 903", "parent", "HEAD~1", "d2"), ("seed 903", "change", "HEAD", "d1"),
+             ("seed 904", "change", "HEAD", "d1"), ("seed 904", "parent", "HEAD~1", "d2")]
+    assert [(r[0], r[2], r[3], r[4], r[5]) for r in rows] == [
+        (w, *run) for w in workloads for run in pairs]
+    assert done.stderr == "" and not (ROOT / "unwritten.json").exists()
 
 
 def test_summary_counts_wins_bounds_and_the_claim():

@@ -3,14 +3,14 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent REV --change REV --seeds 901-910 \\
-        [--workloads exact-identities,potential-validate,diagnostics-sweep] \\
-        --out BENCH_N.json [--seconds 10] [--claim WORKLOAD:METRIC:FRACTION] \\
-        [--workdir DIR] [--dry-run]
+        --out BENCH_N.json [--claim WORKLOAD:METRIC:FRACTION] [--dry-run]
 
-For each workload and each seed it runs ``perfbench/run.py --trace 0``
-once on each revision, a pair. Every run starts from a fresh
+For each workload of BENCHMARK.json and each seed it runs
+``perfbench/run.py --trace 0`` once on each revision, a pair, for the
+``run_seconds`` that BENCHMARK.json sets. Every run starts from a fresh
 ``git archive`` of its revision, extracted anew into one of two
-directories, d1 and d2, and runs with PYTHONDONTWRITEBYTECODE=1, so no
+directories, d1 and d2, of a new temporary directory (``TMPDIR`` sets
+where), and runs with PYTHONDONTWRITEBYTECODE=1, so no
 run reads bytecode or output that another left. The parent runs first in
 even pairs and the change in odd ones; the parent sits in d1 in pairs 0,
 1, 4, 5, 8, 9 and in d2 in the others, so neither the order nor the
@@ -44,7 +44,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("exact-identities", "potential-validate", "diagnostics-sweep")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def parse_seeds(text: str) -> list:
@@ -154,36 +154,30 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS),
-                        type=lambda s: s.split(","))
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--claim", type=lambda s: (*s.split(":")[:2], float(s.split(":")[2])))
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workdir", type=Path)
     parser.add_argument("--dry-run", action="store_true")
     args = parser.parse_args(argv)
-    unknown = set(args.workloads) - set(WORKLOADS)
-    if unknown:
-        parser.error(f"unknown workloads {sorted(unknown)}")
-    runs = plan(args.workloads, args.seeds)
+    seconds = BENCHMARK["run_seconds"]
+    runs = plan([w["name"] for w in BENCHMARK["workloads"]], args.seeds)
     revs = {"parent": args.parent, "change": args.change}
     if args.dry_run:
         for workload, i, seed, side, where in runs:
             print(f"{workload}\tpair {i}\tseed {seed}\t{side}\t{revs[side]}\t{where}")
         return 0
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = BENCHMARK["end_to_end"]
     sha = {side: subprocess.run(["git", "-C", str(ROOT), "rev-parse", rev], check=True,
                                 capture_output=True, text=True).stdout.strip()
            for side, rev in revs.items()}
     tars = {side: archive(rev) for side, rev in revs.items()}
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    workdir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     record = json.loads(args.out.read_text()) if args.out.is_file() else {}
     record.update({
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "note": "times converted to perfbench's fixed reference speed"},
         "parent_commit": sha["parent"], "change_commit": sha["change"],
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0",
         "order": f"{len(args.seeds)} alternating pairs per workload on seeds "
                  f"{args.seeds[0]}-{args.seeds[-1]}; the parent runs first at even offsets",
@@ -198,7 +192,7 @@ def main(argv=None) -> int:
     pending: dict = {}
     for workload, i, seed, side, where in runs:
         print(f"{workload} pair {i} seed {seed}: {side} in {where}", file=sys.stderr, flush=True)
-        pending[side] = run_once(tars[side], workdir / where, workload, seed, args.seconds)
+        pending[side] = run_once(tars[side], workdir / where, workload, seed, seconds)
         if len(pending) == 2:
             pairs.setdefault(workload, []).append(
                 {"seed": seed, "first": "parent" if i % 2 == 0 else "change",
@@ -207,8 +201,7 @@ def main(argv=None) -> int:
             pending = {}
             record.update(pairs=pairs, **analyse(pairs, metrics, args.claim))
             args.out.write_text(json.dumps(record, indent=1) + "\n")
-    shutil.rmtree(workdir / "d1", ignore_errors=True)
-    shutil.rmtree(workdir / "d2", ignore_errors=True)
+    shutil.rmtree(workdir, ignore_errors=True)
     print(json.dumps({"regressions_beyond_bound": record.get("regressions_beyond_bound"),
                       "claimed_gain": record.get("claimed_gain")}, indent=1))
     return 0
