@@ -218,29 +218,37 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
             except ValueError as err:  # every extension of a failed prefix fails with it
                 nxt += [(None, err, None)] * alphabet.size
                 continue
-            n = table if d is None else dict(zip(table, integer_numerators(table.values(), mode)[0]))
-            den = n[reference.symbols[r]]  # exact: over one denominator, the factor is n[a] / den
+            den = table[reference.symbols[r]]
             for a in alphabet.symbols:
-                num = n[a]
-                if num <= 0 or den <= 0:
+                num = table[a]
+                p, q, exact = num, den, False
+                if d is not None:
+                    try:  # exact weights: the factor as ints p / q, whose signs are its own
+                        p, q = num.numerator * den.denominator, num.denominator * den.numerator
+                        exact = True
+                    except AttributeError:  # a float in an exact family: a float product
+                        pass
+                if p <= 0 or q <= 0:
                     nxt.append((None, PositivityError(f"one-point kernel vanishes at factor {j} "
                                 f"under {restrict(boundary, V - Volume((order[j],)))}"), None))
-                elif d is not None and type(num) is int is type(den):
-                    nxt.append((held + (a,), w * num, d * den))
-                else:  # float weights, or a float in an exact family: a float product
-                    nxt.append((held + (a,), (w if d is None else Fraction(w, d)) * (num / den),
-                                None))
+                elif exact:
+                    nxt.append((held + (a,), w * p, d * q))
+                elif d is None:
+                    nxt.append((held + (a,), w * (num / den), None))
+                else:
+                    nxt.append((held + (a,), Fraction(w, d) * (num / den), None))
         level = nxt
     level = [level[i] for i in leaves]
     for held, w, _ in level:
         if held is None:
             raise w
-    if all(d for _, _, d in level):  # exact weights w / d, over the lcm of the d
-        common = math.lcm(*(d for _, _, d in level))
-        weights = [w * (common // d) for _, w, d in level]
-    else:
+    denominators = [d for _, _, d in level]
+    if None in denominators:  # float weights: the normalization's float division
         weights, _ = integer_numerators([w if d is None else Fraction(w, d)
                                          for _, w, d in level], mode)
+    else:
+        common = math.lcm(*denominators)
+        weights = [w * (common // d) for _, w, d in level]
     return ConditionalKernel._of_numerators(V, z, configs, *_over_sum(weights, mode), mode)
 
 

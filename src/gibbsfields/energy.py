@@ -149,7 +149,7 @@ def gibbs_form_from_energy(e: TransitionEnergy, reference: Configuration) -> Con
     if reference not in configs:
         raise DomainError("reference must be a configuration on the energy's volume")
     if e.kernel_backed and e.mode == RATIONAL:
-        weights = list(e._numerators.values())
+        weights = tuple(e._numerators.values())
     else:
         weights, _ = integer_numerators([e.ratio(x, reference) for x in configs], e.mode)
     return ConditionalKernel._of_numerators(e.volume, e.condition, tuple(configs),

@@ -176,15 +176,18 @@ class ConditionalKernel(Mapping):
     def _of_numerators(cls, volume: Volume, condition: Configuration, keys: tuple,
                        nums: tuple, d, mode: str = RATIONAL) -> "ConditionalKernel":
         """The kernel whose entry at keys[i] is nums[i] / d."""
+        if not condition.volume.isdisjoint(volume):
+            raise DomainError("condition volume intersects the target")
         k = cls.__new__(cls)
         k.volume, k.condition, k.mode, k._exact = volume, condition, mode, (keys, nums, d)
-        k.__post_init__()
         return k
 
     @_OnFirstRead
     def probs(self) -> dict:
         keys, nums, d = self._exact
-        return {c: _quotient(n, d, self.mode) for c, n in zip(keys, nums)}
+        if self.mode == FLOAT:
+            return {c: n / d for c, n in zip(keys, nums)}
+        return {c: Fraction(n, d) if type(n) is int else n / d for c, n in zip(keys, nums)}
 
     @_OnFirstRead
     def _exact(self) -> tuple:
