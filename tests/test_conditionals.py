@@ -230,7 +230,8 @@ def test_marginal_and_kernel_are_one_table_type():
 def test_a_kernel_born_as_numerators_reads_copies_and_pickles_like_a_dict_built_one():
     """finite_conditional's kernel holds ints until an entry is read; a copy
     or a pickled copy made before that reads the same entries, and it equals
-    and prints as the kernel built from its entries."""
+    and prints as the kernel built from its entries. Born either way, a kernel
+    rejects a condition on its target."""
     m = seeded_positive_table(line_window(3), BIN, seed=4)
     k = finite_conditional(m, volume(0), Configuration(volume(1), (1,)))
     assert "probs" not in vars(k) and not hasattr(k, "gauge")
@@ -239,6 +240,12 @@ def test_a_kernel_born_as_numerators_reads_copies_and_pickles_like_a_dict_built_
     for other in copies:
         assert "probs" not in vars(other) and other == k == twin and repr(other) == repr(twin)
     assert list(k) == list(twin) and len(k) == len(twin) == 2
+    on_target = Configuration(volume(0), (1,))
+    for born in (lambda: ConditionalKernel(k.volume, on_target, dict(k.items())),
+                 lambda: ConditionalKernel._of_numerators(k.volume, on_target, tuple(k),
+                                                          *k.numerators())):
+        with pytest.raises(DomainError, match="condition volume intersects the target"):
+            born()
 
 
 def test_limit_stage_zero_is_measured_against_the_marginal():
