@@ -35,7 +35,9 @@ from .fields import (
     RATIONAL,
     ConditionalKernel,
     RandomFieldModel,
+    TableField,
     _over_sum,
+    _quotient,
     integer_numerators,
 )
 
@@ -49,28 +51,40 @@ class PositivityError(ValueError):
 
 
 def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> ConditionalKernel:
-    """Kernel g_V^z(x) = P(x z) / P(z) for a condition z on a disjoint volume; in
-    rational mode P(x z) = n(xz) / s and P(z) = n_z / d_z give n(xz) d_z over s n_z."""
+    """Kernel g_V^z(x) = P(x z) / P(z) for a condition z on a disjoint volume, P(x z) = n(xz) / s.
+    On a table field P(z) = n_z / s, n_z = sum_x n(xz), and a rational kernel is n(xz) over n_z;
+    else P(z) = m.prob(z) = n_z / d_z, and a rational kernel is n(xz) d_z over s n_z."""
     if not V.issubset(m.window):
         raise DomainError(f"{V - m.window} outside the model window")
     if not z.volume.isdisjoint(V):
         raise DomainError("condition volume intersects the target")
     if not z.volume.issubset(m.window):
         raise DomainError("condition outside the model window")
-    pz = m.prob(z)
-    if (pz.numerator if m.mode == RATIONAL else pz) <= 0:
-        raise NullConditionError(f"condition has probability {pz}: {z}")
+    default_prob = type(m).prob is RandomFieldModel.prob and (V or z.volume)
+    on_table = default_prob and type(m).marginal is TableField.marginal
+    if not on_table:
+        pz = m.prob(z)
+        if (pz.numerator if m.mode == RATIONAL else pz) <= 0:
+            raise NullConditionError(f"condition has probability {pz}: {z}")
     configs = enumerate_configurations(V, m.alphabet)
-    if type(m).prob is RandomFieldModel.prob and (V or z.volume):
+    if default_prob:
         union, strides, offsets = _code_plan(V, z.volume, m.alphabet)
         base = sum(m.alphabet.symbols.index(a) * w for a, w in zip(z.symbols, strides))
-        entries, scale = m.marginal(union).numerators()
+        marginal = m.marginal(union)
+        entries, s = marginal._exact_view if on_table else marginal.numerators()
         joint = [entries[base + o] for o in offsets]
     else:
-        joint, scale = integer_numerators([m.prob(concat(x, z)) for x in configs], m.mode)
+        joint, s = integer_numerators([m.prob(concat(x, z)) for x in configs], m.mode)
+    if on_table:
+        n_z = sum(joint) if z.volume else s
+        if n_z <= 0:
+            raise NullConditionError(f"condition has probability {_quotient(n_z, s, m.mode)}: {z}")
+        if m.mode == RATIONAL:
+            return ConditionalKernel._of_numerators(V, z, configs, tuple(joint), n_z)
+        joint, pz = [n / s for n in joint], n_z / s  # the marginal's floats, P(z)
     if m.mode == RATIONAL:
         return ConditionalKernel._of_numerators(
-            V, z, configs, tuple(n * pz.denominator for n in joint), scale * pz.numerator)
+            V, z, configs, tuple(n * pz.denominator for n in joint), s * pz.numerator)
     return ConditionalKernel(V, z, {x: p / pz for x, p in zip(configs, joint)}, m.mode)
 
 

@@ -282,19 +282,16 @@ class FiniteDistribution(ConditionalKernel):
                 raise ValidationError(f"probabilities sum to {Fraction(total, d)}, not 1")
         elif abs(total - 1.0) > DEFAULT_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, off by more than {DEFAULT_TOL}")
-        self._float_view = None
 
+    @_OnFirstRead
     def _exact_view(self) -> tuple:
-        """(ints, scale): the entries as ints over one scale, the numerators in
-        rational mode, else over the largest of ``float.as_integer_ratio``'s
-        denominators, built once."""
+        """(ints, scale): the numerators in rational mode, else the entries over the largest
+        of ``float.as_integer_ratio``'s denominators; a marginal is born with its sums."""
         if self.mode == RATIONAL:
             return self.numerators()
-        if self._float_view is None:
-            ratios = [float(v).as_integer_ratio() for v in self._exact[1]]
-            scale = max(d for _, d in ratios)
-            self._float_view = [n * (scale // d) for n, d in ratios], scale
-        return self._float_view
+        ratios = [float(v).as_integer_ratio() for v in self._exact[1]]
+        scale = max(d for _, d in ratios)
+        return [n * (scale // d) for n, d in ratios], scale
 
 
 def _sum_out(values: list, i: int, k: int) -> list:
@@ -316,22 +313,22 @@ def _sum_out(values: list, i: int, k: int) -> list:
 def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:
     """Sum out the sites of p.volume outside V, exactly: p's entries as ints
     over one scale (``_exact_view``), summed out site by site from the last,
-    leave the sums in V's code order. A rational marginal is born with them
-    as its numerators over that scale; a float one rounds each sum once, so
-    it has the bits of ``math.fsum`` over its entries."""
+    leave the sums in V's code order. The marginal keeps them as its exact
+    view and is born from them, unvalidated, as a marginal of a valid table
+    is valid: in rational mode as its numerators over that scale; in float
+    mode each sum is rounded once, the bits of ``math.fsum`` over its entries."""
     if not V.issubset(p.volume):
         raise DomainError(f"{V - p.volume} not inside the distribution's volume")
     if V is p.volume:
         return p
-    values, scale = p._exact_view()
+    values, scale = p._exact_view
     for i in reversed(range(len(p.volume))):
         if p.volume.sites[i] not in V:
             values = _sum_out(values, i, p.alphabet.size)
-    keys = enumerate_configurations(V, p.alphabet)
-    if p.mode == FLOAT:
-        return FiniteDistribution(V, p.alphabet, dict(zip(keys, (v / scale for v in values))), FLOAT)
-    q = FiniteDistribution._of_numerators(V, EMPTY_CONFIGURATION, keys, tuple(values), scale)
-    q.alphabet = p.alphabet
+    keys, values = enumerate_configurations(V, p.alphabet), tuple(values)
+    nums, d = (values, scale) if p.mode == RATIONAL else (tuple([v / scale for v in values]), 1)
+    q = FiniteDistribution._of_numerators(V, EMPTY_CONFIGURATION, keys, nums, d, p.mode)
+    q.alphabet, q._exact_view = p.alphabet, (values, scale)
     return q
 
 

@@ -160,6 +160,15 @@ class Alphabet:
     symbols: tuple
     names: tuple
 
+    def __post_init__(self):  # hashed once: lru_caches keyed by an alphabet hash it per hit
+        object.__setattr__(self, "_hash", hash((self.symbols, self.names)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # the hash is rebuilt, never carried across interpreters
+        return Alphabet, (self.symbols, self.names)
+
     @staticmethod
     def of(symbols: Sequence, names: Sequence[str] | None = None) -> "Alphabet":
         symbols = tuple(symbols)
@@ -167,12 +176,9 @@ class Alphabet:
             raise ValueError("duplicate symbols")
         if len(symbols) < 2:
             raise ValueError("an alphabet needs at least two symbols")
-        if names is None:
-            names = tuple(str(s) for s in symbols)
-        else:
-            names = tuple(names)
-            if len(names) != len(symbols):
-                raise ValueError("names/symbols length mismatch")
+        names = tuple(str(s) for s in symbols) if names is None else tuple(names)
+        if len(names) != len(symbols):
+            raise ValueError("names/symbols length mismatch")
         return Alphabet(symbols, names)
 
     @property

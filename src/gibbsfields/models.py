@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 
 from .lattice import (
+    EMPTY_CONFIGURATION,
     Configuration,
     Volume,
     binary_alphabet,
@@ -31,6 +32,7 @@ from .fields import (
     FiniteDistribution,
     ProductField,
     RandomFieldModel,
+    ValidationError,
     marginalize,
 )
 from .specifications import GibbsVolumeField, ising_potential
@@ -78,27 +80,31 @@ class MarkovChainPairModel(RandomFieldModel):
     def prefix_probability(self, x: Configuration) -> Fraction:
         """Closed-form probability of a configuration on a prefix 1..n,
         multiplied out in integers: each factor (1 + a/b)/2 is (b + a)/(2b)."""
-        sites = x.volume.sites
-        n = len(sites)
-        if sites != tuple((j,) for j in range(1, n + 1)):
+        if x.volume.sites != tuple((j,) for j in range(1, len(x) + 1)):
             raise ValueError("closed form applies to prefixes 1..n only")
-        xs = x.symbols
+        return Fraction(*self._prefix_ints(x.symbols))
+
+    def _prefix_ints(self, xs: tuple) -> tuple:
+        """(numerator, denominator) of a prefix's probability, one denominator per length."""
         num = den = 1
         for c, left, right in zip(self.c, xs, xs[1:]):
             num *= c.denominator + c.numerator * left * right
             den *= 2 * c.denominator
-        tail = self.k[n]
+        tail = self.k[len(xs)]
         num *= tail.denominator + self.sign * xs[-1] * tail.numerator
         den *= 2 * tail.denominator
-        return Fraction(num, den)
+        return num, den
 
     def _prefix_table(self, n: int) -> FiniteDistribution:
         table = self._prefixes.get(n)
         if table is None:
             vol = Volume.of(range(1, n + 1))
-            probs = {c: self.prefix_probability(c)
-                     for c in enumerate_configurations(vol, self.alphabet)}
-            table = FiniteDistribution(vol, self.alphabet, probs, RATIONAL)
+            configs = enumerate_configurations(vol, self.alphabet)
+            nums, (d, *_) = zip(*[self._prefix_ints(c.symbols) for c in configs])
+            if sum(nums) != d:
+                raise ValidationError(f"prefix table {n} sums to {Fraction(sum(nums), d)}, not 1")
+            table = FiniteDistribution._of_numerators(vol, EMPTY_CONFIGURATION, configs, nums, d)
+            table.alphabet = self.alphabet
             self._prefixes[n] = table
         return table
 

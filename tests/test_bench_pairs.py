@@ -49,3 +49,15 @@ def test_summary_counts_wins_bounds_and_the_claim():
         {"workload": "w", "metric": "peak_rss_mb", "percent": 7.5, "bound_percent": 5.0}]
     assert out["claimed_gain"]["met"] and out["claimed_gain"]["change_wins"] == 10
     assert not tool.analyse(pairs, metrics, ("w", "run_s", 0.25))["claimed_gain"]["met"]
+
+
+def test_a_dry_run_into_a_closed_pipe_exits_0_without_a_traceback():
+    """``--dry-run | head``: the reader closes the pipe after one line, while
+    the plan (3 workloads x 2 x 4000 lines) is far longer than a pipe holds."""
+    run = subprocess.Popen([sys.executable, str(TOOL), "--parent", "HEAD~1", "--change", "HEAD",
+                            "--seeds", "1-4000", "--out", "unwritten.json", "--dry-run"],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT)
+    assert run.stdout.readline().startswith(b"exact-identities\tpair 0")
+    run.stdout.close()
+    stderr = run.stderr.read().decode()
+    assert run.wait() == 0 and stderr == ""  # no BrokenPipeError traceback

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -18,15 +19,19 @@ from gibbsfields.conditionals import (
     one_point_from_model,
     reconstruct_from_one_point,
 )
+from gibbsfields import fields
 from gibbsfields.fields import (
     FLOAT,
     RATIONAL,
+    TableField,
+    marginalize,
     scalar_sum,
     seeded_positive_table,
     table_field,
 )
 from gibbsfields.lattice import (
     EMPTY_CONFIGURATION,
+    Alphabet,
     Configuration,
     DomainError,
     GeometryError,
@@ -47,7 +52,11 @@ from gibbsfields.models import (
     example2_model,
     ising_demo,
 )
-from gibbsfields.diagnostics import oscillating_density_boundary
+from gibbsfields.diagnostics import (
+    mixed_family,
+    oscillating_density_boundary,
+    uniform_convergence_report,
+)
 from gibbsfields.specifications import (
     ising_potential,
     onepoint_spec_from_model,
@@ -59,6 +68,7 @@ from gibbsfields.specifications import (
 )
 
 BIN = binary_alphabet()
+TERNARY = Alphabet.of((0, 1, 2))
 
 
 def brute_conditional(table_model, V, z):
@@ -142,6 +152,116 @@ def test_finite_conditional_errors_keep_their_messages():
         with pytest.raises(DomainError) as err:
             finite_conditional(m, V, cond)
         assert str(err.value) == message
+
+
+def marginal_quotients(m, V, z) -> dict:
+    """P(x z) / P(z) per x on V, each read from ``marginalize(m.table, .)``."""
+    joint = marginalize(m.table, V | z.volume)
+    pz = marginalize(m.table, z.volume)[z] if z.volume else (Fraction(1) if m.mode == RATIONAL
+                                                              else 1.0)
+    return {x: joint[concat(x, z)] / pz for x in enumerate_configurations(V, m.alphabet)}
+
+
+def assert_same_entries(kernel, reference):
+    assert list(kernel.probs) == list(reference)
+    assert [(repr(p), type(p)) for p in kernel.probs.values()] == [
+        (repr(p), type(p)) for p in reference.values()]
+
+
+def every_target_and_condition(window, alphabet):
+    for r in range(len(window) + 1):
+        for V in map(Volume.of, combinations(window.sites, r)):
+            rest = (window - V).sites
+            for s in range(len(rest) + 1):
+                for lam in map(Volume.of, combinations(rest, s)):
+                    for z in enumerate_configurations(lam, alphabet):
+                        yield V, z
+
+
+@pytest.mark.parametrize("case", ["rational-binary", "rational-ternary", "float-binary"])
+def test_table_kernels_are_the_quotients_of_marginalized_tables(case):
+    """On a table field every kernel is P(x z) / P(z), both read from the
+    tables ``marginalize`` makes: equal in repr and type, so float kernels are
+    bit-identical and rational ones Fractions. Every (V, z) on small tables,
+    including the empty target and the empty condition."""
+    window = line_window(4)
+    m = {"rational-binary": lambda: seeded_positive_table(window, BIN, seed=61),
+         "rational-ternary": lambda: seeded_positive_table(line_window(3), TERNARY, seed=62),
+         "float-binary": lambda: float_table(window, 63)}[case]()
+    for V, z in every_target_and_condition(m.window, m.alphabet):
+        assert_same_entries(finite_conditional(m, V, z), marginal_quotients(m, V, z))
+
+
+def test_ising_table_kernels_are_the_quotients_of_marginalized_tables():
+    """The 13-site float Ising table, on a seeded sample of (V, z): targets
+    of up to three sites, conditions of up to eight."""
+    ising = ising_demo(0.4, window=13)
+    m = table_field(ising.window, ising.alphabet, ising.table)
+    rng = random.Random(64)
+    for _ in range(150):
+        sites = rng.sample(m.window.sites, rng.randint(0, 11))
+        V, lam = Volume.of(sites[:rng.randint(0, 3)]), Volume.of(sites[3:])
+        z = rng.choice(enumerate_configurations(lam, m.alphabet))
+        assert_same_entries(finite_conditional(m, V, z), marginal_quotients(m, V, z))
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_the_null_condition_message_is_unchanged(mode):
+    """P(z) = 0 is reported with the value P(z) has in the mode, also when it is
+    read from the marginal on the target and the condition's volume."""
+    vol = volume(0, 1, 2)
+    zero, half = (Fraction(0), Fraction(1, 2)) if mode == RATIONAL else (0.0, 0.5)
+    probs = {c: zero for c in enumerate_configurations(vol, BIN)}
+    probs[Configuration(vol, (0, 0, 0))] = probs[Configuration(vol, (1, 1, 1))] = half
+    m = table_field(vol, BIN, probs, mode)
+    shown = "0" if mode == RATIONAL else "0.0"
+    for V, z in ((volume(0), Configuration(volume(1, 2), (0, 1))),
+                 (Volume.empty(), Configuration(volume(0, 2), (1, 0)))):
+        with pytest.raises(NullConditionError) as null:
+            finite_conditional(m, V, z)
+        assert str(null.value) == f"condition has probability {shown}: {z}"
+
+
+class DisagreeingMarginals(TableField):
+    """A table field whose marginal on one site is not the sum of its table."""
+
+    def marginal(self, V):
+        if V == volume(1):
+            return table_field(V, BIN, {Configuration(V, (0,)): Fraction(3, 4),
+                                        Configuration(V, (1,)): Fraction(1, 4)}).table
+        return super().marginal(V)
+
+
+class DisagreeingProb(TableField):
+    def prob(self, c):
+        return Fraction(1, 4) if c.volume == volume(1) else super().prob(c)
+
+
+@pytest.mark.parametrize("model", [DisagreeingMarginals, DisagreeingProb])
+def test_a_table_field_that_overrides_marginal_or_prob_is_asked_for_p_z(model):
+    """P(z) comes from the model when it overrides ``marginal`` or ``prob``, so
+    marginals that disagree give a kernel that does not sum to 1."""
+    table = seeded_positive_table(line_window(3), BIN, seed=65).table
+    m = model(table)
+    for z in enumerate_configurations(volume(1), BIN):
+        kernel = finite_conditional(m, volume(0), z)
+        assert kernel.probs == {x: m.prob(concat(x, z)) / m.prob(z) for x in kernel}
+        assert sum(kernel.probs.values()) != 1
+    assert sum(finite_conditional(TableField(table), volume(0), z).probs.values()) == 1
+
+
+def test_a_uniform_report_marginalizes_each_stage_and_the_target_once(monkeypatch):
+    """On the 13-site Ising table a uniform report calls ``marginalize`` once
+    for the target and once per stage, and never on a condition's volume."""
+    ising = ising_demo(0.4, window=13)
+    m = table_field(ising.window, ising.alphabet, ising.table)
+    F = box_filtration(0, [1, 2, 3, 4, 5], m.window)
+    calls = []
+    real = fields.marginalize
+    monkeypatch.setattr(fields, "marginalize", lambda p, V: calls.append(V) or real(p, V))
+    uniform_convergence_report(m, 0, F, mixed_family(m.alphabet, seeds=(1, 2)))
+    assert calls == [volume(0), *F]
+    assert not {stage - volume(0) for stage in F} & set(calls)
 
 
 def test_product_field_independence():

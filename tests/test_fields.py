@@ -251,6 +251,32 @@ def test_rational_marginals_are_the_per_entry_fractions(p):
     assert_marginals_match_the_reference(p, repr)
 
 
+def assert_marginals_of_marginals_are_the_tables(p, text):
+    for S in sub_volumes(p.volume):
+        outer = marginalize(p, S)
+        for W in sub_volumes(S):
+            got, want = marginalize(outer, W), marginalize(p, W)
+            assert [text(v) for v in got.values()] == [text(v) for v in want.values()]
+            assert got._exact_view == want._exact_view
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.one_of(float_tables(BIN, 5), float_tables(Alphabet.of((0, 1, 2)), 3),
+                 rational_tables()))
+def test_a_marginal_of_a_marginal_is_the_tables_marginal_bit_for_bit(p):
+    """A marginal keeps the exact sums it was made from, at its table's scale,
+    so summing it down again gives the bits the table gives."""
+    assert_marginals_of_marginals_are_the_tables(p, float.hex if p.mode == FLOAT else repr)
+
+
+def test_the_ising_tables_marginals_of_marginals_are_its_marginals():
+    chain = ising_demo(0.4, window=13).table
+    outer = marginalize(chain, Volume.of(range(-5, 6)))
+    for W in (Volume.empty(), volume(0), volume(-5, -1, 0, 5), Volume.of(range(-3, 4))):
+        got, want = marginalize(outer, W), marginalize(chain, W)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
 def test_a_non_finite_entry_is_rejected_by_name():
     vol = volume(0, 1)
     configs = enumerate_configurations(vol, BIN)

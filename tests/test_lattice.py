@@ -162,6 +162,27 @@ def test_a_pickle_from_another_hash_seed_finds_its_fresh_twin():
         assert result.returncode == 0, result.stderr.decode()
 
 
+def test_an_alphabet_hashes_once_and_pickles_and_copies_by_value():
+    """Equal alphabets hash equal, and the hash made with the alphabet is that
+    of its symbols and names; a pickled or copied alphabet equals it and finds
+    its dict entries, also when pickled under another PYTHONHASHSEED."""
+    a, twin = Alphabet.of(("up", "down")), Alphabet(("up", "down"), ("up", "down"))
+    assert a == twin and hash(a) == hash(twin) == hash((a.symbols, a.names))
+    assert a != Alphabet.of(("up", "down"), ("u", "d")) and a != spin_alphabet()
+    for again in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert again == a and hash(again) == hash(a) and {a: "kept"}[again] == "kept"
+        assert repr(again) == repr(a) == "Alphabet(symbols=('up', 'down'), names=('up', 'down'))"
+    child = ("import pickle, sys\n"
+             "from gibbsfields.lattice import Alphabet\n"
+             "sys.stdout.buffer.write(pickle.dumps({Alphabet.of(('up', 'down')): 'a'}))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in ("1", "12345"):
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True, check=True,
+                                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src,
+                                     "PYTHONHASHSEED": seed, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert pickle.loads(result.stdout)[a] == "a"
+
+
 def test_concat_basic_and_empty():
     a = configuration({1: 1})
     b = configuration({2: -1})

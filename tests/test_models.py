@@ -5,7 +5,14 @@ from itertools import combinations
 import pytest
 
 from gibbsfields.conditionals import finite_conditional, markov_radius
-from gibbsfields.fields import RATIONAL, check_marginal_consistency, seeded_positive_table
+from gibbsfields.fields import (
+    RATIONAL,
+    FiniteDistribution,
+    ValidationError,
+    check_marginal_consistency,
+    marginalize,
+    seeded_positive_table,
+)
 from gibbsfields.lattice import (
     EMPTY_CONFIGURATION,
     Configuration,
@@ -17,6 +24,7 @@ from gibbsfields.lattice import (
 )
 from gibbsfields.models import (
     BernoulliMixtureModel,
+    MarkovChainPairModel,
     bernoulli_product,
     example1_pair,
     example2_limiting_hamiltonian,
@@ -143,6 +151,39 @@ def test_example1_prefix_probability_matches_the_fraction_product():
         for sites in ((2,), (1, 3), (2, 3, 4)):
             with pytest.raises(ValueError):
                 model.prefix_probability(Configuration(volume(*sites), (1,) * len(sites)))
+
+
+def test_example1_prefix_tables_are_the_per_entry_fraction_tables():
+    """A prefix table born from int numerators over the shared denominator
+    reads, entry by entry, the Fractions of ``prefix_probability``, equal in
+    repr and type, for several N and both signs, with uniform and with
+    non-uniform couplings; so do the marginals summed from it."""
+    for N, c, kappa in ((2, Fraction(1, 3), Fraction(1, 2)), (5, Fraction(1, 2), Fraction(1, 2)),
+                        (7, [Fraction(2, 3), Fraction(3, 7), Fraction(1, 5), Fraction(5, 9),
+                             Fraction(1, 2), Fraction(4, 5)], Fraction(2, 9))):
+        for model in example1_pair(N, c, kappa):
+            for n in range(1, N + 1):
+                vol = Volume.of(range(1, n + 1))
+                want = FiniteDistribution(vol, model.alphabet, {
+                    x: model.prefix_probability(x)
+                    for x in enumerate_configurations(vol, model.alphabet)})
+                got = model.marginal(vol)
+                assert [(type(k), type(v)) for k, v in got.items()] == [
+                    (Configuration, Fraction)] * 2 ** n
+                assert repr(list(got.items())) == repr(list(want.items()))
+                assert got.alphabet == model.alphabet and got.mode == RATIONAL
+                inner = Volume.of(range(2, n + 1, 2))
+                assert repr(marginalize(got, inner)) == repr(marginalize(want, inner))
+
+
+def test_example1_prefix_tables_check_their_sum(monkeypatch):
+    """The int numerators of a prefix table must sum to its denominator."""
+    model = example1_pair(3, Fraction(1, 2), Fraction(1, 2))[0]
+    honest = MarkovChainPairModel._prefix_ints
+    monkeypatch.setattr(MarkovChainPairModel, "_prefix_ints",
+                        lambda self, xs: (honest(self, xs)[0] + (xs == (1, 1)), honest(self, xs)[1]))
+    with pytest.raises(ValidationError, match="prefix table 2 sums to 33/32, not 1"):
+        model.marginal(volume(2))
 
 
 def exact_mixture_prob(tau, size, ones):

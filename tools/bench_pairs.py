@@ -149,6 +149,14 @@ def analyse(pairs: dict, metrics: list, claim: tuple | None) -> dict:
     return out
 
 
+def say(text: str) -> None:
+    """Print to stdout; once the reader has gone (``| head``), stdout is os.devnull."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
@@ -163,7 +171,7 @@ def main(argv=None) -> int:
     revs = {"parent": args.parent, "change": args.change}
     if args.dry_run:
         for workload, i, seed, side, where in runs:
-            print(f"{workload}\tpair {i}\tseed {seed}\t{side}\t{revs[side]}\t{where}")
+            say(f"{workload}\tpair {i}\tseed {seed}\t{side}\t{revs[side]}\t{where}")
         return 0
 
     metrics = BENCHMARK["end_to_end"]
@@ -202,8 +210,8 @@ def main(argv=None) -> int:
             record.update(pairs=pairs, **analyse(pairs, metrics, args.claim))
             args.out.write_text(json.dumps(record, indent=1) + "\n")
     shutil.rmtree(workdir, ignore_errors=True)
-    print(json.dumps({"regressions_beyond_bound": record.get("regressions_beyond_bound"),
-                      "claimed_gain": record.get("claimed_gain")}, indent=1))
+    say(json.dumps({"regressions_beyond_bound": record.get("regressions_beyond_bound"),
+                    "claimed_gain": record.get("claimed_gain")}, indent=1))
     return 0
 
 
