@@ -207,19 +207,20 @@ def test_ising_table_kernels_are_the_quotients_of_marginalized_tables():
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_the_null_condition_message_is_unchanged(mode):
-    """P(z) = 0 is reported with the value P(z) has in the mode, also when it is
-    read from the marginal on the target and the condition's volume."""
+    """P(z) = 0 is reported with the value P(z) has in the mode, whether it is
+    read from the marginal on the target and the condition's volume (a table
+    field) or asked of the model (a product field with P(1) = 0)."""
     vol = volume(0, 1, 2)
     zero, half = (Fraction(0), Fraction(1, 2)) if mode == RATIONAL else (0.0, 0.5)
     probs = {c: zero for c in enumerate_configurations(vol, BIN)}
     probs[Configuration(vol, (0, 0, 0))] = probs[Configuration(vol, (1, 1, 1))] = half
-    m = table_field(vol, BIN, probs, mode)
     shown = "0" if mode == RATIONAL else "0.0"
-    for V, z in ((volume(0), Configuration(volume(1, 2), (0, 1))),
-                 (Volume.empty(), Configuration(volume(0, 2), (1, 0)))):
-        with pytest.raises(NullConditionError) as null:
-            finite_conditional(m, V, z)
-        assert str(null.value) == f"condition has probability {shown}: {z}"
+    for m in (table_field(vol, BIN, probs, mode), bernoulli_product(zero, vol)):
+        for V, z in ((volume(0), Configuration(volume(1, 2), (0, 1))),
+                     (Volume.empty(), Configuration(volume(0, 2), (1, 0)))):
+            with pytest.raises(NullConditionError) as null:
+                finite_conditional(m, V, z)
+            assert str(null.value) == f"condition has probability {shown}: {z}"
 
 
 class DisagreeingMarginals(TableField):
