@@ -298,12 +298,12 @@ def _potential_reports(model, tol: float, seed: int, max_tuples: int) -> list:
         rest = window - V
         z = Configuration(rest, tuple(rng.choice(alphabet.symbols) for _ in rest))
         direct = finite_conditional(model, V, z)
-        spec_kernel = Q.kernel(V, z)
-        for c in direct.probs:
+        spec_probs = Q.kernel(V, z).probs
+        for c, p in direct.items():
             checks += 1
-            if not holds(direct[c], spec_kernel[c]):
+            if not holds(p, spec_probs[c]):
                 coherence_bad.append({"V": str(V), "config": str(c),
-                                      "dev": abs(float(direct[c]) - float(spec_kernel[c]))})
+                                      "dev": abs(float(p) - float(spec_probs[c]))})
     coherence = ValidationReport("gibbs-spec-coherence", checks, coherence_bad, holds.worst)
     reports.append({**coherence.to_json_dict(), "infinite_volume_step": "cited, not verified"})
     return reports

@@ -85,7 +85,7 @@ def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> Cond
     if m.mode == RATIONAL:
         return ConditionalKernel._of_numerators(
             V, z, configs, tuple(n * pz.denominator for n in joint), s * pz.numerator)
-    return ConditionalKernel(V, z, {x: p / pz for x, p in zip(configs, joint)}, m.mode)
+    return ConditionalKernel._of_numerators(V, z, configs, tuple(p / pz for p in joint), 1, m.mode)
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)

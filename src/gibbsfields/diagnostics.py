@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 from typing import Callable, Sequence
 
@@ -34,7 +35,7 @@ from .lattice import (
 from .fields import DEFAULT_TOL, RATIONAL, RandomFieldModel, format_scalar
 from .conditionals import ConditionalKernel, finite_conditional, limit_along_filtration
 from .energy import TransitionEnergy, transition_energy
-from .specifications import OnePointSpec
+from .specifications import OnePointSpec, spec_from_onepoint
 
 UNIFORM_EVIDENCE = "uniform-evidence"
 DIVERGENCE_WITNESS = "divergence-witness"
@@ -391,11 +392,7 @@ def _deep_tables(subject, t_vol: Volume, F: Filtration, B: BoundaryFamily) -> li
     if isinstance(subject, OnePointSpec):
         if F.window | t_vol != subject.window:
             raise GeometryError("spec evaluation needs the filtration to fill the window")
-
-        def kernel(z):
-            table = subject.table(t_vol.sites[0], z)
-            probs = {Configuration(t_vol, (a,)): p for a, p in table.items()}
-            return ConditionalKernel(t_vol, z, probs, subject.mode)
+        kernel = partial(spec_from_onepoint(subject).kernel, t_vol)
     else:
         def kernel(z):
             return finite_conditional(subject, t_vol, z)
@@ -500,7 +497,8 @@ def energy_criterion_report(m: RandomFieldModel, t, F: Filtration,
     """
     t_vol = _target(t)
     deep = _deep_tables(m, t_vol, F, B)
-    min_prob = min((min(k.probs.values()) for _, k in deep), default=None)
+    # int over int is correctly rounded: the float of the smallest entry
+    min_prob = min((min(nums) / d for nums, d in (k.numerators() for _, k in deep)), default=None)
     evaluated = [(stage_configs, transition_energy(k)) for stage_configs, k in deep]
     return _moduli_report(
         m, t_vol, F, B, evaluated, energy_distance, float, tol,

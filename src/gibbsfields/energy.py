@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .lattice import Configuration, DomainError, Volume
+from .lattice import Configuration, DomainError, Volume, _IndexedTuple
 from .fields import (
     RATIONAL,
     Comparison,
@@ -47,15 +47,15 @@ class InconsistentEnergyError(ValueError):
 class TransitionEnergy:
     """Pairwise log-ratios Delta(x, u) = ln g(x) - ln g(u) on one volume.
 
-    Backed either by the originating kernel's numerators (ratios are read off
-    them on demand, cocycle holds by construction), or by an explicit ratio
-    table (used for negative controls and deserialization).
+    Backed either by the originating kernel, whose numerators it reads
+    (ratios n(x) / n(u) on demand, cocycle holds by construction), or by an
+    explicit ratio table (used for negative controls and deserialization).
     """
 
     volume: Volume
     condition: Configuration
     mode: str = RATIONAL
-    _numerators: dict | None = None  # configuration -> the kernel's numerator
+    _kernel: ConditionalKernel | None = None
     _ratios: dict | None = None
 
     @staticmethod
@@ -64,19 +64,20 @@ class TransitionEnergy:
 
     @property
     def kernel_backed(self) -> bool:
-        return self._numerators is not None
+        return self._kernel is not None
 
-    def configurations(self):
-        if self._numerators is not None:
-            return list(self._numerators)
-        return sorted({x for x, _ in self._ratios}, key=lambda c: c.symbols)
+    def configurations(self) -> tuple:
+        if self._kernel is not None:
+            return self._kernel._exact[0]
+        return _IndexedTuple(sorted({x for x, _ in self._ratios}, key=lambda c: c.symbols))
 
     def ratio(self, x: Configuration, u: Configuration):
         """exp(Delta(x,u)) as an exact ratio (rational mode) or float: for a
         kernel, n(x) / n(u) over its numerators."""
-        if self._numerators is None:
+        if self._kernel is None:
             return self._ratios[(x, u)]
-        return _quotient(self._numerators[x], self._numerators[u], self.mode)
+        keys, nums, _ = self._kernel._exact
+        return _quotient(nums[keys.position[x]], nums[keys.position[u]], self.mode)
 
     def value(self, x: Configuration, u: Configuration) -> float:
         return math.log(self.ratio(x, u))
@@ -86,7 +87,7 @@ def transition_energy(k: ConditionalKernel) -> TransitionEnergy:
     """Energy table of a strictly positive kernel."""
     if not k.is_positive():
         raise PositivityError("kernel has a vanishing entry; energies undefined")
-    return TransitionEnergy(k.volume, k.condition, k.mode, dict(zip(k, k.numerators()[0])))
+    return TransitionEnergy(k.volume, k.condition, k.mode, k)
 
 
 def check_antisymmetry(e: TransitionEnergy) -> bool:
@@ -149,10 +150,10 @@ def gibbs_form_from_energy(e: TransitionEnergy, reference: Configuration) -> Con
     if reference not in configs:
         raise DomainError("reference must be a configuration on the energy's volume")
     if e.kernel_backed and e.mode == RATIONAL:
-        weights = tuple(e._numerators.values())
+        weights = e._kernel._exact[1]
     else:
         weights, _ = integer_numerators([e.ratio(x, reference) for x in configs], e.mode)
-    return ConditionalKernel._of_numerators(e.volume, e.condition, tuple(configs),
+    return ConditionalKernel._of_numerators(e.volume, e.condition, configs,
                                             *_over_sum(weights, e.mode), e.mode)
 
 
@@ -161,8 +162,8 @@ class HamiltonianTable(ConditionalKernel):
 
     An unnormalized table whose entries, ``weights``, are w = exp(-H). They
     may be zero, rendering H = +inf for degenerate displays, but such
-    tables are rejected by the Gibbs-form operation. ``weights`` is a dict a
-    caller may edit: once it is built, numerators are read from it.
+    tables are rejected by the Gibbs-form operation. Like ``probs``,
+    ``weights`` is a new dict on each read: the table is read-only.
     """
 
     def __init__(self, volume: Volume, condition: Configuration, gauge: Configuration,
@@ -174,32 +175,29 @@ class HamiltonianTable(ConditionalKernel):
     def weights(self) -> dict:
         return self.probs
 
-    def numerators(self, order: tuple | None = None) -> tuple:
-        if "probs" not in vars(self):  # born as numerators, no entry handed out yet
-            return super().numerators(order)
-        return integer_numerators([self.probs[c] for c in order or self.probs], self.mode)
-
     def energy(self, x: Configuration) -> float:
         """H(x) = -ln w(x); ``value(symbol)`` is still the table entry w."""
-        w = self.probs[x]
+        w = self[x]
         return math.inf if w == 0 else -math.log(w)
 
     def gibbs_kernel(self) -> ConditionalKernel:
-        nums, _ = self.numerators()
+        keys, nums, _ = self._exact
         if not all(n > 0 for n in nums):
             raise PositivityError("infinite Hamiltonian values admit no Gibbs form")
-        return ConditionalKernel._of_numerators(self.volume, self.condition, tuple(self),
+        return ConditionalKernel._of_numerators(self.volume, self.condition, keys,
                                                 *_over_sum(nums, self.mode), self.mode)
 
 
 def hamiltonian_from_energy(e: TransitionEnergy, gauge: Configuration) -> HamiltonianTable:
     """Hamiltonian with the zero of energy pinned at the gauge configuration:
     for a rational kernel, born as its numerators over n(gauge)."""
-    if not (e.kernel_backed and e.mode == RATIONAL):
-        weights = {x: e.ratio(x, gauge) for x in e.configurations()}
-        return HamiltonianTable(e.volume, e.condition, gauge, weights, e.mode)
-    n = e._numerators
-    h = HamiltonianTable._of_numerators(e.volume, e.condition, tuple(n), tuple(n.values()), n[gauge])
+    configs = e.configurations()
+    if e.kernel_backed and e.mode == RATIONAL:
+        _, nums, _ = e._kernel._exact
+        d = nums[configs.position[gauge]]
+    else:
+        nums, d = integer_numerators([e.ratio(x, gauge) for x in configs], e.mode)
+    h = HamiltonianTable._of_numerators(e.volume, e.condition, configs, tuple(nums), d, e.mode)
     h.gauge = gauge
     return h
 

@@ -1,11 +1,11 @@
 """Random fields as providers of exact finite-dimensional distributions.
 
 A distribution carries a numeric mode: "rational" tables hold int
-numerators over one int denominator, read as ``fractions.Fraction``
-entries, and all identities are checked with exact equality; "float"
-tables hold binary floats and each check compares them within the
-tolerance it is given (default 1e-12). Float sums are those of
-``math.fsum``, so results do not depend on evaluation order.
+numerators over one int denominator, each entry read as a new
+``fractions.Fraction``, and all identities are checked with exact
+equality; "float" tables hold binary floats and each check compares them
+within the tolerance it is given (default 1e-12). Float sums are those
+of ``math.fsum``, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from numbers import Rational
 from operator import add
 
@@ -25,6 +25,7 @@ from .lattice import (
     Configuration,
     DomainError,
     Volume,
+    _IndexedTuple,
     enumerate_configurations,
     format_site,
     parse_site,
@@ -134,33 +135,24 @@ def to_scalar(value, mode: str):
     return float(value)
 
 
-class _OnFirstRead:
-    """A method whose value is built on first read and set as the instance attribute
-    of its name, which then shadows it. ``functools.cached_property`` would give each
-    instance a ``__dict__``, one more object for the garbage collector to track."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __get__(self, obj, owner=None):
-        if obj is None:  # no class-level value, so a dataclass field has no default
-            raise AttributeError(self.build.__name__)
-        value = self.build(obj)
-        setattr(obj, self.build.__name__, value)
-        return value
+def _entry(n, d, mode: str):
+    """The value of numerator n over d: a Fraction when exact, else n itself over 1."""
+    if mode == RATIONAL and type(n) is int:
+        return Fraction(n, d)
+    return n if d == 1 else n / d
 
 
-@dataclass
+@dataclass(init=False)  # repr and == read probs, built on read
 class ConditionalKernel(Mapping):
     """Probability table on a volume under a condition on a disjoint one, a read-only
     mapping: the one table type, of which a marginal P_V (FiniteDistribution, the
     empty condition) and Hamiltonian weights (energy.HamiltonianTable) are views.
 
-    A kernel is born from ``probs`` or, as the library builds it, from its keys and
-    its entries as numerators over one denominator (``_of_numerators``), ints over a
-    positive int when exact. Each form is built from the other on first read and
-    kept, so laws and positivity read ints, Fractions are made only for entries read,
-    and a kernel must not be mutated.
+    A kernel stores one form, ``_exact``: keys, an ``_IndexedTuple`` (for the kernels
+    the library births through ``_of_numerators``, the shared enumeration itself), and
+    entries as numerators over one denominator: ints over a positive int when exact,
+    floats over 1 otherwise. The public constructor converts a mapping once. ``probs``,
+    ``items()``, ``kernel[c]`` and ``value`` build values on each read and keep none.
     """
 
     volume: Volume
@@ -168,34 +160,37 @@ class ConditionalKernel(Mapping):
     probs: dict  # Configuration on volume -> scalar
     mode: str = RATIONAL
 
-    def __post_init__(self):
-        if not self.condition.volume.isdisjoint(self.volume):
-            raise DomainError("condition volume intersects the target")
+    def __init__(self, volume: Volume, condition: Configuration, probs: Mapping,
+                 mode: str = RATIONAL):
+        nums, d = integer_numerators(probs.values(), mode)
+        self._hold(volume, condition, _IndexedTuple(probs), tuple(nums), d, mode)
 
     @classmethod
     def _of_numerators(cls, volume: Volume, condition: Configuration, keys: tuple,
                        nums: tuple, d, mode: str = RATIONAL) -> "ConditionalKernel":
         """The kernel whose entry at keys[i] is nums[i] / d."""
-        if not condition.volume.isdisjoint(volume):
-            raise DomainError("condition volume intersects the target")
         k = cls.__new__(cls)
-        k.volume, k.condition, k.mode, k._exact = volume, condition, mode, (keys, nums, d)
+        k._hold(volume, condition, keys, nums, d, mode)
         return k
 
-    @_OnFirstRead
-    def probs(self) -> dict:
-        keys, nums, d = self._exact
-        if self.mode == FLOAT:
-            return {c: n / d for c, n in zip(keys, nums)}
-        return {c: Fraction(n, d) if type(n) is int else n / d for c, n in zip(keys, nums)}
+    def _hold(self, volume, condition, keys, nums, d, mode) -> None:
+        if not condition.volume.isdisjoint(volume):
+            raise DomainError("condition volume intersects the target")
+        self.volume, self.condition, self.mode = volume, condition, mode
+        self._exact = keys, nums, d
 
-    @_OnFirstRead
-    def _exact(self) -> tuple:
-        nums, d = integer_numerators(self.probs.values(), self.mode)
-        return tuple(self.probs), tuple(nums), d
+    @property
+    def probs(self) -> dict:
+        return dict(zip(self._exact[0], self._values()))
+
+    def _values(self, order: tuple | None = None) -> list:
+        """The entries' values, in key order or at order."""
+        nums, d = self.numerators(order)
+        return [_entry(n, d, self.mode) for n in nums]
 
     def __getitem__(self, c: Configuration):
-        return self.probs[c]
+        keys, nums, d = self._exact
+        return _entry(nums[keys.position[c]], d, self.mode)
 
     def __iter__(self):
         return iter(self._exact[0])
@@ -210,14 +205,13 @@ class ConditionalKernel(Mapping):
         """(numerators, denominator) of the entries, in key order or at order."""
         keys, nums, d = self._exact
         if order is not None and order is not keys and order != keys:
-            at = dict(zip(keys, nums))
-            nums = [at[c] for c in order]
+            nums = [nums[i] for i in map(keys.position.__getitem__, order)]
         return nums, d
 
     def value(self, symbol):
         """Entry for a one-site volume addressed by its symbol."""
         (site,) = self.volume.sites
-        return self.probs[Configuration(self.volume, (symbol,))]
+        return self[Configuration(self.volume, (symbol,))]
 
     def is_positive(self) -> bool:
         """True iff every entry is strictly positive, in both modes."""
@@ -228,62 +222,60 @@ class ConditionalKernel(Mapping):
         exact kernels, max |n_a d_b - n_b d_a| over d_a d_b, one Fraction."""
         if self.volume != other.volume:
             raise DomainError("tables on different volumes")
+        keys, n_a, d_a = self._exact
+        n_b, d_b = other.numerators(keys)
         if self.mode == RATIONAL and other.mode == RATIONAL:
-            keys, n_a, d_a = self._exact
-            n_b, d_b = other.numerators(keys)
             # over 1, the numerators may be the values, if integer_numerators found a float
             if d_a != 1 and d_b != 1:
                 return Fraction(max(abs(a * d_b - b * d_a) for a, b in zip(n_a, n_b)), d_a * d_b)
-            return max(abs(self.probs[c] - other.probs[c]) for c in self.probs)
-        return max(abs(float(self.probs[c]) - float(other.probs[c])) for c in self.probs)
+            return max(abs(a - b) for a, b in zip(self._values(), other._values(keys)))
+        return max(abs(float(a) - float(b)) for a, b in zip(self._values(), other._values(keys)))
 
     def table_equal(self, other: "ConditionalKernel", tol: float = DEFAULT_TOL) -> bool:
         """Entry-wise comparison (exact / within tol)."""
-        return all(close(self.probs[c], other.probs[c], tol) for c in self.probs)
+        return all(close(a, b, tol) for a, b in zip(self._values(), other._values(self._exact[0])))
 
 
 class FiniteDistribution(ConditionalKernel):
     """Exact probability table over all configurations on a finite volume:
     the kernel under the empty condition.
 
-    Its keys are in canonical order, that of ``enumerate_configurations``,
-    and this is a contract: the j-th key of ``probs`` is the configuration
-    whose symbols' alphabet indices, read site by site as the digits of a
-    base-k number, spell j, so the j-th numerator is that of code j.
-    Entries are finite. ``marginalize`` keeps an exact view of them with
-    the table, so a table must not be mutated.
+    Its keys are the enumeration itself, in canonical order, and this is a
+    contract: the j-th key of ``probs`` is the configuration whose symbols'
+    alphabet indices, read site by site as the digits of a base-k number,
+    spell j, so the j-th numerator is that of code j. Entries are finite.
+    The constructor checks and converts them once; ``marginalize`` keeps an
+    exact view of them with the table.
     """
 
     def __init__(self, volume: Volume, alphabet: Alphabet, probs: Mapping,
                  mode: str = RATIONAL):
         order = enumerate_configurations(volume, alphabet)
         # canonical key order makes serialization and iteration deterministic;
-        # a table already in that order is copied without hashing its keys
+        # a table already in that order is read without hashing its keys
         try:
-            table = dict(probs) if tuple(probs) == order else {c: probs[c] for c in order}
+            values = list(probs.values()) if tuple(probs) == order else [probs[c] for c in order]
         except KeyError as missing:
             raise ValidationError(f"missing probability for {missing.args[0]}")
-        super().__init__(volume, EMPTY_CONFIGURATION, table, mode)
-        self.alphabet = alphabet
-        if len(probs) != len(table):
+        if len(probs) != len(values):
             raise ValidationError("probability table keys are not exactly the enumeration")
-        nums, d = integer_numerators(table.values(), mode)
-        self._exact = order, tuple(nums), d
-        for c, p in table.items():
+        for c, p in zip(order, values):
             if mode == RATIONAL and not isinstance(p, Fraction):
                 raise ValidationError(f"non-rational entry {p!r} in rational mode")
             if mode == FLOAT and not math.isfinite(p):
                 raise ValidationError(f"non-finite probability {p} at {c}")
             if p < 0 and not (mode == FLOAT and p >= -DEFAULT_TOL):
                 raise ValidationError(f"negative probability {p} at {c}")
-        total = sum(nums) if mode == RATIONAL else math.fsum(table.values())
-        if mode == RATIONAL:
-            if total != d:
-                raise ValidationError(f"probabilities sum to {Fraction(total, d)}, not 1")
-        elif abs(total - 1.0) > DEFAULT_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, off by more than {DEFAULT_TOL}")
+        nums, d = integer_numerators(values, mode)
+        if mode == RATIONAL and sum(nums) != d:
+            raise ValidationError(f"probabilities sum to {Fraction(sum(nums), d)}, not 1")
+        if mode == FLOAT and abs(math.fsum(nums) - 1.0) > DEFAULT_TOL:
+            raise ValidationError(f"probabilities sum to {math.fsum(nums)!r}, "
+                                  f"off by more than {DEFAULT_TOL}")
+        self._hold(volume, EMPTY_CONFIGURATION, order, tuple(nums), d, mode)
+        self.alphabet = alphabet
 
-    @_OnFirstRead
+    @cached_property
     def _exact_view(self) -> tuple:
         """(ints, scale): the numerators in rational mode, else the entries over the largest
         of ``float.as_integer_ratio``'s denominators; a marginal is born with its sums."""

@@ -12,7 +12,7 @@ import os
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -317,9 +317,18 @@ def _digit_codes(layout: Iterable, sites: Iterable, k: int) -> list:
     return codes
 
 
+class _IndexedTuple(tuple):
+    """A tuple of distinct items whose ``position`` dict, item -> index, is built on
+    first lookup. Every enumeration is one, so all tables over it share the dict."""
+
+    @cached_property
+    def position(self) -> dict:
+        return {c: i for i, c in enumerate(self)}
+
+
 @lru_cache(maxsize=MAP_CACHE_SIZE)
-def _enumerate(volume: Volume, alphabet: Alphabet) -> tuple:
-    return tuple(
+def _enumerate(volume: Volume, alphabet: Alphabet) -> _IndexedTuple:
+    return _IndexedTuple(
         Configuration(volume, symbols)
         for symbols in product(alphabet.symbols, repeat=len(volume))
     )

@@ -325,9 +325,8 @@ def onepoint_spec_from_model(m: RandomFieldModel,
     """One-point conditionals of a model, read through a kernel cache."""
     kernels = kernels or KernelCache(m)
 
-    def table(t, boundary):
-        k = kernels(Volume((as_site(t),)), boundary)
-        return {c.symbols[0]: p for c, p in k.items()}
+    def table(t, boundary):  # a one-site kernel's keys are the symbols in alphabet order
+        return dict(zip(m.alphabet.symbols, kernels(Volume((as_site(t),)), boundary)._values()))
 
     return OnePointSpec(m.window, m.alphabet, table, m.mode, f"1spec({m.describe()})")
 

@@ -12,6 +12,7 @@ from gibbsfields.conditionals import (
     finite_conditional,
 )
 from gibbsfields.energy import (
+    HamiltonianTable,
     InconsistentEnergyError,
     TransitionEnergy,
     check_antisymmetry,
@@ -310,35 +311,29 @@ def test_hamiltonian_value_is_the_entry_and_energy_is_minus_its_log():
 def test_hamiltonian_rejects_infinite_values():
     vol = volume(0)
     configs = enumerate_configurations(vol, BIN)
-    table = hamiltonian_from_energy(
-        transition_energy(finite_conditional(
-            seeded_positive_table(vol, BIN, 1), vol, Configuration(Volume.empty(), ()))),
-        configs[0])
-    table.weights[configs[1]] = Fraction(0)
+    empty = Configuration(Volume.empty(), ())
+    weights = {configs[0]: Fraction(1), configs[1]: Fraction(0)}
+    table = HamiltonianTable(vol, empty, configs[0], weights)
     assert table.energy(configs[1]) == math.inf
     with pytest.raises(PositivityError):
         table.gibbs_kernel()
 
 
-def test_hamiltonian_weights_edited_after_a_gibbs_kernel_are_read_again():
-    """A caller that holds the weights, builds a Gibbs kernel and then edits
-    them gets the edited table from the next call: a kernel built before the
-    edit does not keep answering for it."""
+def test_editing_a_dict_read_from_a_hamiltonian_changes_nothing():
+    """weights and probs are new dicts on every read: an edit to one, even to
+    a zero weight, changes no later read, positivity verdict or Gibbs kernel."""
     vol = volume(0, 1)
     k = finite_conditional(seeded_positive_table(vol, BIN, 3), vol,
                            Configuration(Volume.empty(), ()))
     configs = enumerate_configurations(vol, BIN)
     h = hamiltonian_from_energy(transition_energy(k), configs[0])
-    w = h.weights
-    assert all(h.gibbs_kernel()[x] == k[x] for x in configs)
-    w[configs[2]] *= 3
-    edited = h.gibbs_kernel()
-    total = sum(w.values(), Fraction(0))
-    assert all(edited[x] == w[x] / total for x in configs) and edited[configs[2]] != k[configs[2]]
-    w[configs[1]] = Fraction(0)
-    assert not h.is_positive()
-    with pytest.raises(PositivityError):
-        h.gibbs_kernel()
+    before = dict(h.weights)
+    for read in (h.weights, h.probs):
+        read[configs[2]] *= 3
+        read[configs[1]] = Fraction(0)
+        assert h.weights == h.probs == before and h.weights is not read
+        assert h[configs[1]] == before[configs[1]] and h.is_positive()
+        assert all(h.gibbs_kernel()[x] == k[x] for x in configs)
 
 
 def test_decomposition_and_exchange_exhaustive_small():

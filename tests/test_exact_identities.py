@@ -13,6 +13,7 @@ denominator and on float tables, their own numerators over 1.
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,8 @@ from gibbsfields.conditionals import (
     KernelCache,
     check_one_point_consistency,
     check_pair_consistency,
+    finite_conditional,
+    one_point_from_model,
     reconstruct_from_one_point,
 )
 from gibbsfields.energy import (
@@ -40,6 +43,7 @@ from gibbsfields.fields import (
     Comparison,
     close,
     integer_numerators,
+    marginalize,
     normalized,
     scalar_sum,
     seeded_positive_table,
@@ -60,6 +64,7 @@ from gibbsfields.specifications import (
     onepoint_spec_from_model,
     pair_site_fixtures,
     spec_from_model,
+    spec_from_onepoint,
     tef_from_1spec,
     validate_1spec,
     validate_spec,
@@ -318,7 +323,51 @@ def test_cached_kernels_are_converted_to_numerators_once(monkeypatch):
                 assert check_decomposition(m, V, I, z, kernels)
     assert len(per_birth) == len(kernels._cache) > 0
     assert max(per_birth) <= 1 and outside == []
+    for k in kernels._cache.values():  # every entry read, each way: no values are kept
+        entries = dict(k.items())
+        assert entries == k.probs == {c: k[c] for c in k} and k.probs is not k.probs
+        if len(k.volume) == 1:
+            assert [k.value(c.symbols[0]) for c in k] == list(entries.values())
+        assert not any(isinstance(v, dict) for v in vars(k).values())
     assert all("_exact" in vars(k) and "probs" not in vars(k) for k in kernels._cache.values())
+
+
+def float_twin(m):
+    return table_field(m.window, BIN, {c: float(p) for c, p in m.table.items()}, FLOAT)
+
+
+def energy_of(m, V, z):
+    return transition_energy(finite_conditional(m, V, z))
+
+
+KEYED_BUILDERS = {
+    "finite_conditional": finite_conditional,
+    "marginalize": lambda m, V, z: marginalize(m.table, V),
+    "reconstruct_from_one_point": lambda m, V, z: reconstruct_from_one_point(
+        one_point_from_model(m), V, z, BIN, mode=m.mode),
+    "spec_from_onepoint": lambda m, V, z: spec_from_onepoint(
+        onepoint_spec_from_model(m)).kernel(V, z),
+    "gibbs_form_from_energy": lambda m, V, z: gibbs_form_from_energy(
+        energy_of(m, V, z), enumerate_configurations(V, BIN)[-1]),
+    "hamiltonian_from_energy": lambda m, V, z: hamiltonian_from_energy(
+        energy_of(m, V, z), enumerate_configurations(V, BIN)[-1]),
+    "HamiltonianTable.gibbs_kernel": lambda m, V, z: hamiltonian_from_energy(
+        energy_of(m, V, z), enumerate_configurations(V, BIN)[0]).gibbs_kernel(),
+}
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("builder", KEYED_BUILDERS)
+def test_built_kernels_are_keyed_by_the_shared_enumeration(builder, size, mode):
+    """Every kernel the library builds holds enumerate_configurations(V) itself
+    as its keys, not a copy, in both modes and for one and two sites."""
+    m = seeded_positive_table(line_window(4), BIN, seed=41)
+    m = m if mode == RATIONAL else float_twin(m)
+    V = Volume.of(m.window.sites[:size])
+    z = Configuration(Volume.of(m.window.sites[3:]), (1,))
+    k = KEYED_BUILDERS[builder](m, V, z)
+    assert k.mode == mode and k._exact[0] is enumerate_configurations(V, BIN)
 
 
 def test_the_exact_path_makes_no_fraction_division_or_order_comparison(monkeypatch):
