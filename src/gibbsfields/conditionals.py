@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .lattice import (
@@ -64,7 +63,8 @@ def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> Cond
     on_table = default_prob and type(m).marginal is TableField.marginal
     if not on_table:
         pz = m.prob(z)
-        if (pz.numerator if m.mode == RATIONAL else pz) <= 0:
+        (n_z,), d_z = integer_numerators([pz], m.mode)
+        if n_z <= 0:
             raise NullConditionError(f"condition has probability {pz}: {z}")
     configs = enumerate_configurations(V, m.alphabet)
     if default_prob:
@@ -84,7 +84,7 @@ def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> Cond
         joint, pz = [n / s for n in joint], n_z / s  # the marginal's floats, P(z)
     if m.mode == RATIONAL:
         return ConditionalKernel._of_numerators(
-            V, z, configs, tuple(n * pz.denominator for n in joint), s * pz.numerator)
+            V, z, configs, tuple(n * d_z for n in joint), s * n_z)
     return ConditionalKernel._of_numerators(V, z, configs, tuple(p / pz for p in joint), 1, m.mode)
 
 
@@ -207,8 +207,10 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
     not depend on the reference or the site order.
 
     Factor j depends on x only through t_1..t_j: weights are built level by
-    level down the prefix tree of x, one table fetch per prefix. A vanishing
-    factor or a fetch's ValueError is raised for the first x, in enumeration order, it ends.
+    level down the prefix tree of x, one table fetch per prefix. In rational mode a
+    factor is n(a) / n(u) over the table's ``integer_numerators``, so its denominator
+    cancels and a float entry raises ValidationError. A vanishing factor or a fetch's
+    ValueError is raised for the first x, in enumeration order, it ends.
     """
     if site_order is None:
         order = V.sites
@@ -223,8 +225,9 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
     else:
         u = reference.symbols
     plans, leaves, configs = _factor_plans(V, order, z.volume, alphabet)
-    # per prefix: (z + u + its x, weight, int denominator or None), (None, error, None) if failed
-    level = [(z.symbols + u,) + ((1, 1) if mode == RATIONAL else (1.0, None))]
+    exact = mode == RATIONAL
+    # per prefix: (z + u + its x, weight, its int denominator), (None, error, None) if failed
+    level = [(z.symbols + u, 1 if exact else 1.0, 1)]
     for j, (union, boundary_of, r) in enumerate(plans):
         nxt = []
         for held, w, d in level:
@@ -233,40 +236,30 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
                     raise w
                 boundary = Configuration(union, boundary_of(held))
                 table = one_point(order[j], boundary)
+                if exact:
+                    table = dict(zip(table, integer_numerators(table.values(), mode)[0]))
             except ValueError as err:  # every extension of a failed prefix fails with it
                 nxt += [(None, err, None)] * alphabet.size
                 continue
             den = table[u[r]]
             for a in alphabet.symbols:
                 num = table[a]
-                p, q, exact = num, den, False
-                if d is not None:
-                    try:  # exact weights: the factor as ints p / q, whose signs are its own
-                        p, q = num.numerator * den.denominator, num.denominator * den.numerator
-                        exact = True
-                    except AttributeError:  # a float in an exact family: a float product
-                        pass
-                if p <= 0 or q <= 0:
+                if num <= 0 or den <= 0:
                     nxt.append((None, PositivityError(f"one-point kernel vanishes at factor {j} "
                                 f"under {restrict(boundary, V - Volume((order[j],)))}"), None))
                 elif exact:
-                    nxt.append((held + (a,), w * p, d * q))
-                elif d is None:
-                    nxt.append((held + (a,), w * (num / den), None))
+                    nxt.append((held + (a,), w * num, d * den))
                 else:
-                    nxt.append((held + (a,), Fraction(w, d) * (num / den), None))
+                    nxt.append((held + (a,), w * (num / den), d))
         level = nxt
     level = [level[i] for i in leaves]
     for held, w, _ in level:
         if held is None:
             raise w
-    denominators = [d for _, _, d in level]
-    if None in denominators:  # float weights: the normalization's float division
-        weights, _ = integer_numerators([w if d is None else Fraction(w, d)
-                                         for _, w, d in level], mode)
-    else:
+    _, weights, denominators = zip(*level)  # float weights: the normalization's float division
+    if exact:
         common = math.lcm(*denominators)
-        weights = [w * (common // d) for _, w, d in level]
+        weights = [w * (common // d) for w, d in zip(weights, denominators)]
     return ConditionalKernel._of_numerators(V, z, configs, *_over_sum(weights, mode), mode)
 
 

@@ -78,27 +78,29 @@ class Comparison:
 def integer_numerators(values: Iterable, mode: str) -> tuple:
     """Values as numerators over one denominator: (numerators, denominator).
 
-    Exact rational values become ints over their least common denominator.
-    Two products of such values with the same number of factors are equal
-    exactly when the products of their numerators are, so identities are
-    decided in integer arithmetic, with no gcd; a side with one factor
-    fewer is multiplied by the denominator. Float values are their own
-    numerators over 1: in float mode they come back as given, unread, and
-    in rational mode a value with no ``denominator`` sends them all back.
+    The one exactness gate: in rational mode a value without an int numerator
+    and denominator (a float, say) raises ValidationError naming it, and exact
+    values become ints over their least common denominator. Two products of
+    such values with the same number of factors are equal exactly when the
+    products of their numerators are, so identities are decided in integer
+    arithmetic, with no gcd; a side with one factor fewer is multiplied by
+    the denominator. In float mode values come back as given, unread, over 1.
     """
     if mode == FLOAT:
         return values, 1
     values = list(values)
-    denominators = [getattr(v, "denominator", None) for v in values]
-    if None in denominators:
-        return values, 1
-    common = math.lcm(*denominators)
+    try:
+        denominators = [v.denominator for v in values]
+        common = math.lcm(*denominators)
+    except (AttributeError, TypeError):
+        inexact = next(v for v in values if not isinstance(getattr(v, "denominator", None), int))
+        raise ValidationError(f"not exactly representable in rational mode: {inexact!r}") from None
     return [v.numerator * (common // d) for v, d in zip(values, denominators)], common
 
 
 def _quotient(n, m, mode: str):
     """n / m, in rational mode a Fraction of two ints: no Fraction is divided."""
-    return Fraction(n, m) if mode == RATIONAL and type(n) is int is type(m) else n / m
+    return Fraction(n, m) if mode == RATIONAL else n / m
 
 
 def scalar_sum(values: Iterable, mode: str):
@@ -108,10 +110,11 @@ def scalar_sum(values: Iterable, mode: str):
 
 
 def _over_sum(nums, mode: str) -> tuple:
-    """Numerators over their sum: exact ones over it as a positive int, others divided by it."""
-    total = sum(nums) if mode == RATIONAL else math.fsum(nums)
-    if not isinstance(total, int):
+    """Numerators over their sum: a positive int, or in float mode divided by its fsum."""
+    if mode == FLOAT:
+        total = math.fsum(nums)
         return tuple([n / total for n in nums]), 1
+    total = sum(nums)
     if total == 0 < len(nums):  # as Fraction(n, 0) would
         raise ZeroDivisionError(f"Fraction({nums[0]}, 0)")
     return (tuple(nums), total) if total > 0 else (tuple([-n for n in nums]), -total)
@@ -124,22 +127,15 @@ def normalized(weights: Mapping, mode: str) -> dict:
 
 
 def to_scalar(value, mode: str):
-    if mode == RATIONAL:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-        raise ValidationError(f"not exactly representable in rational mode: {value!r}")
-    return float(value)
+    if mode == FLOAT:
+        return float(value)
+    (n,), d = integer_numerators([Fraction(value) if isinstance(value, str) else value], mode)
+    return Fraction(n, d)
 
 
 def _entry(n, d, mode: str):
-    """The value of numerator n over d: a Fraction when exact, else n itself over 1."""
-    if mode == RATIONAL and type(n) is int:
-        return Fraction(n, d)
-    return n if d == 1 else n / d
+    """The value of numerator n over d: a Fraction in rational mode, else n itself over 1."""
+    return Fraction(n, d) if mode == RATIONAL else n
 
 
 @dataclass(init=False)  # repr and == read probs, built on read
@@ -150,9 +146,10 @@ class ConditionalKernel(Mapping):
 
     A kernel stores one form, ``_exact``: keys, an ``_IndexedTuple`` (for the kernels
     the library births through ``_of_numerators``, the shared enumeration itself), and
-    entries as numerators over one denominator: ints over a positive int when exact,
-    floats over 1 otherwise. The public constructor converts a mapping once. ``probs``,
-    ``items()``, ``kernel[c]`` and ``value`` build values on each read and keep none.
+    entries as numerators over one denominator: ints over a positive int in rational mode,
+    floats over 1 in float mode. The public constructor converts a mapping once, through
+    ``integer_numerators``. ``probs``, ``items()``, ``kernel[c]`` and ``value`` build
+    values on each read and keep none.
     """
 
     volume: Volume
@@ -210,7 +207,8 @@ class ConditionalKernel(Mapping):
 
     def value(self, symbol):
         """Entry for a one-site volume addressed by its symbol."""
-        (site,) = self.volume.sites
+        if len(self.volume) != 1:
+            raise DomainError(f"value(symbol) needs a one-site volume, not {self.volume}")
         return self[Configuration(self.volume, (symbol,))]
 
     def is_positive(self) -> bool:
@@ -225,10 +223,7 @@ class ConditionalKernel(Mapping):
         keys, n_a, d_a = self._exact
         n_b, d_b = other.numerators(keys)
         if self.mode == RATIONAL and other.mode == RATIONAL:
-            # over 1, the numerators may be the values, if integer_numerators found a float
-            if d_a != 1 and d_b != 1:
-                return Fraction(max(abs(a * d_b - b * d_a) for a, b in zip(n_a, n_b)), d_a * d_b)
-            return max(abs(a - b) for a, b in zip(self._values(), other._values(keys)))
+            return Fraction(max(abs(a * d_b - b * d_a) for a, b in zip(n_a, n_b)), d_a * d_b)
         return max(abs(float(a) - float(b)) for a, b in zip(self._values(), other._values(keys)))
 
     def table_equal(self, other: "ConditionalKernel", tol: float = DEFAULT_TOL) -> bool:
@@ -259,14 +254,12 @@ class FiniteDistribution(ConditionalKernel):
             raise ValidationError(f"missing probability for {missing.args[0]}")
         if len(probs) != len(values):
             raise ValidationError("probability table keys are not exactly the enumeration")
+        nums, d = integer_numerators(values, mode)
         for c, p in zip(order, values):
-            if mode == RATIONAL and not isinstance(p, Fraction):
-                raise ValidationError(f"non-rational entry {p!r} in rational mode")
             if mode == FLOAT and not math.isfinite(p):
                 raise ValidationError(f"non-finite probability {p} at {c}")
             if p < 0 and not (mode == FLOAT and p >= -DEFAULT_TOL):
                 raise ValidationError(f"negative probability {p} at {c}")
-        nums, d = integer_numerators(values, mode)
         if mode == RATIONAL and sum(nums) != d:
             raise ValidationError(f"probabilities sum to {Fraction(sum(nums), d)}, not 1")
         if mode == FLOAT and abs(math.fsum(nums) - 1.0) > DEFAULT_TOL:

@@ -42,6 +42,7 @@ from .fields import (
     FiniteDistribution,
     RandomFieldModel,
     TableField,
+    ValidationError,
     _quotient,
     close,
     integer_numerators,
@@ -315,8 +316,11 @@ class Specification:
     label: str = "spec"
 
     def kernel(self, V: Volume, boundary: Configuration) -> ConditionalKernel:
-        """The kernel on V; a plain mapping from kernel_fn is read as one."""
+        """The kernel on V; a plain mapping is read as one, a kernel of the other mode refused."""
         k = self.kernel_fn(V, boundary)
+        if isinstance(k, ConditionalKernel) and k.mode != self.mode:
+            integer_numerators(k._values(), self.mode)  # names a float entry, if it has one
+            raise ValidationError(f"a {k.mode} kernel on {V} in a {self.mode} specification")
         return k if isinstance(k, ConditionalKernel) else ConditionalKernel(V, boundary, k, self.mode)
 
 

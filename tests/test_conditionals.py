@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -24,6 +25,8 @@ from gibbsfields.fields import (
     FLOAT,
     RATIONAL,
     TableField,
+    ValidationError,
+    check_marginal_consistency,
     marginalize,
     scalar_sum,
     seeded_positive_table,
@@ -34,6 +37,7 @@ from gibbsfields.lattice import (
     Alphabet,
     Configuration,
     DomainError,
+    Filtration,
     GeometryError,
     Volume,
     binary_alphabet,
@@ -53,10 +57,12 @@ from gibbsfields.models import (
     ising_demo,
 )
 from gibbsfields.diagnostics import (
+    BoundaryGenerator,
     mixed_family,
     oscillating_density_boundary,
     uniform_convergence_report,
 )
+from gibbsfields.energy import gibbs_form_from_energy, transition_energy
 from gibbsfields.specifications import (
     ising_potential,
     onepoint_spec_from_model,
@@ -135,12 +141,17 @@ def test_finite_conditional_matches_the_per_entry_reference(name):
                 assert list(map(repr, kernel.probs.items())) == list(map(repr, reference.items()))
 
 
-def test_finite_conditional_errors_keep_their_messages():
+def two_point_table():
+    """Three binary sites, (0) to (2), that hold 000 and 111 with probability 1/2 each."""
     vol = volume(0, 1, 2)
     probs = {c: Fraction(0) for c in enumerate_configurations(vol, BIN)}
     probs[Configuration(vol, (0, 0, 0))] = Fraction(1, 2)
     probs[Configuration(vol, (1, 1, 1))] = Fraction(1, 2)
-    m = table_field(vol, BIN, probs)
+    return table_field(vol, BIN, probs)
+
+
+def test_finite_conditional_errors_keep_their_messages():
+    m = two_point_table()
     z = Configuration(volume(1, 2), (0, 1))
     with pytest.raises(NullConditionError) as null:
         finite_conditional(m, volume(0), z)
@@ -152,6 +163,78 @@ def test_finite_conditional_errors_keep_their_messages():
         with pytest.raises(DomainError) as err:
             finite_conditional(m, V, cond)
         assert str(err.value) == message
+
+
+class FixedStages(BoundaryGenerator):
+    """A generator that hands out the given stage configurations as they are."""
+
+    def __init__(self, stages: list, label: str):
+        super().__init__()
+        self.stages, self.label = stages, label
+
+    def _build(self, t, F):
+        return self.stages
+
+
+def exact_kernel(sites: tuple) -> ConditionalKernel:
+    return finite_conditional(seeded_positive_table(line_window(3), BIN, 5), volume(*sites),
+                              EMPTY_CONFIGURATION)
+
+
+# name -> (call, error type, message) of input checks no other test reaches
+INPUT_ERRORS = {
+    "limit-stage-cover": (
+        lambda: limit_along_filtration(seeded_positive_table(line_window(3), BIN, 3), volume(0),
+                                       configuration({(1,): 0}), box_filtration((0,), [1])),
+        DomainError, "boundary does not cover stage 0"),
+    "limit-null-stage": (
+        lambda: limit_along_filtration(two_point_table(), volume(0), configuration(
+            {(1,): 0, (2,): 1}), Filtration((volume(0, 1), volume(0, 1, 2)))),
+        NullConditionError, "stage 1: condition has probability 0: (1)=0;(2)=1"),
+    "reconstruct-site-order": (
+        lambda: reconstruct_from_one_point(one_point_from_model(two_point_table()),
+                                           volume(0, 1), EMPTY_CONFIGURATION, BIN,
+                                           site_order=[0, 2]),
+        DomainError, "site_order must enumerate exactly the target volume"),
+    "reconstruct-reference": (
+        lambda: reconstruct_from_one_point(one_point_from_model(two_point_table()),
+                                           volume(0, 1), EMPTY_CONFIGURATION, BIN,
+                                           reference=configuration({(0,): 1})),
+        DomainError, "reference must live on the target volume"),
+    "sup-distance-volumes": (
+        lambda: exact_kernel((0,)).sup_distance(exact_kernel((1,))),
+        DomainError, "tables on different volumes"),
+    "generator-nesting": (
+        lambda: FixedStages([configuration({(1,): 0}), configuration({(2,): 0})],
+                            "apart").configs(volume(0), box_filtration((0,), [1, 2])),
+        ValueError, "generator 'apart' stages do not nest"),
+    "generator-rewrite": (
+        lambda: FixedStages([configuration({(1,): 0}), configuration({(1,): 1, (2,): 0})],
+                            "flip").configs(volume(0), box_filtration((0,), [1, 2])),
+        ValueError, "generator 'flip' rewrites an earlier stage"),
+    "marginal-consistency": (
+        lambda: check_marginal_consistency(two_point_table(), volume(0), volume(0, 1)),
+        DomainError, "need V inside S inside the window"),
+    "gibbs-form-reference": (
+        lambda: gibbs_form_from_energy(transition_energy(exact_kernel((0, 1))),
+                                       configuration({(0,): 1})),
+        DomainError, "reference must be a configuration on the energy's volume"),
+}
+
+
+@pytest.mark.parametrize("name", list(INPUT_ERRORS))
+def test_input_checks_raise_their_messages(name):
+    call, error, message = INPUT_ERRORS[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_value_of_a_multi_site_kernel_names_its_volume():
+    k = exact_kernel((0, 1))
+    with pytest.raises(DomainError, match=re.escape("one-site volume, not (0);(1)")):
+        k.value(0)
+    assert exact_kernel((0,)).value(1) == exact_kernel((0,))[configuration({(0,): 1})]
 
 
 def marginal_quotients(m, V, z) -> dict:
@@ -640,13 +723,17 @@ def test_reconstruction_matches_the_naive_reference_on_seeded_tables(n, mode):
     """Every order of a 3-site target, two references, z on the empty
     volume, on part of the complement and on all of it: equal Fractions of
     equal type on exact tables, equal reprs on floats, in enumeration
-    order. In rational mode a 1-spec that hands out floats gives the float
-    weights of the per-candidate reference, bit for bit."""
+    order. In rational mode a 1-spec that hands out floats, at every site
+    or at one, is refused by name."""
     window = line_window(n)
     V = Volume.of(window.sites[:3])
     if mode == RATIONAL:
         m = seeded_positive_table(window, BIN, seed=50 + n)
-        families = exact_and_float_families(one_point_from_model(m), V.sites[1])
+        exact, floats, mixed = exact_and_float_families(one_point_from_model(m), V.sites[1])
+        families = [exact]
+        for one_point in (floats, mixed):
+            with pytest.raises(ValidationError, match="rational mode: 0\\."):
+                reconstruct_from_one_point(one_point, V, EMPTY_CONFIGURATION, BIN)
     else:
         families = [one_point_from_model(float_table(window, 50 + n))]
     rest = window - V

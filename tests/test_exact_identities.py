@@ -10,6 +10,7 @@ as floats, so the one path is pinned on numerators over their common
 denominator and on float tables, their own numerators over 1.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,6 +42,8 @@ from gibbsfields.fields import (
     FLOAT,
     RATIONAL,
     Comparison,
+    RandomFieldModel,
+    ValidationError,
     close,
     integer_numerators,
     marginalize,
@@ -50,6 +53,7 @@ from gibbsfields.fields import (
     table_field,
 )
 from gibbsfields.lattice import (
+    EMPTY_CONFIGURATION,
     Configuration,
     Volume,
     binary_alphabet,
@@ -254,19 +258,21 @@ def test_inexact_rational_tables_fail_normalization():
     assert {v["kind"] for v in report.violations} == {"normalization"}
     assert len(report.violations) == len(fixtures) * 2 * BIN.size
     assert close(Fraction(1), 1) and not close(table[0] + table[1], 1)
-    # a rational table whose entries are floats keeps the tolerant check
+    # a rational table whose entries are floats gets no tolerant check: it is refused
     floats = OnePointSpec(window, BIN, lambda t, boundary: {0: 0.5 + 1e-13, 1: 0.5})
-    assert validate_1spec(floats, fixtures, meta=meta).ok
+    with pytest.raises(ValidationError, match=re.escape(repr(0.5 + 1e-13))):
+        validate_1spec(floats, fixtures, meta=meta)
 
 
 
 def test_integer_numerators_read_exact_values_and_floats_over_1():
     """Exact values share their least common denominator; floats are their
-    own numerators over 1, read as they are in float mode and sent back
-    whole when a float sits among rational-mode values."""
+    own numerators over 1, read as they are in float mode, and a float
+    among rational-mode values is refused by name."""
     assert (integer_numerators([Fraction(1, 2), Fraction(1, 3), 2], RATIONAL)
             == ([3, 2, 12], 6))
-    assert integer_numerators([Fraction(1, 2), 0.5], RATIONAL) == ([Fraction(1, 2), 0.5], 1)
+    with pytest.raises(ValidationError, match="rational mode: 0.5$"):
+        integer_numerators([Fraction(1, 2), 0.5], RATIONAL)
     assert integer_numerators([], RATIONAL) == ([], 1)
     floats = [0.25, 0.75]
     assert integer_numerators(floats, FLOAT) == (floats, 1)
@@ -430,7 +436,7 @@ def test_a_specification_of_plain_mappings_in_any_key_order_reports_the_same():
 def test_normalized_exact_weights_are_canonical_fractions():
     """Exact weights give the Fractions that dividing each by their
     Fraction sum gives, in key order; a float among rational-mode weights
-    keeps that division."""
+    is refused by name."""
     weights = {"a": Fraction(1, 6), "b": 2, "c": Fraction(3, 4)}
     total = sum(weights.values(), Fraction(0))
     got = normalized(weights, RATIONAL)
@@ -438,5 +444,107 @@ def test_normalized_exact_weights_are_canonical_fractions():
     assert all(type(p) is Fraction and repr(p) == repr(weights[k] / total)
                for k, p in got.items())
     mixed = {"a": Fraction(1, 2), "b": 0.5}
-    assert normalized(mixed, RATIONAL) == {"a": 0.5, "b": 0.5}
+    with pytest.raises(ValidationError, match="rational mode: 0.5$"):
+        normalized(mixed, RATIONAL)
     assert normalized({}, RATIONAL) == {}
+
+
+WINDOW = line_window(3)
+SITE = Volume.of([(0,)])
+
+
+def quarter(keys) -> dict:
+    """A rational-mode table on two keys whose second entry is the float 0.25."""
+    first, second = keys
+    return {first: Fraction(3, 4), second: 0.25}
+
+
+class FloatPrior(RandomFieldModel):
+    """A model labelled rational whose probabilities are floats: P(z) = 2^-|z|."""
+
+    window, alphabet, mode = WINDOW, BIN, RATIONAL
+
+    def prob(self, c):
+        return 0.5 ** len(c)
+
+
+def spec_with_quarter_sites(as_kernel: bool) -> specifications.Specification:
+    """A seeded table's specification whose one-site kernels are quarter tables,
+    as plain mappings or as float kernels."""
+    exact = spec_from_model(seeded_positive_table(WINDOW, BIN, seed=3))
+
+    def kernel(V, boundary):
+        if len(V) > 1:
+            return exact.kernel(V, boundary)
+        table = quarter(enumerate_configurations(V, BIN))
+        return ConditionalKernel(V, boundary, table, FLOAT) if as_kernel else table
+
+    return specifications.Specification(WINDOW, BIN, kernel, RATIONAL)
+
+
+def quarter_ratios(keys) -> dict:
+    a, b = keys
+    return {(a, a): 1, (a, b): 0.25, (b, a): 4, (b, b): 1}
+
+
+def quarter_onepoint() -> OnePointSpec:
+    return OnePointSpec(WINDOW, BIN, lambda t, boundary: quarter(BIN.symbols))
+
+
+GATE_READERS = {
+    "ConditionalKernel": lambda: ConditionalKernel(
+        SITE, EMPTY_CONFIGURATION, quarter(enumerate_configurations(SITE, BIN))),
+    "FiniteDistribution": lambda: fields.FiniteDistribution(
+        SITE, BIN, quarter(enumerate_configurations(SITE, BIN))),
+    "validate_1spec": lambda: validate_1spec(
+        quarter_onepoint(), pair_site_fixtures(WINDOW, BIN)[0]),
+    "validate_spec-mapping": lambda: validate_spec(
+        spec_with_quarter_sites(False), volume_split_fixtures(WINDOW, BIN)[0]),
+    "validate_spec-float-kernel": lambda: validate_spec(
+        spec_with_quarter_sites(True), volume_split_fixtures(WINDOW, BIN)[0]),
+    "validate_tef": lambda: validate_tef(
+        specifications.OnePointTEF(WINDOW, BIN, None, RATIONAL, DEFAULT_TOL, "quarter",
+                                   lambda t, boundary: quarter_ratios(BIN.symbols)),
+        pair_site_fixtures(WINDOW, BIN)[0]),
+    "check_cocycle": lambda: check_cocycle(TransitionEnergy.from_ratios(
+        SITE, EMPTY_CONFIGURATION, quarter_ratios(enumerate_configurations(SITE, BIN)))),
+    "reconstruct_from_one_point": lambda: reconstruct_from_one_point(
+        quarter_onepoint().table_fn, Volume.of([(0,), (1,)]), EMPTY_CONFIGURATION, BIN),
+    "spec_from_onepoint": lambda: spec_from_onepoint(quarter_onepoint()).kernel(
+        SITE, Configuration(WINDOW - SITE, (0, 1))),
+    "finite_conditional": lambda: finite_conditional(
+        FloatPrior(), SITE, Configuration(WINDOW - SITE, (0, 1))),
+}
+
+
+@pytest.mark.parametrize("reader", list(GATE_READERS))
+def test_every_reader_of_a_rational_family_names_the_float_it_refuses(reader):
+    """A float in a family labelled rational gets no tolerant check: each
+    reader raises ValidationError naming it, from a plain mapping, a kernel
+    of the other mode or a model's P(z) (not an AttributeError)."""
+    with pytest.raises(ValidationError, match="not exactly representable in rational mode: 0.25$"):
+        GATE_READERS[reader]()
+
+
+def test_a_specification_refuses_a_kernel_of_the_other_mode():
+    """A seeded 3-site rational table whose spec hands out float kernels on
+    one-site volumes: validate_spec raises, naming a float entry, where a
+    per-kernel conversion used to check it within the tolerance. A float
+    spec refuses a rational kernel."""
+    m = seeded_positive_table(WINDOW, BIN, seed=13)
+    exact = spec_from_model(m)
+
+    def floats_on_sites(V, boundary):
+        k = exact.kernel(V, boundary)
+        if len(V) > 1:
+            return k
+        return ConditionalKernel(V, boundary, {c: float(p) for c, p in k.items()}, FLOAT)
+
+    fixtures, meta = volume_split_fixtures(m.window, BIN)
+    with pytest.raises(ValidationError, match=r"rational mode: 0\.\d+$"):
+        validate_spec(specifications.Specification(m.window, BIN, floats_on_sites, RATIONAL),
+                      fixtures, meta=meta)
+    assert validate_spec(exact, fixtures, meta=meta).ok
+    as_float = specifications.Specification(m.window, BIN, exact.kernel, FLOAT)
+    with pytest.raises(ValidationError, match=r"^a rational kernel on \(0\) in a float "):
+        as_float.kernel(SITE, Configuration(WINDOW - SITE, (0, 1)))

@@ -677,11 +677,12 @@ def keys_reversed_where(table_fn, flip):
     return table
 
 
-def dyadic_tables(window: Volume):
+def dyadic_tables(window: Volume, floats: bool = False):
     """A rational 1-spec and energy field on binary symbols whose tables at
     (0) are off by 2^-40 when (1) holds 1: an exact check rejects them,
-    and one within 1e-9 accepts them. Where the boundary's first symbol is
-    1 the same values come as floats, equal to the Fractions elsewhere."""
+    and one within 1e-9 would accept them. With floats, where the
+    boundary's first symbol is 1 the same values come as floats, which a
+    rational family refuses."""
     e = Fraction(1, 2 ** 40)
 
     def typed(t, boundary, exact):
@@ -689,7 +690,7 @@ def dyadic_tables(window: Volume):
         if t == (0,) and boundary[(1,)] == 1:
             out[next(iter(out))] += e
             out[list(out)[-1]] -= e
-        return {k: float(v) for k, v in out.items()} if boundary.symbols[0] == 1 else out
+        return {k: float(v) for k, v in out.items()} if floats and boundary.symbols[0] == 1 else out
 
     def one_point(t, boundary):
         return typed(t, boundary, {0: Fraction(1, 2), 1: Fraction(1, 2)})
@@ -737,9 +738,16 @@ def test_a_memoized_report_is_the_merge_of_one_fixture_reports(name):
     """A validator call decides each tuple of tables once and replays the
     verdict: its report must be that of each fixture checked alone, merged.
     The last two cases break keys built from values alone (the same values
-    under reversed keys) or blind to type (0.5 against Fraction(1, 2))."""
+    under reversed keys) or blind to exactness (Fractions 2^-40 apart,
+    within the tolerance); the same tables with floats among the Fractions
+    are refused by name."""
     tef, q, tol = memo_case(name)
     fixtures, meta = pair_site_fixtures(q.window, q.alphabet)
+    if name == "typed-entries":
+        for validate, field, named in zip((validate_tef, validate_1spec),
+                                          dyadic_tables(q.window, floats=True), ("1.0", "0.5")):
+            with pytest.raises(specifications.ValidationError, match=f"rational mode: {named}$"):
+                validate(field, fixtures, tol, meta)
     for validate, field in ((validate_tef, tef), (validate_1spec, q)):
         report = validate(field, fixtures, tol, meta)
         alone = [validate(field, [fixture], tol) for fixture in fixtures]
