@@ -202,7 +202,10 @@ class ConditionalKernel(Mapping):
         """(numerators, denominator) of the entries, in key order or at order."""
         keys, nums, d = self._exact
         if order is not None and order is not keys and order != keys:
-            nums = [nums[i] for i in map(keys.position.__getitem__, order)]
+            try:
+                nums = [nums[i] for i in map(keys.position.__getitem__, order)]
+            except KeyError as missing:
+                raise ValidationError(f"missing probability for {missing.args[0]}") from None
         return nums, d
 
     def value(self, symbol):
@@ -476,5 +479,9 @@ def read_distribution_file(path) -> FiniteDistribution:
     for ln in lines[body_start:]:
         key, _, val = ln.partition("\t")
         syms = tuple(alphabet.symbol_of(n) for n in key.split(","))
-        probs[Configuration(vol, syms)] = parse_scalar(val, mode)
+        try:
+            value = parse_scalar(val, mode)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"{path}: entry {key} holds {val!r}, not a {mode} value") from None
+        probs[Configuration(vol, syms)] = value
     return FiniteDistribution(vol, alphabet, probs, mode)

@@ -237,32 +237,27 @@ def tef_from_potential(phi: Potential, window: Volume, alphabet: Alphabet) -> On
     """Energy field delta_t(x,u) = H_t(u) - H_t(x) from a finite-range potential.
 
     H_t reads the boundary only on the interaction neighbourhood of t, so
-    a boundary seen for the first time is looked up by its restriction to
-    that neighbourhood, whose sites in the boundary's volume are kept per
-    (site, boundary volume); the ratio table is built once per (site, local
-    boundary) and then stored under both keys. Returned tables are
-    cache-owned and must not be mutated.
+    every read is looked up by the boundary's restriction to that
+    neighbourhood, whose sites in the boundary's volume are kept per (site,
+    boundary volume); the ratio table is built once per (site, local
+    boundary). The field's readers keep their own per-(site, boundary)
+    memos. Returned tables are cache-owned and must not be mutated.
     """
     syms = alphabet.symbols
-    cache: dict = {}
+    cache: dict = {}  # (site, local boundary) -> ratio table
     kept: dict = {}  # (site, boundary volume) -> the neighbourhood's sites in it
 
     def table(t, boundary):
         site = t if isinstance(t, tuple) else (t,)
-        key = (site, boundary)
-        r = cache.get(key)
+        local_volume = kept.get((site, boundary.volume))
+        if local_volume is None:
+            near = _interaction_neighbourhood(phi, site, window)
+            local_volume = kept[(site, boundary.volume)] = near & boundary.volume
+        local = restrict(boundary, local_volume)
+        r = cache.get((site, local))
         if r is None:
-            local_volume = kept.get((site, boundary.volume))
-            if local_volume is None:
-                near = _interaction_neighbourhood(phi, site, window)
-                local_volume = kept[(site, boundary.volume)] = near & boundary.volume
-            local = restrict(boundary, local_volume)
-            r = cache.get((site, local))
-            if r is None:
-                h = hamiltonian_from_potential(phi, site, local, window, alphabet)
-                r = cache[(site, local)] = {(x, u): math.exp(h[u] - h[x])
-                                            for x in syms for u in syms}
-            cache[key] = r
+            h = hamiltonian_from_potential(phi, site, local, window, alphabet)
+            r = cache[(site, local)] = {(x, u): math.exp(h[u] - h[x]) for x in syms for u in syms}
         return r
 
     return _tef_of_tables(table, window, alphabet, FLOAT, "tef-from-potential")
@@ -350,15 +345,14 @@ def onepoint_spec_from_tef(d: OnePointTEF) -> OnePointSpec:
     the 1-spec. No locality is assumed: boundaries that differ anywhere are
     different keys. A table object the field hands out is normalized once,
     however many keys it comes back under, and kept with its Gibbs form, so
-    its id is not reused while the 1-spec lives. Tables with bit-identical
-    entries are stored once, so a local field holds one table per distinct
-    kernel. Returned tables are cache-owned and must not be mutated; a call
-    that raises caches nothing.
+    its id is not reused while the 1-spec lives: a field that hands out one
+    table object per local boundary gets one Gibbs form per local boundary.
+    Returned tables are cache-owned and must not be mutated; a call that
+    raises caches nothing.
     """
     ref = d.alphabet.symbols[0]
     cache: dict = {}
     forms: dict = {}  # id of a field table -> (that table, its Gibbs form)
-    distinct: dict = {}  # repr of a table's entries -> the one stored table
 
     def table(t, boundary):
         site = t if isinstance(t, tuple) else (t,)
@@ -369,8 +363,6 @@ def onepoint_spec_from_tef(d: OnePointTEF) -> OnePointSpec:
             seen, q = forms.get(id(r), (None, None))
             if seen is not r:
                 q = normalized({a: r[(a, ref)] for a in d.alphabet.symbols}, d.mode)
-                # repr round-trips floats and Fractions, so only exact equals are shared
-                q = distinct.setdefault(tuple(map(repr, q.values())), q)
                 forms[id(r)] = r, q
             cache[key] = q
         return q
@@ -613,7 +605,7 @@ def _two_site_report(axiom: str, read: Callable, fixtures: Sequence, syms: tuple
     at s and at s under each symbol at t, on each fixture's boundary z.
 
     Each exact (site, boundary) is read once per call, its boundary being
-    z's symbols with one inserted at a position kept per (z.volume, site).
+    z's symbols with one inserted at the position ``_concat_map`` gives.
     Each distinct repr of a table's items gets a code. ``verdict(n_t, n_s,
     d, holds)`` runs once per tuple of codes, on the tables as numerators
     over one denominator (``integer_numerators``) keyed by the other
@@ -623,15 +615,11 @@ def _two_site_report(axiom: str, read: Callable, fixtures: Sequence, syms: tuple
     """
     seen: dict = {}  # (site, boundary volume, symbols) -> (table, code)
     codes: dict = {}  # repr of a table's items -> its code
-    slots: dict = {}  # (z.volume, site) -> (z.volume with the site, its position)
     memo: dict = {}  # code tuple -> (records, worst residual)
 
     def side(t, s, z):
-        slot = slots.get((z.volume, s))
-        if slot is None:
-            union, take = _concat_map(z.volume, Volume((as_site(s),)))
-            slot = slots[(z.volume, s)] = (union, take.index(len(z)))
-        union, i = slot
+        union, take = _concat_map(z.volume, Volume((as_site(s),)))
+        i = take.index(len(z))
         head, tail = z.symbols[:i], z.symbols[i:]
         for b in syms:
             symbols = head + (b,) + tail

@@ -180,6 +180,46 @@ def test_validate_refuses_a_table_with_a_nan_entry(tmp_path, capsys):
     assert report["ok"] is False and [r["axiom"] for r in report["reports"]] == ["model-load"]
 
 
+# (mode, an entry that does not parse in that mode)
+UNPARSABLE_ENTRIES = [("rational", "0.25"), ("rational", "abc"), ("rational", "1/0"),
+                      ("float", "abc")]
+
+
+def write_table_with_entry(tmp_path, mode, entry):
+    """A 3-site table file of the mode whose third configuration holds entry;
+    returns its path and the message that names it."""
+    window, alphabet = line_window(3), binary_alphabet()
+    configs = enumerate_configurations(window, alphabet)
+    table = (seeded_positive_table(window, alphabet, 5).table if mode == "rational" else
+             FiniteDistribution(window, alphabet, dict.fromkeys(configs, 0.125), FLOAT))
+    path = tmp_path / f"{mode}.tbl"
+    write_distribution_file(table, path)
+    lines = path.read_text().splitlines()
+    key = lines[5].partition("\t")[0]
+    lines[5] = f"{key}\t{entry}"
+    path.write_text("\n".join(lines) + "\n")
+    return path, f"{path}: entry {key} holds {entry!r}, not a {mode} value"
+
+
+@pytest.mark.parametrize("mode, entry", UNPARSABLE_ENTRIES)
+def test_reconstruct_names_the_table_entry_that_does_not_parse(tmp_path, capsys, mode, entry):
+    path, message = write_table_with_entry(tmp_path, mode, entry)
+    assert main(["reconstruct", "--table", str(path), "--target", "(0)",
+                 "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"gfl reconstruct: ValidationError: {message}"]
+
+
+@pytest.mark.parametrize("mode, entry", UNPARSABLE_ENTRIES)
+def test_validate_names_the_table_entry_that_does_not_parse(tmp_path, capsys, mode, entry):
+    path, message = write_table_with_entry(tmp_path, mode, entry)
+    assert main(["validate", "--model", f"table:{path}", "--out", str(tmp_path)]) == 1
+    assert f"validate: FAIL (model load: {message})" in capsys.readouterr().out
+    report = json.loads((tmp_path / "validate.json").read_text())
+    assert report["reports"] == [{"axiom": "model-load", "fixtures_checked": 0,
+                                  "violations": [message], "max_residual": 0.0}]
+
+
 def test_example1_kernel_check_reports_a_closed_form_mismatch(tmp_path, monkeypatch):
     """With the closed form halved, every interior kernel disagrees with it."""
     kernels = cli._example1_kernels

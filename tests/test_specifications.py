@@ -387,6 +387,29 @@ def test_validate_spec_pass_and_corrupted():
     assert not report.ok
 
 
+@pytest.mark.parametrize("as_kernel", [False, True], ids=["mapping", "kernel"])
+def test_a_spec_kernel_missing_a_configuration_is_named(as_kernel):
+    """A rational 3-site spec whose two-site kernels drop their first
+    configuration, as a plain mapping or as a kernel built from one:
+    validate_spec names the missing configuration as FiniteDistribution
+    does, not with a KeyError."""
+    m = seeded_positive_table(line_window(3), BIN, seed=13)
+    exact = spec_from_model(m)
+
+    def dropping(V, boundary):
+        k = exact.kernel(V, boundary)
+        if len(V) == 1:
+            return k
+        probs = dict(list(k.items())[1:])
+        return specifications.ConditionalKernel(V, boundary, probs) if as_kernel else probs
+
+    fixtures, meta = volume_split_fixtures(m.window, BIN)
+    first = enumerate_configurations(fixtures[0][0], BIN)[0]
+    with pytest.raises(specifications.ValidationError) as raised:
+        validate_spec(specifications.Specification(m.window, BIN, dropping), fixtures, meta=meta)
+    assert str(raised.value) == f"missing probability for {first}"
+
+
 def test_validate_reads_one_table_per_distinct_key(monkeypatch):
     """The Gibbs path of gfl validate reconstructs each multi-site
     (V, boundary) once, reads each one-point (site, boundary) once,
