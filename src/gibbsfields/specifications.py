@@ -28,6 +28,7 @@ from .lattice import (
     _concat_map,
     as_site,
     concat,
+    configuration,
     enumerate_configurations,
     format_site,
     restrict,
@@ -43,6 +44,7 @@ from .fields import (
     RandomFieldModel,
     TableField,
     ValidationError,
+    _over_sum,
     _quotient,
     close,
     integer_numerators,
@@ -389,7 +391,11 @@ def spec_from_onepoint(q: OnePointSpec) -> Specification:
             if len(V) == 1:
                 table = q.table(V.sites[0], boundary)
                 configs = enumerate_configurations(V, q.alphabet)
-                nums, d = integer_numerators([table[c.symbols[0]] for c in configs], q.mode)
+                try:
+                    nums, d = integer_numerators([table[c.symbols[0]] for c in configs], q.mode)
+                except KeyError as missing:
+                    raise ValidationError(f"missing probability for {missing} at {V} under "
+                                          f"{boundary}") from None
                 k = ConditionalKernel._of_numerators(V, boundary, configs, tuple(nums), d, q.mode)
             else:
                 k = reconstruct_from_one_point(q.table_fn, V, boundary, q.alphabet, mode=q.mode)
@@ -408,12 +414,21 @@ def finite_volume_gibbs(phi: Potential, V: Volume, boundary: Configuration,
 
     H sums every translate of a potential template that fits in the window
     and touches V; sites of a translate outside V read from the boundary.
+    Each translate adds its column of terms to the energies in code order,
+    so each energy is still ((0.0 + t_1) + t_2) + ..., bit for bit.
     """
     translates = sorted(_translates(phi, V, window), key=lambda a: a.sites)
     plan, collar = _energy_plan(phi, translates, V, boundary)
-    weights = {x: math.exp(-_energy(plan, x.symbols + collar))
-               for x in enumerate_configurations(V, alphabet)}
-    return FiniteDistribution(V, alphabet, normalized(weights, FLOAT), FLOAT)
+    configs, n, r = enumerate_configurations(V, alphabet), len(V), alphabet.size
+    energies = [0.0] * len(configs)
+    for terms, take in plan:  # its term at each code of its span lo..hi of V-positions
+        lo, hi = min(take), max(i for i in take if i < n)
+        values = [terms.get(tuple(span[i - lo] if i < n else collar[i - n] for i in take), 0.0)
+                  for span in product(alphabet.symbols, repeat=hi - lo + 1)]
+        column = [v for v in values for _ in range(r ** (n - 1 - hi))] * r ** lo
+        energies = [e + v for e, v in zip(energies, column)]
+    probs = _over_sum([math.exp(-e) for e in energies], FLOAT)[0]
+    return FiniteDistribution(V, alphabet, dict(zip(configs, probs)), FLOAT)
 
 
 class GibbsVolumeField(TableField):
@@ -641,8 +656,14 @@ def _two_site_report(axiom: str, read: Callable, fixtures: Sequence, syms: tuple
                 ints = iter(ints)
                 tables = [{k: next(ints) for k in table} for table in tables]
             holds, n = Comparison(tol), len(syms)
-            records = list(verdict(dict(zip(syms, tables[:n])), dict(zip(syms, tables[n:])),
-                                   d, holds))
+            try:
+                records = list(verdict(dict(zip(syms, tables[:n])), dict(zip(syms, tables[n:])),
+                                       d, holds))
+            except KeyError as missing:  # name the first table without the key, and its boundary
+                i = next(i for i, table in enumerate(tables) if missing.args[0] not in table)
+                at, other = ((t, s), (s, t))[i >= n]
+                raise ValidationError(f"missing entry for {missing} at {format_site(at)} under "
+                                      f"{concat(z, configuration({other: syms[i % n]}))}") from None
             decided = memo[key] = (records, holds.worst)
         records, residual = decided
         worst = max(worst, residual)

@@ -47,7 +47,13 @@ from gibbsfields.lattice import (
     volume,
 )
 from gibbsfields.models import IsingDemoModel, MarkovChainPairModel
-from gibbsfields.specifications import onepoint_spec_from_model
+from gibbsfields.specifications import (
+    OnePointSpec,
+    onepoint_spec_from_model,
+    pair_site_fixtures,
+    spec_from_onepoint,
+    validate_1spec,
+)
 
 BIN = binary_alphabet()
 WINDOW = line_window(3)  # sites -1, 0, 1
@@ -72,6 +78,19 @@ def spec_on_a_wider_window():
     q = onepoint_spec_from_model(seeded_positive_table(line_window(5), BIN, seed=7))
     constants = BoundaryFamily(constant_boundaries(BIN), "constants")
     return quasilocality_report(q, 0, box_filtration((0,), [1]), constants)
+
+
+def without_symbol_one():
+    return OnePointSpec(WINDOW, BIN, lambda t, b: {0: Fraction(1)})
+
+
+def validate_without_symbol_one():
+    q = without_symbol_one()
+    return validate_1spec(q, pair_site_fixtures(WINDOW, BIN)[0])
+
+
+def kernel_without_symbol_one():
+    return spec_from_onepoint(without_symbol_one()).kernel(volume(0), configuration({-1: 0, 1: 1}))
 
 
 # name -> (call, error type, message)
@@ -125,6 +144,10 @@ INPUT_CHECKS = {
                         NotImplementedError, ""),
     "spec-filtration-window": (spec_on_a_wider_window, GeometryError,
                                "spec evaluation needs the filtration to fill the window"),
+    "1spec-missing-symbol": (validate_without_symbol_one, ValidationError,
+                             "missing entry for 1 at (-1) under (0)=0;(1)=0"),
+    "1spec-kernel-missing-symbol": (kernel_without_symbol_one, ValidationError,
+                                    "missing probability for 1 at (0) under (-1)=0;(1)=1"),
     "witness-strategy": (lambda: non_gibbs_witness(table(), 0, box_filtration((0,), [1]),
                                                    strategy="nosuch"),
                          ValueError, "unknown strategy 'nosuch'"),

@@ -955,11 +955,28 @@ def reference_hamiltonian(phi, site, boundary, window, alphabet):
     return values
 
 
+def potential_of(templates, base=Potential(())):
+    """base plus a term on every configuration of each template but its
+    first, the values all distinct, so an unlisted configuration reads 0.0."""
+    terms = dict(base.terms)
+    for k, sites in enumerate(templates):
+        template = Volume.of(sites)
+        for j, symbols in enumerate(product(SPIN.symbols, repeat=len(template))):
+            if j:
+                terms[(template, Configuration(template, symbols))] = 0.3 * (k + 1) - 0.17 * j
+    return Potential.of(terms)
+
+
 PLAN_MODELS = [
     (line_window(13), ising_potential(0.4)),
     (grid_window(3, 3), ising_potential(0.7, 0.3, 2)),
     (grid_window(4, 3), ising_potential(2.5, -0.2, 2)),
     (line_window(5), ising_potential(0.1)),
+    # a gapped pair and a triple whose sites are not one run of the line
+    (line_window(11), potential_of([[(0,), (2,)], [(0,), (1,), (3,)]], ising_potential(0.2, 0.1))),
+    # a diagonal and an anti-diagonal pair next to the nearest-neighbour ones
+    (grid_window(4, 3), potential_of([[(0, 0), (1, 1)], [(0, 1), (1, 0)]],
+                                     ising_potential(0.6, 0.2, 2))),
 ]
 
 
@@ -968,7 +985,8 @@ def alternating(vol):
 
 
 @pytest.mark.parametrize("window, phi", PLAN_MODELS,
-                         ids=["line13", "grid3x3", "grid4x3", "line5"])
+                         ids=["line13", "grid3x3", "grid4x3", "line5", "line11-gapped",
+                              "grid4x3-diagonal"])
 def test_gibbs_plans_match_the_per_configuration_reference(window, phi):
     def hexed(table):
         return [(c, p.hex()) for c, p in table.items()]
@@ -978,6 +996,8 @@ def test_gibbs_plans_match_the_per_configuration_reference(window, phi):
     for V, boundary in ((window, empty), (inner, alternating(window - inner))):
         got = finite_volume_gibbs(phi, V, boundary, window, SPIN)
         assert hexed(got) == hexed(reference_gibbs(phi, V, boundary, window, SPIN))
+    with pytest.raises(GeometryError, match="^boundary misses interacting sites"):
+        finite_volume_gibbs(phi, inner, empty, window, SPIN)
     for site in (window.sites[0], window.sites[len(window) // 2]):
         boundary = alternating(window - Volume((site,)))
         got = hamiltonian_from_potential(phi, site, boundary, window, SPIN)
@@ -985,6 +1005,24 @@ def test_gibbs_plans_match_the_per_configuration_reference(window, phi):
         assert hexed(got) == hexed(want)
         with pytest.raises(GeometryError, match="^boundary misses interacting sites"):
             hamiltonian_from_potential(phi, site, empty, window, SPIN)
+
+
+def test_finite_volume_gibbs_sums_energies_by_columns(monkeypatch):
+    calls = []
+    real = specifications._energy
+
+    def counting(plan, symbols):
+        calls.append(symbols)
+        return real(plan, symbols)
+
+    monkeypatch.setattr(specifications, "_energy", counting)
+    window = line_window(13)
+    dist = finite_volume_gibbs(ising_potential(0.4), window, Configuration(Volume.empty(), ()),
+                               window, SPIN)
+    assert len(dist) == 2 ** 13 and calls == []
+    hamiltonian_from_potential(ising_potential(0.4), (0,), alternating(window - volume(0)),
+                               window, SPIN)
+    assert len(calls) == SPIN.size  # the counter sees the one-point Hamiltonian's calls
 
 
 def test_measure_system_product_stabilizes_immediately():
