@@ -28,7 +28,6 @@ from .lattice import (
     _concat_map,
     as_site,
     concat,
-    configuration,
     enumerate_configurations,
     format_site,
     restrict,
@@ -659,11 +658,10 @@ def _two_site_report(axiom: str, read: Callable, fixtures: Sequence, syms: tuple
             try:
                 records = list(verdict(dict(zip(syms, tables[:n])), dict(zip(syms, tables[n:])),
                                        d, holds))
-            except KeyError as missing:  # name the first table without the key, and its boundary
-                i = next(i for i, table in enumerate(tables) if missing.args[0] not in table)
-                at, other = ((t, s), (s, t))[i >= n]
+            except KeyError as missing:  # name a table read in this call without the key
+                at, union, symbols = next(k for k, v in seen.items() if missing.args[0] not in v[0])
                 raise ValidationError(f"missing entry for {missing} at {format_site(at)} under "
-                                      f"{concat(z, configuration({other: syms[i % n]}))}") from None
+                                      f"{Configuration(union, symbols)}") from None
             decided = memo[key] = (records, holds.worst)
         records, residual = decided
         worst = max(worst, residual)

@@ -49,10 +49,12 @@ from gibbsfields.lattice import (
 from gibbsfields.models import IsingDemoModel, MarkovChainPairModel
 from gibbsfields.specifications import (
     OnePointSpec,
+    OnePointTEF,
     onepoint_spec_from_model,
     pair_site_fixtures,
     spec_from_onepoint,
     validate_1spec,
+    validate_tef,
 )
 
 BIN = binary_alphabet()
@@ -85,8 +87,13 @@ def without_symbol_one():
 
 
 def validate_without_symbol_one():
-    q = without_symbol_one()
-    return validate_1spec(q, pair_site_fixtures(WINDOW, BIN)[0])
+    return validate_1spec(without_symbol_one(), pair_site_fixtures(WINDOW, BIN)[0])
+
+
+def validate_without_pair_one_zero():
+    d = OnePointTEF(WINDOW, BIN, None, table_fn=lambda t, b: {(0, 0): 1.0, (0, 1): 1.0,
+                                                              (1, 1): 1.0})
+    return validate_tef(d, pair_site_fixtures(WINDOW, BIN)[0])
 
 
 def kernel_without_symbol_one():
@@ -146,6 +153,8 @@ INPUT_CHECKS = {
                                "spec evaluation needs the filtration to fill the window"),
     "1spec-missing-symbol": (validate_without_symbol_one, ValidationError,
                              "missing entry for 1 at (-1) under (0)=0;(1)=0"),
+    "tef-missing-pair": (validate_without_pair_one_zero, ValidationError,
+                         "missing entry for (1, 0) at (-1) under (0)=0;(1)=0"),
     "1spec-kernel-missing-symbol": (kernel_without_symbol_one, ValidationError,
                                     "missing probability for 1 at (0) under (-1)=0;(1)=1"),
     "witness-strategy": (lambda: non_gibbs_witness(table(), 0, box_filtration((0,), [1]),

@@ -956,8 +956,8 @@ def reference_hamiltonian(phi, site, boundary, window, alphabet):
 
 
 def potential_of(templates, base=Potential(())):
-    """base plus a term on every configuration of each template but its
-    first, the values all distinct, so an unlisted configuration reads 0.0."""
+    """base plus, per template, a distinct term on every configuration but
+    the first, which is left out so that its term reads 0.0."""
     terms = dict(base.terms)
     for k, sites in enumerate(templates):
         template = Volume.of(sites)
