@@ -35,6 +35,7 @@ from .fields import (
     ConditionalKernel,
     RandomFieldModel,
     TableField,
+    ValidationError,
     _over_sum,
     _quotient,
     integer_numerators,
@@ -228,30 +229,35 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
     exact = mode == RATIONAL
     # per prefix: (z + u + its x, weight, its int denominator), (None, error, None) if failed
     level = [(z.symbols + u, 1 if exact else 1.0, 1)]
-    for j, (union, boundary_of, r) in enumerate(plans):
-        nxt = []
-        for held, w, d in level:
-            try:
-                if held is None:
-                    raise w
-                boundary = Configuration(union, boundary_of(held))
-                table = one_point(order[j], boundary)
-                if exact:
-                    table = dict(zip(table, integer_numerators(table.values(), mode)[0]))
-            except ValueError as err:  # every extension of a failed prefix fails with it
-                nxt += [(None, err, None)] * alphabet.size
-                continue
-            den = table[u[r]]
-            for a in alphabet.symbols:
-                num = table[a]
-                if num <= 0 or den <= 0:
-                    nxt.append((None, PositivityError(f"one-point kernel vanishes at factor {j} "
-                                f"under {restrict(boundary, V - Volume((order[j],)))}"), None))
-                elif exact:
-                    nxt.append((held + (a,), w * num, d * den))
-                else:
-                    nxt.append((held + (a,), w * (num / den), d))
-        level = nxt
+    try:  # a table without a symbol is named with its site and boundary
+        for j, (union, boundary_of, r) in enumerate(plans):
+            nxt = []
+            for held, w, d in level:
+                try:
+                    if held is None:
+                        raise w
+                    boundary = Configuration(union, boundary_of(held))
+                    table = one_point(order[j], boundary)
+                    if exact:
+                        table = dict(zip(table, integer_numerators(table.values(), mode)[0]))
+                except ValueError as err:  # every extension of a failed prefix fails with it
+                    nxt += [(None, err, None)] * alphabet.size
+                    continue
+                den = table[u[r]]
+                for a in alphabet.symbols:
+                    num = table[a]
+                    if num <= 0 or den <= 0:
+                        nxt.append((None, PositivityError(
+                            f"one-point kernel vanishes at factor {j} "
+                            f"under {restrict(boundary, V - Volume((order[j],)))}"), None))
+                    elif exact:
+                        nxt.append((held + (a,), w * num, d * den))
+                    else:
+                        nxt.append((held + (a,), w * (num / den), d))
+            level = nxt
+    except KeyError as missing:
+        raise ValidationError(f"missing probability for {missing} at {Volume((order[j],))} "
+                              f"under {boundary}") from None
     level = [level[i] for i in leaves]
     for held, w, _ in level:
         if held is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Callable, Sequence
 
@@ -156,20 +156,21 @@ def _interaction_neighbourhood(phi: Potential, site, window: Volume) -> Volume:
     return Volume.of(s for A in _translates(phi, t_vol, window) for s in A) - t_vol
 
 
-def _energy_plan(phi: Potential, translates: list, V: Volume,
-                 boundary: Configuration) -> tuple:
-    """Index maps that sum the terms of the translates over configurations on V.
-
-    Returns (plan, collar): collar holds the boundary's symbols on the
-    translates' sites outside V, and plan holds, per translate, its
-    template's term table and the positions of its sites in
-    ``x.symbols + collar`` for a configuration x on V. The boundary must
-    cover those sites; the first translate that reaches past it raises
-    GeometryError.
+def _energies(phi: Potential, translates: list, V: Volume, boundary: Configuration,
+              alphabet: Alphabet) -> list:
+    """Energies of the configurations on V in code order (first site most
+    significant), the one routine behind every potential energy; sites of a
+    translate outside V read the boundary. Each translate, in the order
+    given, adds its column: its term read once per code of its span lo..hi of
+    V-positions, each value repeated r^(n-1-hi) times, the block tiled r^lo
+    times. So each energy is ((0.0 + t_1) + t_2) + ..., bit for bit. With V
+    empty there is one energy, the boundary's: each translate adds one value.
+    The first translate that reaches past the boundary raises GeometryError.
     """
     where = {s: i for i, s in enumerate(V.sites)}
-    collar = []
-    plan = []
+    collar: list = []  # the boundary's symbols on the translates' sites outside V
+    n, r = len(V), alphabet.size
+    energies = [0.0] * r ** n
     for A in translates:
         missing = (A - V) - boundary.volume
         if missing:
@@ -178,28 +179,25 @@ def _energy_plan(phi: Potential, translates: list, V: Volume,
             if s not in where:
                 where[s] = len(where)
                 collar.append(boundary[s])
-        plan.append((phi._terms_at(A), tuple(where[s] for s in A.sites)))
-    return plan, tuple(collar)
-
-
-def _energy(plan: list, symbols: tuple) -> float:
-    """Sum of the planned terms, in plan order, at ``x.symbols + collar``."""
-    total = 0.0
-    for terms, take in plan:
-        total += terms.get(tuple(symbols[i] for i in take), 0.0)
-    return total
+        take = [where[s] for s in A.sites]
+        lo, hi = min(*take, n), max([i for i in take if i < n], default=n - 1)
+        terms = phi._terms_at(A)
+        values = [terms.get(tuple(span[i - lo] if i < n else collar[i - n] for i in take), 0.0)
+                  for span in product(alphabet.symbols, repeat=hi - lo + 1)]
+        column = [v for v in values for _ in range(r ** (n - 1 - hi))] * r ** lo
+        energies = [e + v for e, v in zip(energies, column)]
+    return energies
 
 
 def hamiltonian_from_potential(phi: Potential, t, boundary: Configuration,
                                window: Volume, alphabet: Alphabet) -> dict:
-    """One-point Hamiltonian H_t(x) = sum of all terms touching t.
-
-    The boundary must cover every interacting site inside the window.
-    Returns a symbol -> float table.
-    """
+    """One-point Hamiltonian H_t(x) = sum of all terms touching t, as a
+    symbol -> float table: ``_energies`` on the one-site volume over the
+    translates in discovery order. The boundary must cover every
+    interacting site inside the window."""
     t_vol = Volume.of([t])
-    plan, collar = _energy_plan(phi, _translates(phi, t_vol, window), t_vol, boundary)
-    return {a: _energy(plan, (a,) + collar) for a in alphabet.symbols}
+    translates = _translates(phi, t_vol, window)
+    return dict(zip(alphabet.symbols, _energies(phi, translates, t_vol, boundary, alphabet)))
 
 
 @dataclass
@@ -412,20 +410,13 @@ def finite_volume_gibbs(phi: Potential, V: Volume, boundary: Configuration,
     """Distribution proportional to exp(-H) on V with fixed outside values.
 
     H sums every translate of a potential template that fits in the window
-    and touches V; sites of a translate outside V read from the boundary.
-    Each translate adds its column of terms to the energies in code order,
-    so each energy is still ((0.0 + t_1) + t_2) + ..., bit for bit.
+    and touches V, in site order (``_energies``); sites of a translate
+    outside V read from the boundary. V is enumerated first, so a
+    CapacityError comes before the r^n energies are allocated.
     """
+    configs = enumerate_configurations(V, alphabet)
     translates = sorted(_translates(phi, V, window), key=lambda a: a.sites)
-    plan, collar = _energy_plan(phi, translates, V, boundary)
-    configs, n, r = enumerate_configurations(V, alphabet), len(V), alphabet.size
-    energies = [0.0] * len(configs)
-    for terms, take in plan:  # its term at each code of its span lo..hi of V-positions
-        lo, hi = min(take), max(i for i in take if i < n)
-        values = [terms.get(tuple(span[i - lo] if i < n else collar[i - n] for i in take), 0.0)
-                  for span in product(alphabet.symbols, repeat=hi - lo + 1)]
-        column = [v for v in values for _ in range(r ** (n - 1 - hi))] * r ** lo
-        energies = [e + v for e, v in zip(energies, column)]
+    energies = _energies(phi, translates, V, boundary, alphabet)
     probs = _over_sum([math.exp(-e) for e in energies], FLOAT)[0]
     return FiniteDistribution(V, alphabet, dict(zip(configs, probs)), FLOAT)
 
@@ -470,12 +461,15 @@ def measure_system_from_model(m: RandomFieldModel) -> MeasureSystem:
 
 def measure_system_from_potential(phi: Potential, window: Volume,
                                   alphabet: Alphabet) -> MeasureSystem:
-    """Free-boundary Gibbs weights exp(-H) as an un-normalized measure system."""
+    """Free-boundary Gibbs weights exp(-H) as an un-normalized measure system.
+
+    H(c) is the one energy ``_energies`` gives with V empty and c as the
+    boundary, over the translates inside c's volume in discovery order,
+    kept per volume; no volume is enumerated."""
+    translates = lru_cache(None)(lambda vol: _translates(phi, vol, vol))
 
     def value(c: Configuration) -> float:
-        translates = _translates(phi, c.volume, c.volume)
-        plan, _ = _energy_plan(phi, translates, c.volume, EMPTY_CONFIGURATION)
-        return math.exp(-_energy(plan, c.symbols))
+        return math.exp(-_energies(phi, translates(c.volume), Volume.empty(), c, alphabet)[0])
 
     return MeasureSystem(window, alphabet, value, FLOAT, "mu(gibbs-weights)")
 

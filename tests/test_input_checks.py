@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from gibbsfields import cli
-from gibbsfields.conditionals import check_pair_consistency
+from gibbsfields.conditionals import check_pair_consistency, reconstruct_from_one_point
 from gibbsfields.diagnostics import (
     BoundaryFamily,
     BoundaryGenerator,
@@ -157,6 +157,13 @@ INPUT_CHECKS = {
                          "missing entry for (1, 0) at (-1) under (0)=0;(1)=0"),
     "1spec-kernel-missing-symbol": (kernel_without_symbol_one, ValidationError,
                                     "missing probability for 1 at (0) under (-1)=0;(1)=1"),
+    "1spec-pair-kernel-missing-symbol": (
+        lambda: spec_from_onepoint(without_symbol_one()).kernel(volume(0, 1), configuration({-1: 0})),
+        ValidationError, "missing probability for 1 at (0) under (-1)=0;(1)=0"),
+    "reconstruction-missing-symbol": (
+        lambda: reconstruct_from_one_point(without_symbol_one().table_fn, volume(0, 1),
+                                           configuration({-1: 0}), BIN),
+        ValidationError, "missing probability for 1 at (0) under (-1)=0;(1)=0"),
     "witness-strategy": (lambda: non_gibbs_witness(table(), 0, box_filtration((0,), [1]),
                                                    strategy="nosuch"),
                          ValueError, "unknown strategy 'nosuch'"),

@@ -1009,20 +1009,63 @@ def test_gibbs_plans_match_the_per_configuration_reference(window, phi):
 
 def test_finite_volume_gibbs_sums_energies_by_columns(monkeypatch):
     calls = []
-    real = specifications._energy
+    real = specifications._energies
 
-    def counting(plan, symbols):
-        calls.append(symbols)
-        return real(plan, symbols)
+    def counting(phi, translates, V, boundary, alphabet):
+        calls.append(V)
+        return real(phi, translates, V, boundary, alphabet)
 
-    monkeypatch.setattr(specifications, "_energy", counting)
+    monkeypatch.setattr(specifications, "_energies", counting)
     window = line_window(13)
     dist = finite_volume_gibbs(ising_potential(0.4), window, Configuration(Volume.empty(), ()),
                                window, SPIN)
-    assert len(dist) == 2 ** 13 and calls == []
-    hamiltonian_from_potential(ising_potential(0.4), (0,), alternating(window - volume(0)),
-                               window, SPIN)
-    assert len(calls) == SPIN.size  # the counter sees the one-point Hamiltonian's calls
+    assert len(dist) == 2 ** 13 and calls == [window]  # one call builds every energy
+    for site in ((0,), (6,)):
+        hamiltonian_from_potential(ising_potential(0.4), site,
+                                   alternating(window - Volume((site,))), window, SPIN)
+    assert calls[1:] == [volume(0), volume(6)]  # one call per one-point Hamiltonian
+
+
+def reference_weight(phi, c):
+    """exp(-H(c)), H summed per translate inside c's volume in discovery order."""
+    terms = dict(phi.terms)
+    total = 0.0
+    for A in specifications._translates(phi, c.volume, c.volume):
+        total += reference_value(terms, A, restrict(c, A))
+    return math.exp(-total)
+
+
+def test_measure_weights_match_the_per_translate_reference():
+    rng = random.Random(5)
+    for window, phi in PLAN_MODELS:
+        mu = measure_system_from_potential(phi, window, SPIN)
+        for vol in (window, Volume(window.sites[1:-1]), Volume(window.sites[::2])):
+            configs = [alternating(vol)] + [
+                Configuration(vol, tuple(rng.choice(SPIN.symbols) for _ in vol))
+                for _ in range(12)]
+            for c in configs:
+                assert mu.value(c).hex() == reference_weight(phi, c).hex(), (window, c)
+
+
+def test_a_measure_table_finds_the_translates_of_its_volume_once(monkeypatch):
+    calls = []
+    real = specifications._translates
+    monkeypatch.setattr(specifications, "_translates",
+                        lambda phi, V, container: calls.append(V) or real(phi, V, container))
+    window = line_window(9)
+    phi = ising_potential(0.4)
+    table = measure_system_from_potential(phi, window, SPIN).table(window)
+    assert len(table) == 2 ** 9 and calls == [window]
+    assert [w.hex() for w in table.values()] == [reference_weight(phi, c).hex() for c in table]
+
+
+def test_a_measure_value_enumerates_no_volume(monkeypatch):
+    monkeypatch.setenv("GFL_ENUM_CAP", "4")
+    window = line_window(40)
+    phi = ising_potential(0.4, 0.1)
+    c = alternating(Volume(window.sites[:25]))
+    assert measure_system_from_potential(phi, window, SPIN).value(c).hex() == \
+        reference_weight(phi, c).hex()
 
 
 def test_measure_system_product_stabilizes_immediately():
