@@ -211,8 +211,8 @@ def reconstruct_from_one_point(one_point: OnePointKernelFn, V: Volume, z: Config
     level down the prefix tree of x, one table fetch per prefix. In rational mode a
     factor is n(a) / n(u) over the table's ``integer_numerators``, so its denominator
     cancels and a float entry raises ValidationError. A vanishing factor or a fetch's
-    ValueError is raised for the first x, in enumeration order, it ends.
-    """
+    ValueError is raised for the first x, in enumeration order, it ends; a missing symbol
+    raises ValidationError at once."""
     if site_order is None:
         order = V.sites
     else:

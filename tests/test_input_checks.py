@@ -158,7 +158,8 @@ INPUT_CHECKS = {
     "1spec-kernel-missing-symbol": (kernel_without_symbol_one, ValidationError,
                                     "missing probability for 1 at (0) under (-1)=0;(1)=1"),
     "1spec-pair-kernel-missing-symbol": (
-        lambda: spec_from_onepoint(without_symbol_one()).kernel(volume(0, 1), configuration({-1: 0})),
+        lambda: spec_from_onepoint(without_symbol_one()).kernel(volume(0, 1),
+                                                                configuration({-1: 0})),
         ValidationError, "missing probability for 1 at (0) under (-1)=0;(1)=0"),
     "reconstruction-missing-symbol": (
         lambda: reconstruct_from_one_point(without_symbol_one().table_fn, volume(0, 1),
