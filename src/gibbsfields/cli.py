@@ -131,6 +131,19 @@ def resolve(args: argparse.Namespace, config: dict) -> dict:
     return config
 
 
+def _number(params: dict, key: str, default: str, kind=Fraction):
+    """The descriptor's value of key read by kind; a ValueError names the key
+    when it does not parse or when a window holds fewer than one site."""
+    text = params.get(key, default)
+    try:
+        value = kind(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ValueError(f"model parameter {key}={text}: {err}") from None
+    if key == "window" and value < 1:
+        raise ValueError(f"model parameter window={value}: a window needs at least one site")
+    return value
+
+
 def build_model(descriptor: str):
     kind, _, params_text = descriptor.partition(":")
     params = {}
@@ -139,19 +152,17 @@ def build_model(descriptor: str):
             key, _, value = chunk.partition("=")
             params[key.strip()] = value.strip()
     if kind == "example1":
-        n = int(params.get("N", 8))
-        c = Fraction(params.get("c", "1/2"))
-        kappa = Fraction(params.get("kappa", "1/2"))
+        n = _number(params, "N", "8", int)
+        c = _number(params, "c", "1/2")
+        kappa = _number(params, "kappa", "1/2")
         return example1_pair(n, c, kappa)[0 if params.get("sign", "+") != "-" else 1]
     if kind == "example2":
-        return example2_model(Fraction(params.get("tau", "1")),
-                              int(params.get("window", 13)))
+        return example2_model(_number(params, "tau", "1"), _number(params, "window", "13", int))
     if kind == "ising":
-        return ising_demo(float(params.get("beta", 0.4)), float(params.get("h", 0.0)),
-                          int(params.get("d", 1)), int(params.get("window", 11)))
+        return ising_demo(_number(params, "beta", "0.4", float), _number(params, "h", "0.0", float),
+                          _number(params, "d", "1", int), _number(params, "window", "11", int))
     if kind == "bernoulli":
-        return bernoulli_product(Fraction(params.get("p", "1/2")),
-                                 int(params.get("window", 9)))
+        return bernoulli_product(_number(params, "p", "1/2"), _number(params, "window", "9", int))
     if kind == "table":
         table = read_distribution_file(params_text)
         return table_field(table.volume, table.alphabet, table)

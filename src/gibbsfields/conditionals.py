@@ -23,6 +23,7 @@ from .lattice import (
     GeometryError,
     MAP_CACHE_SIZE,
     Volume,
+    _code_plan,
     _concat_map,
     _digit_codes,
     box_volume,
@@ -69,8 +70,7 @@ def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> Cond
             raise NullConditionError(f"condition has probability {pz}: {z}")
     configs = enumerate_configurations(V, m.alphabet)
     if default_prob:
-        union, strides, offsets = _code_plan(V, z.volume, m.alphabet)
-        base = sum(m.alphabet.symbols.index(a) * w for a, w in zip(z.symbols, strides))
+        union, base, offsets = _code_plan(V, z, m.alphabet)
         marginal = m.marginal(union)
         entries, s = marginal._exact_view if on_table else marginal.numerators()
         joint = [entries[base + o] for o in offsets]
@@ -87,16 +87,6 @@ def finite_conditional(m: RandomFieldModel, V: Volume, z: Configuration) -> Cond
         return ConditionalKernel._of_numerators(
             V, z, configs, tuple(n * d_z for n in joint), s * n_z)
     return ConditionalKernel._of_numerators(V, z, configs, tuple(p / pz for p in joint), 1, m.mode)
-
-
-@lru_cache(maxsize=MAP_CACHE_SIZE)
-def _code_plan(V: Volume, condition: Volume, alphabet: Alphabet) -> tuple:
-    """(union, strides, offsets): the marginal on the union holds x z, x the j-th
-    configuration on V, at code offsets[j] + sum(index(a) * w for a, w in zip(z, strides))."""
-    union, _ = _concat_map(condition, V)
-    k = alphabet.size
-    strides = tuple(_digit_codes(union, (s,), k)[1] for s in condition)
-    return union, strides, tuple(_digit_codes(union, V, k))
 
 
 class KernelCache:

@@ -15,9 +15,8 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property
 from numbers import Rational
-from operator import add
 
 from .lattice import (
     EMPTY_CONFIGURATION,
@@ -26,6 +25,7 @@ from .lattice import (
     DomainError,
     Volume,
     _IndexedTuple,
+    _sum_out,
     enumerate_configurations,
     format_site,
     parse_site,
@@ -238,10 +238,9 @@ class FiniteDistribution(ConditionalKernel):
     """Exact probability table over all configurations on a finite volume:
     the kernel under the empty condition.
 
-    Its keys are the enumeration itself, in canonical order, and this is a
-    contract: the j-th key of ``probs`` is the configuration whose symbols'
-    alphabet indices, read site by site as the digits of a base-k number,
-    spell j, so the j-th numerator is that of code j. Entries are finite.
+    Its keys are the enumeration itself, and this is a contract: the j-th key
+    of ``probs`` and the j-th numerator are those of code j, in the code layout
+    that ``lattice``'s module docstring defines. Entries are finite.
     The constructor checks and converts them once; ``marginalize`` keeps an
     exact view of them with the table.
     """
@@ -280,22 +279,6 @@ class FiniteDistribution(ConditionalKernel):
         ratios = [float(v).as_integer_ratio() for v in self._exact[1]]
         scale = max(d for _, d in ratios)
         return [n * (scale // d) for n, d in ratios], scale
-
-
-def _sum_out(values: list, i: int, k: int) -> list:
-    """Sum out digit i of the base-k codes that index values: by contiguous
-    runs if fewer digits precede i than follow it, else by strided slices."""
-    w = len(values) // k ** (i + 1)  # the run of one symbol at digit i
-    block = k * w
-    if k ** i <= w:
-        out = []
-        for b in range(0, len(values), block):
-            out += reduce(partial(map, add), [values[j:j + w] for j in range(b, b + block, w)])
-        return out
-    out = [0] * (len(values) // k)
-    for r in range(w):
-        out[r::w] = reduce(partial(map, add), [values[j::block] for j in range(r, block, w)])
-    return out
 
 
 def marginalize(p: FiniteDistribution, V: Volume) -> FiniteDistribution:

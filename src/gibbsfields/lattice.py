@@ -4,6 +4,11 @@ Everything here is an immutable value; all operations are pure. The
 infinite lattice is represented only through a finite "window" volume
 declared per experiment, and complements are always taken relative to
 that window.
+
+The code layout: a table over n sites and k symbols lists configurations
+by code, the base-k number of their symbols' alphabet indices, the first
+site most significant (site i has stride k^(n-1-i)). Only ``_digit_codes``
+and the operators after it compute with codes.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ import os
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import product
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Site = tuple  # tuple[int, ...], length = lattice dimension
@@ -315,6 +321,43 @@ def _digit_codes(layout: Iterable, sites: Iterable, k: int) -> list:
         w = k ** (n - 1 - position[s])
         codes = [c + d for c in codes for d in range(0, k * w, w)]
     return codes
+
+
+def _sum_out(values: list, i: int, k: int) -> list:
+    """Sum out digit i of the base-k codes that index values: by contiguous
+    runs if fewer digits precede i than follow it, else by strided slices."""
+    w = len(values) // k ** (i + 1)  # the run of one symbol at digit i
+    block = k * w
+    if k ** i <= w:
+        out = []
+        for b in range(0, len(values), block):
+            out += reduce(partial(map, add), [values[j:j + w] for j in range(b, b + block, w)])
+        return out
+    out = [0] * (len(values) // k)
+    for r in range(w):
+        out[r::w] = reduce(partial(map, add), [values[j::block] for j in range(r, block, w)])
+    return out
+
+
+def _spread(values: list, lo: int, hi: int, n: int, k: int) -> list:
+    """The column over the codes of n digits holding values at each code's digits lo..hi."""
+    return [v for v in values for _ in range(k ** (n - 1 - hi))] * k ** lo
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def _union_plan(V: Volume, condition: Volume, alphabet: Alphabet) -> tuple:
+    """The union, the strides of its condition sites and the codes of V's configurations."""
+    union, _ = _concat_map(condition, V)
+    k = alphabet.size
+    strides = tuple(_digit_codes(union, (s,), k)[1] for s in condition)
+    return union, strides, tuple(_digit_codes(union, V, k))
+
+
+def _code_plan(V: Volume, z: Configuration, alphabet: Alphabet) -> tuple:
+    """(union, base, offsets): the table on the union of V and z's disjoint volume
+    holds x z, x the j-th configuration on V, at code base + offsets[j], base being z's code."""
+    union, strides, offsets = _union_plan(V, z.volume, alphabet)
+    return union, sum(map(mul, map(alphabet.symbols.index, z.symbols), strides)), offsets
 
 
 class _IndexedTuple(tuple):

@@ -565,3 +565,47 @@ def test_small_windows_validate_and_diagnose(tmp_path, capsys, kind, sites,
         assert err == ""
     assert main(["diagnose", "--model", model, *out]) == diagnose_code
     assert capsys.readouterr().err == ""
+
+
+# (descriptor, key): an empty or negative window, or a number divided by 0
+BAD_DESCRIPTORS = [
+    ("ising:beta=1,window=-1", "window=-1"),
+    ("ising:beta=1,window=0", "window=0"),
+    ("ising:beta=1,d=2,window=-2", "window=-2"),
+    ("bernoulli:window=-1", "window=-1"),
+    ("example2:tau=1,window=0", "window=0"),
+    ("example1:c=1/0", "c=1/0"),
+    ("example2:tau=1/0", "tau=1/0"),
+    ("bernoulli:p=1/0", "p=1/0"),
+]
+
+
+@pytest.mark.parametrize("descriptor,key", BAD_DESCRIPTORS)
+def test_bad_descriptor_numbers_are_named_without_a_traceback(tmp_path, capsys, descriptor, key):
+    """A window of fewer than one site or a number that does not parse fails in
+    build_model with a ValueError naming the key: validate reports a model-load
+    failure and exits 1, diagnose exits 4 with one stderr line."""
+    out = ["--model", descriptor, "--out", str(tmp_path)]
+    assert main(["validate", *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"validate: FAIL (model load: model parameter {key}")
+    assert "Traceback" not in captured.err
+    [load] = json.loads((tmp_path / "validate.json").read_text())["reports"]
+    assert load["axiom"] == "model-load" and key in load["violations"][0]
+    assert main(["diagnose", *out]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"gfl diagnose: ValueError: model parameter {key}")
+
+
+@pytest.mark.parametrize("descriptor,key", [BAD_DESCRIPTORS[0], BAD_DESCRIPTORS[5]])
+def test_bad_descriptor_numbers_exit_without_a_traceback_in_a_child(tmp_path, descriptor, key):
+    """The same exit codes from a fresh `gfl` process, whose stderr holds no traceback."""
+    env = {"PATH": "/usr/bin:/bin"}
+    validated = run_cli("validate", "--model", descriptor, "--out", str(tmp_path), env=env)
+    assert validated.returncode == 1 and "Traceback" not in validated.stderr
+    assert f"model parameter {key}" in validated.stdout
+    diagnosed = run_cli("diagnose", "--model", descriptor, "--out", str(tmp_path), env=env)
+    assert diagnosed.returncode == 4 and "Traceback" not in diagnosed.stderr
+    [line] = diagnosed.stderr.splitlines()
+    assert line.startswith(f"gfl diagnose: ValueError: model parameter {key}")

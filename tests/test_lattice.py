@@ -290,6 +290,56 @@ def test_digit_codes_are_enumeration_positions(case):
         assert code == order.index(c)
 
 
+@st.composite
+def layout_cases(draw):
+    """Up to 5 distinct 1-D or 2-D sites split into a target V and a
+    condition, a configuration z on the condition, an alphabet of 2 or 3
+    symbols and one int per configuration on all the sites."""
+    alphabet = draw(st.sampled_from([binary_alphabet(), Alphabet.of(("a", "b", "c"))]))
+    dim = draw(st.sampled_from([1, 2]))
+    sites = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), unique=True,
+                          min_size=1, max_size=5))
+    in_V = draw(st.lists(st.booleans(), min_size=len(sites), max_size=len(sites)))
+    V = Volume.of(s for s, inside in zip(sites, in_V) if inside)
+    condition = Volume.of(s for s, inside in zip(sites, in_V) if not inside)
+    z = Configuration(condition, tuple(draw(st.sampled_from(alphabet.symbols))
+                                       for _ in condition))
+    values = draw(st.lists(st.integers(-9, 9), min_size=alphabet.size ** len(sites),
+                           max_size=alphabet.size ** len(sites)))
+    return Volume.of(sites), V, z, alphabet, values
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(layout_cases())
+def test_layout_operators_match_their_definitions(case):
+    """On a table in code order over the layout: _sum_out of each digit (by
+    runs for the first digits, by strided slices for the last) is the sum
+    over the enumeration grouped by the other sites; _spread of every span
+    lo..hi, the empty ones included, reads each code's span digits; and
+    _code_plan puts x z at its enumeration position on the union."""
+    layout, V, z, alphabet, values = case
+    k, n = alphabet.size, len(layout)
+    configs = enumerate_configurations(layout, alphabet)
+    for i, site in enumerate(layout.sites):
+        rest = layout - Volume((site,))
+        expected = dict.fromkeys(enumerate_configurations(rest, alphabet), 0)
+        for c, v in zip(configs, values):
+            expected[restrict(c, rest)] += v
+        assert lattice._sum_out(values, i, k) == list(expected.values())
+    digits = list(product(range(k), repeat=n))  # of each code, first site first
+    for lo in range(n + 1):
+        for hi in range(lo - 1, n):
+            span = list(range(k ** (hi - lo + 1)))
+            column = [span[sum(d * k ** (hi - j) for j, d in enumerate(ds[lo:hi + 1], lo))]
+                      for ds in digits]
+            assert lattice._spread(span, lo, hi, n, k) == column
+    union, base, offsets = lattice._code_plan(V, z, alphabet)
+    assert union is layout
+    position = enumerate_configurations(union, alphabet).position
+    assert [base + o for o in offsets] == [
+        position[concat(x, z)] for x in enumerate_configurations(V, alphabet)]
+
+
 def test_index_map_errors_are_not_cached():
     a = configuration({(0, 0): 1, (0, 1): -1})
     b = configuration({(1, 0): 1})
