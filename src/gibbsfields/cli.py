@@ -132,15 +132,13 @@ def resolve(args: argparse.Namespace, config: dict) -> dict:
 
 
 def _number(params: dict, key: str, default: str, kind=Fraction):
-    """The descriptor's value of key read by kind; a ValueError names the key
-    when it does not parse or when a window holds fewer than one site."""
-    text = params.get(key, default)
+    """params[key], else default, read by kind; a ValueError names the key it cannot read."""
     try:
-        value = kind(text)
+        value = kind(params.get(key, default))
+        if key == "window" and value < 1:
+            raise ValueError("a window needs at least one site")
     except (ValueError, ZeroDivisionError) as err:
-        raise ValueError(f"model parameter {key}={text}: {err}") from None
-    if key == "window" and value < 1:
-        raise ValueError(f"model parameter window={value}: a window needs at least one site")
+        raise ValueError(f"model parameter {key}={params.get(key, default)}: {err}") from None
     return value
 
 

@@ -5,10 +5,9 @@ infinite lattice is represented only through a finite "window" volume
 declared per experiment, and complements are always taken relative to
 that window.
 
-The code layout: a table over n sites and k symbols lists configurations
-by code, the base-k number of their symbols' alphabet indices, the first
-site most significant (site i has stride k^(n-1-i)). Only ``_digit_codes``
-and the operators after it compute with codes.
+The code layout: a table over n sites and k symbols lists configurations by
+code, the base-k number of their symbols' alphabet indices, site i of stride
+k^(n-1-i). Only ``_digit_codes`` and the operators after it compute codes.
 """
 
 from __future__ import annotations
@@ -354,8 +353,7 @@ def _union_plan(V: Volume, condition: Volume, alphabet: Alphabet) -> tuple:
 
 
 def _code_plan(V: Volume, z: Configuration, alphabet: Alphabet) -> tuple:
-    """(union, base, offsets): the table on the union of V and z's disjoint volume
-    holds x z, x the j-th configuration on V, at code base + offsets[j], base being z's code."""
+    """(union, base, offsets): x z, x the j-th configuration on V, has union code base + offsets[j]."""
     union, strides, offsets = _union_plan(V, z.volume, alphabet)
     return union, sum(map(mul, map(alphabet.symbols.index, z.symbols), strides)), offsets
 
