@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .lattice import (
@@ -26,6 +25,7 @@ from .lattice import (
     _code_plan,
     _concat_map,
     _digit_codes,
+    _getter,
     box_volume,
     concat,
     enumerate_configurations,
@@ -266,18 +266,11 @@ def _factor_plans(V: Volume, order: tuple, condition: Volume, alphabet: Alphabet
     the leaf of each x on V, and the configurations on V, enumerated once per plan."""
     plans = []
     for j, t in enumerate(order):
-        union, _ = _concat_map(condition, V - Volume((t,)))
+        union = _concat_map(condition, V - Volume((t,)))[0]
         at = {s: i for i, s in enumerate(condition.sites + V.sites + order[:j])}  # x over u
         plans.append((union, _getter(tuple(at[s] for s in union.sites)), V.index(t)))
     configs = enumerate_configurations(V, alphabet)
     return tuple(plans), tuple(_digit_codes(order, V, alphabet.size)), configs
-
-
-def _getter(take: tuple) -> Callable:
-    """The tuple of the items at take; itemgetter alone returns a bare item for one position."""
-    if len(take) > 1:
-        return itemgetter(*take)
-    return (lambda held: (held[take[0]],)) if take else (lambda held: ())
 
 
 def markov_radius(m: RandomFieldModel, t, max_r: int,

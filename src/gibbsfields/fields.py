@@ -375,13 +375,15 @@ class ProductField(RandomFieldModel):
         total = scalar_sum(self.law.values(), mode)
         if mode == RATIONAL and total != 1 or mode == FLOAT and abs(total - 1) > DEFAULT_TOL:
             raise ValidationError(f"single-site law sums to {total}")
+        nums, d = integer_numerators(self.law.values(), mode)
+        self._numerators = dict(zip(self.law, nums)), d
 
     def prob(self, c: Configuration):
+        """The product of the law's numerators over its denominator to the |c|, one
+        Fraction in rational mode; in float mode the floats' product, left to right."""
         self._check_volume(c.volume)
-        out = Fraction(1) if self.mode == RATIONAL else 1.0
-        for v in c.symbols:
-            out *= self.law[v]
-        return out
+        nums, d = self._numerators
+        return _quotient(math.prod(map(nums.__getitem__, c.symbols)), d ** len(c), self.mode)
 
     def describe(self) -> str:
         return f"product[{dict((self.alphabet.name_of(k), str(v)) for k, v in self.law.items())}]"
@@ -437,34 +439,43 @@ def write_distribution_file(p: FiniteDistribution, path) -> None:
 
 
 def read_distribution_file(path) -> FiniteDistribution:
+    """The table ``write_distribution_file`` writes. A header or key that does
+    not parse raises ValidationError naming the file and its line."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
     header = {}
     body_start = 0
-    for i, ln in enumerate(lines):
+    for i, (n, ln) in enumerate(lines):
         key, _, rest = ln.partition("\t")
         if key in ("volume", "alphabet", "mode"):
-            header[key] = rest
+            header[key] = n, rest
             body_start = i + 1
         else:
             break
     if "volume" not in header or "alphabet" not in header:
         raise ValidationError("missing volume/alphabet header")
-    vol = Volume.of(parse_site(s) for s in header["volume"].split(";"))
-    names = header["alphabet"].split(";")
-    try:
-        symbols = tuple(int(n) for n in names)
-    except ValueError:
-        symbols = tuple(names)
-    alphabet = Alphabet.of(symbols, names)
-    mode = header.get("mode", RATIONAL)
+    mode = header.get("mode", (0, RATIONAL))[1]
     probs = {}
-    for ln in lines[body_start:]:
-        key, _, val = ln.partition("\t")
-        syms = tuple(alphabet.symbol_of(n) for n in key.split(","))
+    try:
+        n, text = header["volume"]
+        vol = Volume.of(parse_site(s) for s in text.split(";"))
+        n, text = header["alphabet"]
+        names = text.split(";")
         try:
-            value = parse_scalar(val, mode)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"{path}: entry {key} holds {val!r}, not a {mode} value") from None
-        probs[Configuration(vol, syms)] = value
+            symbols = tuple(int(name) for name in names)
+        except ValueError:
+            symbols = tuple(names)
+        alphabet = Alphabet.of(symbols, names)
+        for n, ln in lines[body_start:]:
+            key, _, val = ln.partition("\t")
+            c = Configuration(vol, tuple(alphabet.symbol_of(name) for name in key.split(",")))
+            try:
+                probs[c] = parse_scalar(val, mode)
+            except (ValueError, ZeroDivisionError):
+                raise ValidationError(
+                    f"{path}: entry {key} holds {val!r}, not a {mode} value") from None
+    except ValidationError:
+        raise
+    except ValueError as err:
+        raise ValidationError(f"{path}, line {n}: {err}") from None
     return FiniteDistribution(vol, alphabet, probs, mode)

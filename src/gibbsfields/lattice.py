@@ -18,8 +18,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import product
-from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add, itemgetter, mul
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Site = tuple  # tuple[int, ...], length = lattice dimension
 Symbol = object  # hashable alphabet element, typically a small int
@@ -260,34 +260,39 @@ MAP_CACHE_SIZE = 8192  # volume pairs whose concat/restrict maps are kept
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def _concat_map(A: Volume, B: Volume) -> tuple:
-    """The union of disjoint volumes and, per union site in order, its
-    position in ``A.sites + B.sites``."""
+    """The union of disjoint volumes, per union site in order its position
+    ``take`` in ``A.sites + B.sites``, and the getter of those positions."""
     if not A.isdisjoint(B):
         raise DomainError(f"domains overlap on {A & B}")
     sites = A.sites + B.sites
     take = tuple(sorted(range(len(sites)), key=sites.__getitem__))
-    return Volume(tuple(sites[i] for i in take)), take
+    return Volume(tuple(sites[i] for i in take)), take, _getter(take)
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
-def _restrict_map(A: Volume, T: Volume) -> tuple:
-    """Positions in A of the sites of T, in T's order."""
+def _restrict_map(A: Volume, T: Volume) -> Callable:
+    """The getter of the symbols of T's sites, in T's order, from A's symbols."""
     if not T.issubset(A):
         raise DomainError(f"{T - A} not in the configuration's domain")
-    return tuple(A.index(s) for s in T)
+    return _getter(tuple(A.index(s) for s in T))
+
+
+def _getter(take: tuple) -> Callable:
+    """The tuple of the items at take; itemgetter alone returns a bare item for one position."""
+    if len(take) > 1:
+        return itemgetter(*take)
+    return (lambda held: (held[take[0]],)) if take else (lambda held: ())
 
 
 def concat(a: Configuration, b: Configuration) -> Configuration:
     """Join two configurations on disjoint volumes into one on the union."""
-    union, take = _concat_map(a.volume, b.volume)
-    symbols = a.symbols + b.symbols
-    return Configuration(union, tuple(symbols[i] for i in take))
+    union, _, get = _concat_map(a.volume, b.volume)
+    return Configuration(union, get(a.symbols + b.symbols))
 
 
 def restrict(c: Configuration, T: Volume) -> Configuration:
     """Restriction of a configuration to a sub-volume."""
-    symbols = c.symbols
-    return Configuration(T, tuple(symbols[i] for i in _restrict_map(c.volume, T)))
+    return Configuration(T, _restrict_map(c.volume, T)(c.symbols))
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -346,7 +351,7 @@ def _spread(values: list, lo: int, hi: int, n: int, k: int) -> list:
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def _union_plan(V: Volume, condition: Volume, alphabet: Alphabet) -> tuple:
     """The union, the strides of its condition sites and the codes of V's configurations."""
-    union, _ = _concat_map(condition, V)
+    union = _concat_map(condition, V)[0]
     k = alphabet.size
     strides = tuple(_digit_codes(union, (s,), k)[1] for s in condition)
     return union, strides, tuple(_digit_codes(union, V, k))

@@ -168,12 +168,9 @@ class BernoulliMixtureModel(RandomFieldModel):
     def prob(self, c: Configuration):
         self._check_volume(c.volume)
         n, ones = len(c), c.count(1)
-        if self.mode == RATIONAL:
+        if self.mode == RATIONAL:  # tau (ones + tau - 1)! (n - ones)! / (n + tau)!
             tau = self.tau
-            return Fraction(
-                tau * math.factorial(ones + tau - 1) * math.factorial(n - ones),
-                math.factorial(n + tau),
-            )
+            return Fraction(tau, (n + tau) * math.comb(n + tau - 1, ones + tau - 1))
         return self.tau * _beta(ones + self.tau, n - ones + 1)
 
     def conditional_one(self, condition_size: int, condition_ones: int):

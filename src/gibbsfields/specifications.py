@@ -626,7 +626,7 @@ def _two_site_report(axiom: str, read: Callable, fixtures: Sequence, syms: tuple
     memo: dict = {}  # code tuple -> (records, worst residual)
 
     def side(t, s, z):
-        union, take = _concat_map(z.volume, Volume((as_site(s),)))
+        union, take, _ = _concat_map(z.volume, Volume((as_site(s),)))
         i = take.index(len(z))
         head, tail = z.symbols[:i], z.symbols[i:]
         for b in syms:

@@ -210,6 +210,29 @@ def test_reconstruct_names_the_table_entry_that_does_not_parse(tmp_path, capsys,
         f"gfl reconstruct: ValidationError: {message}"]
 
 
+# (the line number, what it holds, the error) for a header or key that does not parse
+UNPARSABLE_LINES = {
+    "site-coordinate": (1, "volume\t(0);(a)", "invalid literal for int() with base 10: 'a'"),
+    "site-literal": (1, "volume\t(0);1", "bad site literal: '1'"),
+    "one-symbol-alphabet": (2, "alphabet\t0", "an alphabet needs at least two symbols"),
+    "short-key": (5, "0,0\t1/4", "one symbol per site required"),
+    "unknown-symbol": (6, "0,0,2\t1/4", "unknown symbol '2'; the alphabet's names are 0, 1"),
+}
+
+
+@pytest.mark.parametrize("line, text, error", UNPARSABLE_LINES.values(), ids=UNPARSABLE_LINES)
+def test_reconstruct_names_the_table_line_that_does_not_parse(tmp_path, capsys, line, text,
+                                                                error):
+    path, _ = write_table_with_entry(tmp_path, "rational", "1/8")
+    lines = path.read_text().splitlines()
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["reconstruct", "--table", str(path), "--target", "(0)",
+                 "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"gfl reconstruct: ValidationError: {path}, line {line}: {error}"]
+
+
 @pytest.mark.parametrize("mode, entry", UNPARSABLE_ENTRIES)
 def test_validate_names_the_table_entry_that_does_not_parse(tmp_path, capsys, mode, entry):
     path, message = write_table_with_entry(tmp_path, mode, entry)

@@ -317,6 +317,27 @@ def test_example2_positivity_via_integral_oracle():
             assert table[cfg] == exact_mixture_prob(1, size, cfg.count(1))
 
 
+def test_product_prob_is_the_left_to_right_product_of_the_law():
+    """One Fraction of the law's numerators in rational mode, the same value
+    and str as the per-site product; in float mode the same bits."""
+    window = line_window(5)
+    three = Alphabet.of((0, 1, 2))
+    exact = ProductField(window, three, {0: Fraction(1, 6), 1: Fraction(1, 2), 2: Fraction(1, 3)})
+    rough = ProductField(window, three, {0: 0.1, 1: 0.7, 2: 0.2}, FLOAT)
+    configs = (EMPTY_CONFIGURATION, *enumerate_configurations(volume(0, 2), three),
+               Configuration(window, (2, 0, 1, 1, 2)))
+    for c in configs:
+        expected = Fraction(1)
+        for v in c.symbols:
+            expected *= exact.law[v]
+        got = exact.prob(c)
+        assert type(got) is Fraction and got == expected and str(got) == str(expected)
+        expected = 1.0
+        for v in c.symbols:
+            expected *= rough.law[v]
+        assert rough.prob(c).hex() == expected.hex()
+
+
 def test_table_field_one_site_and_product():
     vol = volume(0)
     law = {Configuration(vol, (0,)): Fraction(1, 3),

@@ -214,6 +214,17 @@ def test_restrict_identity_and_error():
         restrict(c, volume(3))
 
 
+def test_getter_returns_a_tuple_at_zero_one_and_many_positions():
+    held = ("a", "b", "c")
+    for take in ((), (1,), (2, 0)):
+        assert lattice._getter(take)(held) == tuple(held[i] for i in take)
+    c = configuration({1: 1, 2: -1})
+    assert restrict(c, Volume.empty()) == EMPTY_CONFIGURATION
+    assert restrict(c, volume(1)).symbols == (1,)
+    assert concat(EMPTY_CONFIGURATION, EMPTY_CONFIGURATION) == EMPTY_CONFIGURATION
+    assert concat(EMPTY_CONFIGURATION, restrict(c, volume(2))).symbols == (-1,)
+
+
 @given(st.integers(1, 5), st.integers(0, 2**10 - 1), st.integers(0, 2**10 - 1))
 def test_partition_identity(n_sites, value_bits, split_bits):
     """concat(restrict(c,T), restrict(c,V\\T)) == c for any split."""

@@ -206,6 +206,14 @@ def test_example2_values_and_formula():
             vol = Volume.of(range(-(size // 2), size - size // 2))
             for cfg in enumerate_configurations(vol, model.alphabet):
                 assert model.prob(cfg) == exact_mixture_prob(tau, size, cfg.count(1))
+    # the closed form on the 325-site window of example 2, at ones = 0, all sites and between
+    window = line_window(325)
+    for tau in (1, 2, 3):
+        model = example2_model(tau, window)
+        for ones in (0, 1, 2, 162, 324, 325):
+            cfg = Configuration(window, (1,) * ones + (0,) * (325 - ones))
+            got, expected = model.prob(cfg), exact_mixture_prob(tau, 325, ones)
+            assert type(got) is Fraction and str(got) == str(expected)
 
 
 def test_example2_conditional_formula_exact():
