@@ -126,5 +126,5 @@ def test_exact_twin_counts_every_violation(lam):
     *(pytest.param(lam, marks=pytest.mark.xfail(strict=True, reason=HIDDEN)) for lam in LAMBDAS[1:]),
 ], ids=str)
 def test_float_twin_counts_what_the_exact_twin_counts(lam):
-    """Today the float twin counts 324/276, 284/92 and 209/16 at the three small lambdas."""
+    """At the three small lambdas the float twin counts 324/276, 284/92 and 209/16."""
     assert counts(ising_ratio_tef(float(lam), corrupt=True)) == counts(ising_ratio_tef(lam, corrupt=True))
